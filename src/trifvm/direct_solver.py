@@ -46,22 +46,6 @@ class LuFactors:
     pivot_rows: np.ndarray  # permuted-space row chosen at each step
     fill_nnz: int
 
-    def l_dense(self) -> np.ndarray:
-        out = np.eye(self.n)
-        # l_rows live in permuted-row space; map to elimination steps
-        step_of = np.empty(self.n, dtype=np.int64)
-        step_of[self.pivot_rows] = np.arange(self.n)
-        for j in range(self.n):
-            out[step_of[self.l_rows[j]], j] = self.l_vals[j]
-        return out
-
-    def u_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            out[self.u_rows[j], j] = self.u_vals[j]
-            out[j, j] = self.u_diag[j]
-        return out
-
 
 def adjacency_pattern(mat: CsrMatrix):
     """Symmetrized off-diagonal pattern as per-vertex sorted neighbor lists."""

@@ -36,23 +36,15 @@ class DualGraph:
     n: int
     ptr: np.ndarray        # (n + 1,)
     adj: np.ndarray        # neighbor cell ids
-    edge_face: np.ndarray  # global face id per adjacency entry
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.adj[self.ptr[v]:self.ptr[v + 1]]
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.adj) // 2
 
 
 @dataclass
 class PartitionMap:
     part: np.ndarray  # (n_cells,) rank per cell
     k: int
-
-    def rank_cells(self, r: int) -> np.ndarray:
-        return np.flatnonzero(self.part == r)
 
 
 def build_dual_graph(mesh: Mesh) -> DualGraph:
@@ -61,13 +53,12 @@ def build_dual_graph(mesh: Mesh) -> DualGraph:
     right = mesh.face_cells[inter, 1]
     heads = np.concatenate([left, right])
     tails = np.concatenate([right, left])
-    faces = np.concatenate([inter, inter])
     order = np.lexsort((tails, heads))
-    heads, tails, faces = heads[order], tails[order], faces[order]
+    heads, tails = heads[order], tails[order]
     ptr = np.zeros(mesh.n_cells + 1, dtype=np.int64)
     np.add.at(ptr, heads + 1, 1)
     np.cumsum(ptr, out=ptr)
-    return DualGraph(n=mesh.n_cells, ptr=ptr, adj=tails, edge_face=faces)
+    return DualGraph(n=mesh.n_cells, ptr=ptr, adj=tails)
 
 
 def _bfs_farthest(graph: DualGraph, sources) -> int:
@@ -234,7 +225,6 @@ class Subdomain:
     halo_cells: np.ndarray      # global ids, ascending
     local_mesh: Mesh
     cells_l2g: np.ndarray       # (n_own + n_halo,)
-    nodes_l2g: np.ndarray
     face_l2g: np.ndarray
     neighbor_links: dict[int, tuple[np.ndarray, np.ndarray]]
 
@@ -245,9 +235,6 @@ class Subdomain:
     @property
     def neighbors(self) -> list[int]:
         return sorted(self.neighbor_links)
-
-    def cell_g2l(self) -> dict[int, int]:
-        return {int(g): l for l, g in enumerate(self.cells_l2g)}
 
 
 def _node_adjacent_cells(mesh: Mesh):
@@ -352,7 +339,7 @@ def build_subdomains(mesh: Mesh, pm: PartitionMap) -> list[Subdomain]:
 
         subs.append(Subdomain(rank=r, n_own=len(own), own_cells=own,
                               halo_cells=halo, local_mesh=lm, cells_l2g=l2g,
-                              nodes_l2g=nodes_l2g, face_l2g=face_l2g,
+                              face_l2g=face_l2g,
                               neighbor_links=links))
     return subs
 

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, SingularSystem, TopologyError
-from .mesh import INTERIOR, DiamondCells, Mesh, NodeWeights, build_diamonds, node_weights
+from .mesh import DiamondCells, Mesh, NodeWeights, build_diamonds, node_weights
+from .transport import (BC_DIRICHLET, classify_faces, dirichlet_node_data,
+                        dirichlet_values)
 
 
 @dataclass
@@ -37,32 +39,6 @@ class CsrMatrix:
     @property
     def nnz(self) -> int:
         return len(self.indices)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"matvec got {x.shape}, matrix is {self.n}")
-        prod = self.data * x[self.indices]
-        out = np.zeros(self.n)
-        np.add.at(out, np.repeat(np.arange(self.n), np.diff(self.indptr)), prod)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        return out
-
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        np.add.at(out, np.repeat(np.arange(self.n), np.diff(self.indptr)), self.data)
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        hit = rows == self.indices
-        out[rows[hit]] = self.data[hit]
-        return out
 
 
 def csr_from_coo(n: int, rows, cols, vals, symmetrize_pattern=True) -> CsrMatrix:
@@ -148,30 +124,6 @@ class PoissonProblem:
     matrix: CsrMatrix
     lift: np.ndarray            # Dirichlet contributions to b
     pinned: int | None
-    dirichlet_free: np.ndarray  # rows with no Dirichlet dependence (bool)
-
-
-def _dirichlet_node_values(mesh: Mesh, bc: dict):
-    """value at every node lying on a Dirichlet boundary (averaged over its
-    incident Dirichlet faces), or None for free nodes."""
-    values = [None] * mesh.n_nodes
-    counts = np.zeros(mesh.n_nodes, dtype=np.int64)
-    sums = np.zeros(mesh.n_nodes)
-    for f in mesh.boundary_faces():
-        label = mesh.face_labels[f]
-        spec = bc.get(label)
-        if spec is None:
-            raise KeyError(f"no boundary condition for label '{label}'")
-        if spec[0] != "dirichlet":
-            continue
-        g = spec[1]
-        for node in mesh.face_nodes[f]:
-            x, y = mesh.points[node]
-            sums[node] += g(x, y) if callable(g) else float(g)
-            counts[node] += 1
-    for node in np.flatnonzero(counts):
-        values[node] = sums[node] / counts[node]
-    return values
 
 
 def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
@@ -179,10 +131,12 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     if any(lbl == "halo" for lbl in mesh.face_labels):
         raise TopologyError("Poisson assembly needs the global mesh, not a halo view")
 
-    node_val = _dirichlet_node_values(mesh, bc)
+    kind = classify_faces(mesh, bc)
+    g_mid = dirichlet_values(mesh, bc, kind)
+    node_idx, node_data = dirichlet_node_data(mesh, bc, kind)
+    node_val = dict(zip(node_idx.tolist(), node_data))
     lift = np.zeros(mesh.n_cells)
     rows, cols, vals = [], [], []
-    touched = np.zeros(mesh.n_cells, dtype=bool)
 
     def add(i, j, v):
         rows.append(i)
@@ -191,16 +145,14 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
 
     def node_term(row, node, coef):
         """Apply coef * P_node to LHS row (or move it to b when known)."""
-        if node_val[node] is not None:
+        if node in node_val:
             lift[row] -= coef * node_val[node]
-            touched[row] = True
         else:
             sl = weights.node_slice(node)
             for c, w in zip(weights.cells[sl], weights.weights[sl]):
                 add(row, int(c), coef * w)
 
     lr_vec = diamonds.lr_vec
-    any_dirichlet = False
     for f in range(mesh.n_faces):
         i, j = mesh.face_cells[f]
         i, j = int(i), int(j)
@@ -219,25 +171,15 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
             node_term(i, b_node, tau)
             node_term(j, a_node, tau)
             node_term(j, b_node, -tau)
-        else:
-            spec = bc.get(mesh.face_labels[f])
-            if spec is None:
-                raise KeyError(f"no boundary condition for label '{mesh.face_labels[f]}'")
-            if spec[0] == "neumann":
-                continue
-            any_dirichlet = True
-            g = spec[1]
-            x, y = mesh.face_midpoints[f]
-            g_mid = g(x, y) if callable(g) else float(g)
+        elif kind[f] == BC_DIRICHLET:
             add(i, i, beta)
-            lift[i] += beta * g_mid
-            touched[i] = True
+            lift[i] += beta * g_mid[f]
             # endpoint nodes of a Dirichlet face are Dirichlet by construction
             node_term(i, a_node, -tau)
             node_term(i, b_node, tau)
 
     pinned = None
-    if not any_dirichlet:
+    if not np.any(kind == BC_DIRICHLET):
         if pin_cell is None:
             raise SingularSystem(
                 "all-Neumann operator has the constant nullspace; pin a cell")
@@ -249,16 +191,9 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
         vals = [0.0 if r == pinned else v for r, v in zip(rows, vals)]
         add(pinned, pinned, 1.0)
         lift[pinned] = 0.0
-        touched[pinned] = True
 
     matrix = csr_from_coo(mesh.n_cells, rows, cols, vals)
-    return PoissonProblem(matrix=matrix, lift=lift, pinned=pinned,
-                          dirichlet_free=~touched)
-
-
-def assemble_matrix(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
-                    bc: dict, pin_cell: int | None = None) -> CsrMatrix:
-    return assemble_system(mesh, diamonds, weights, bc, pin_cell).matrix
+    return PoissonProblem(matrix=matrix, lift=lift, pinned=pinned)
 
 
 def assemble_rhs(mesh: Mesh, source: np.ndarray, bc: dict,

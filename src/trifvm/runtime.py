@@ -1,5 +1,5 @@
 """Multi-rank execution: rank lifecycle, deterministic halo exchange, host
-gather / solve / scatter, and the coupled explicit loop.
+gather / solve / scatter, and the one explicit step loop of every run.
 
 Ranks are in-process workers (one thread each) with fully private state;
 every cross-rank interaction flows through ordered message links keyed by
@@ -8,12 +8,12 @@ message-passing backend would see and no worker ever reads another's memory.
 The host (rank 0) owns the global mesh, the factor-once linear system, and
 all file output.
 
-The step loop follows the coupled algorithm literally: solve the linear
-system (host-central, factor once), refresh halos, apply boundary
-conditions, evaluate convection / diffusion / source residuals, advance the
-explicit update, and emit periodic output.  Boundary conditions are also
-applied once before the loop; for time-constant data that pre-loop pass is
-redundant but kept for structural fidelity.
+Both physics run one step, `_step`: the streamer's coupling (charge source,
+host solve with the run's factors, potential to every rank), the halo
+exchange, the fluxes and CFL bound, the dt reduction, the convective and
+diffusive residuals, the update, and a check that every own value is still
+finite.  The hooks `_Transport` and `_Streamer` hold only what differs;
+`streamer_step` is `_step` on a one-rank context, which sends no messages.
 """
 
 from __future__ import annotations
@@ -24,23 +24,26 @@ import os
 import queue
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import streamer as discharge
 from .config import RunConfig
-from .direct_solver import factorize, solve
+from .direct_solver import LuFactors, factorize, solve
 from .errors import ConfigError, SimulationError, Timeout, ZeroDt
 from .mesh import (INTERIOR, Mesh, build_diamonds, load_mesh, node_weights,
                    structured_triangulation)
 from .partition import (Subdomain, build_dual_graph, build_subdomains,
                         partition, single_subdomain)
-from .poisson import assemble_rhs, assemble_system
-from .transport import (Field, FaceVelocity, apply_boundary_conditions,
-                        classify_faces, convective_residual,
-                        diffusive_residual, dirichlet_node_data,
-                        dirichlet_values, explicit_step,
+from .poisson import PoissonProblem, assemble_rhs, assemble_system
+from .streamer import (FluxContext, StreamerCoefficients, StreamerState,
+                       StreamerSystem)
+from .transport import (Field, FaceVelocity, Fluxes,
+                        apply_boundary_conditions, classify_faces,
+                        convective_residual, diffusive_residual,
+                        dirichlet_node_data, dirichlet_values, explicit_step,
                         stable_dt)
 from .vtk_io import write_vtk
 
@@ -81,31 +84,17 @@ class _Fabric:
 
 
 @dataclass
-class ExchangePlan:
-    """Static per-neighbor send/recv index lists, ascending-global order."""
-
-    neighbors: list
-    send_idx: dict
-    recv_idx: dict
-
-    @classmethod
-    def from_subdomain(cls, sub: Subdomain) -> "ExchangePlan":
-        return cls(neighbors=sub.neighbors,
-                   send_idx={r: s for r, (s, _) in sub.neighbor_links.items()},
-                   recv_idx={r: h for r, (_, h) in sub.neighbor_links.items()})
-
-
-@dataclass
 class RankContext:
     rank: int
     k: int
     sub: Subdomain
-    plan: ExchangePlan
-    fabric: _Fabric
+    fabric: _Fabric | None      # None in streamer_step: k = 1 sends nothing
     # host-only global knowledge (None elsewhere)
-    n_global: int | None = None
+    mesh: Mesh | None = None
     all_own_l2g: list | None = None
     all_full_l2g: list | None = None
+    problem: PoissonProblem | None = None   # streamer runs only
+    factors: LuFactors | None = None
 
     @property
     def is_host(self) -> bool:
@@ -118,10 +107,11 @@ def halo_exchange(ctx: RankContext, f: Field) -> Field:
     Collective: every rank must call it the same number of times.  k = 1 (or
     an isolated rank) degenerates to clearing the staleness flag.
     """
-    for r in ctx.plan.neighbors:
-        ctx.fabric.send("halo", ctx.rank, r, f.values[ctx.plan.send_idx[r]])
-    for r in ctx.plan.neighbors:
-        f.values[ctx.plan.recv_idx[r]] = ctx.fabric.recv("halo", r, ctx.rank)
+    links = ctx.sub.neighbor_links
+    for r in ctx.sub.neighbors:
+        ctx.fabric.send("halo", ctx.rank, r, f.values[links[r][0]])
+    for r in ctx.sub.neighbors:
+        f.values[links[r][1]] = ctx.fabric.recv("halo", r, ctx.rank)
     f.halo_stale = False
     return f
 
@@ -134,7 +124,7 @@ def gather_rhs(ctx: RankContext, own_values: np.ndarray):
     if not ctx.is_host:
         ctx.fabric.send("coll", ctx.rank, 0, own_values)
         return None
-    out = np.empty(ctx.n_global)
+    out = np.empty(ctx.mesh.n_cells)
     out[ctx.all_own_l2g[0]] = own_values
     for r in range(1, ctx.k):
         out[ctx.all_own_l2g[r]] = ctx.fabric.recv("coll", r, 0)
@@ -188,26 +178,17 @@ class SimulationReport:
 
 @dataclass
 class _RankResult:
+    """One rank's record: where it is while running, what it found after."""
+
     timers: dict
+    step: int = -1
+    phase: str = "spawn"
     clips: int = 0
     dt_min: float = float("inf")
     dt_max: float = 0.0
     solves: int = 0
     final_fields: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
-
-
-@dataclass
-class _Shared:
-    """Driver-owned objects the workers may touch only as documented."""
-
-    cfg: RunConfig
-    mesh: Mesh                      # host-only reads
-    fabric: _Fabric
-    problem: object = None          # host-only
-    factors: object = None          # host-only
-    progress: list = None           # per-rank {"step": int, "phase": str}
-    results: list = None
 
 
 def _initial_transport_field(cfg: RunConfig, sub: Subdomain) -> Field:
@@ -221,25 +202,31 @@ def _initial_transport_field(cfg: RunConfig, sub: Subdomain) -> Field:
     return Field(values=vals, quantity="u", time=0.0, halo_stale=False)
 
 
-def _emit_output(ctx: RankContext, shared: _Shared, fields: dict,
-                 index: int, res: _RankResult) -> None:
-    """Gather own-cell values per quantity; the host writes one VTK file."""
-    cfg = shared.cfg
+def _gather_fields(ctx: RankContext, fields: dict) -> dict:
+    """Own-cell values of every field in global order, on the host only."""
     gathered = {}
     for name in sorted(fields):
         g = gather_rhs(ctx, fields[name].values[:ctx.sub.n_own])
         if ctx.is_host:
             gathered[name] = g
+    return gathered
+
+
+def _emit_output(ctx: RankContext, cfg: RunConfig, fields: dict,
+                 index: int, res: _RankResult) -> None:
+    """Gather own-cell values per quantity; the host writes one VTK file."""
+    gathered = _gather_fields(ctx, fields)
     if ctx.is_host:
         path = os.path.join(cfg.out_dir, f"{cfg.name}_{index:04d}.vtk")
-        write_vtk(path, shared.mesh, gathered,
+        write_vtk(path, ctx.mesh, gathered,
                   title=f"{cfg.name} step output {index}")
         res.outputs.append(path)
 
 
-def _resolve_dt(ctx: RankContext, cfg: RunConfig, dt_local: float) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
+def _resolve_dt(ctx: RankContext, dt_fixed: float | None,
+                dt_local: float) -> float:
+    if dt_fixed is not None:
+        return dt_fixed
     dt = allreduce_min(ctx, dt_local)
     if not np.isfinite(dt):
         raise ZeroDt("no finite stability bound (V = 0 and D = 0); "
@@ -247,176 +234,202 @@ def _resolve_dt(ctx: RankContext, cfg: RunConfig, dt_local: float) -> float:
     return dt
 
 
-def _transport_worker(ctx: RankContext, shared: _Shared, progress: dict,
-                      res: _RankResult) -> None:
-    cfg = shared.cfg
-    sub = ctx.sub
-    progress["phase"] = "setup"
-    diamonds = build_diamonds(sub.local_mesh)
-    weights = node_weights(sub.local_mesh, cell_order=sub.cells_l2g)
-    kind = classify_faces(sub, cfg.transport.bc)
-    dirich = dirichlet_values(sub, cfg.transport.bc, kind)
-    ndata = dirichlet_node_data(sub, cfg.transport.bc, kind)
-    vel = FaceVelocity.uniform(sub, *cfg.transport.velocity)
-    dcoef = cfg.transport.diffusion
-    u = _initial_transport_field(cfg, sub)
+class _Transport:
+    """Advection-diffusion of one scalar u under a uniform velocity."""
 
-    halo_exchange(ctx, u)
-    apply_boundary_conditions(sub, u, kind, dirich)  # pre-loop pass
-    if cfg.out_dir:
-        _emit_output(ctx, shared, {"u": u}, 0, res)
+    couple = None               # no field solve before the exchange
+    transported = "u"
+    flux_phase = "fluxes"       # boundary values only: no timer
+    solves = 0
 
-    timers = res.timers
-    t_loop = time.perf_counter()
-    for step in range(cfg.steps):
-        progress["step"] = step
-        progress["phase"] = "stability"
-        dt = _resolve_dt(ctx, cfg, stable_dt(sub, vel, dcoef, cfg.cfl))
-        res.dt_min, res.dt_max = min(res.dt_min, dt), max(res.dt_max, dt)
+    def __init__(self, sub: Subdomain, cfg: RunConfig):
+        tc = cfg.transport
+        lm = sub.local_mesh
+        self.sub = sub
+        self.diamonds = build_diamonds(lm)
+        self.weights = node_weights(lm, cell_order=sub.cells_l2g)
+        kind = classify_faces(lm, tc.bc)
+        self.bc = (kind, dirichlet_values(lm, tc.bc, kind),
+                   dirichlet_node_data(lm, tc.bc, kind))
+        self.vel = FaceVelocity.uniform(sub, *tc.velocity)
+        self.dcoef = tc.diffusion
+        # the bound never reads the field: one evaluation serves every step
+        self.dt_stable = stable_dt(sub, self.vel, self.dcoef, cfg.cfl)
 
-        progress["phase"] = "exchange"
-        halo_exchange(ctx, u)
-        bvals = apply_boundary_conditions(sub, u, kind, dirich, ndata)
+    @staticmethod
+    def fields(u: Field) -> dict:
+        return {"u": u}
 
-        progress["phase"] = "convection"
-        t0 = time.perf_counter()
-        conv = convective_residual(sub, u, vel, bvals)
-        timers["convection"] += time.perf_counter() - t0
+    def fluxes(self, u: Field) -> Fluxes:
+        bvals = apply_boundary_conditions(self.sub, u, *self.bc)
+        return Fluxes(self.vel, bvals, self.dcoef, self.dt_stable)
 
-        progress["phase"] = "diffusion"
-        t0 = time.perf_counter()
-        diss = diffusive_residual(sub, u, weights, diamonds, bvals, dcoef)
-        timers["diffusion"] += time.perf_counter() - t0
-
-        u = explicit_step(sub, u, conv, diss, dt)
-        if cfg.out_dir and cfg.output_every and (step + 1) % cfg.output_every == 0:
-            progress["phase"] = "output"
-            _emit_output(ctx, shared, {"u": u}, (step + 1) // cfg.output_every,
-                         res)
-    timers["total"] = time.perf_counter() - t_loop
-
-    progress["phase"] = "final gather"
-    g = gather_rhs(ctx, u.values[:sub.n_own])
-    if ctx.is_host:
-        res.final_fields["u"] = g
+    def update(self, u: Field, fl: Fluxes, dt: float, conv, diss):
+        return explicit_step(self.sub, u, conv, diss, dt), 0
 
 
-def _streamer_worker(ctx: RankContext, shared: _Shared, progress: dict,
-                     res: _RankResult) -> None:
-    cfg = shared.cfg
-    sc = cfg.streamer
-    sub = ctx.sub
-    progress["phase"] = "setup"
-    coeffs = _build_coefficients(sc)
-    sysctx = discharge.build_system(
-        sub, sc.species_bc, sc.potential_bc, cfl=cfg.cfl,
-        problem=shared.problem if ctx.is_host else None,
-        factors=shared.factors if ctx.is_host else None)
+class _Streamer:
+    """Electron drift-diffusion and ionization, coupled to the potential
+    through one host solve per step."""
 
-    n_e = Field(discharge.gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
-                                        sc.seed_amplitude), "n_e")
-    ion_amp = sc.seed_amplitude if sc.ion_amplitude is None else sc.ion_amplitude
-    n_i = Field(discharge.gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
-                                        ion_amp), "n_i")
-    v_pot = Field(np.zeros(sub.n_local), "potential")
-    state = discharge.StreamerState(n_e=n_e, n_i=n_i, v_pot=v_pot)
+    transported = "n_e"         # ion halos are never read (no stencil)
+    flux_phase = "diffusion"    # the field's diamond gradient counts there
 
-    halo_exchange(ctx, state.n_e)
-    halo_exchange(ctx, state.n_i)
-    apply_boundary_conditions(sub, state.n_e, sysctx.kind_ne, sysctx.dirich_ne)
-    if cfg.out_dir:
-        _emit_output(ctx, shared, _streamer_fields(state), 0, res)
+    def __init__(self, coeffs: StreamerCoefficients, sysctx: StreamerSystem):
+        self.coeffs = coeffs
+        self.sys = sysctx
+        self.diamonds = sysctx.diamonds
+        self.weights = sysctx.weights
+        self.solves = 0
 
-    timers = res.timers
-    t_loop = time.perf_counter()
-    for step in range(cfg.steps):
-        progress["step"] = step
-
-        progress["phase"] = "linear_solver"
-        t0 = time.perf_counter()
-        src = discharge.charge_source(state, coeffs, sub)
-        g = gather_rhs(ctx, src)
+    def couple(self, ctx: RankContext, state: StreamerState) -> StreamerState:
+        """Charge source -> host RHS and solve -> potential on every rank."""
+        g = gather_rhs(ctx, discharge.charge_source(state, self.coeffs,
+                                                    ctx.sub))
         x = None
         if ctx.is_host:
-            b = assemble_rhs(shared.mesh, g, sc.potential_bc,
-                             problem=shared.problem)
-            x = solve(shared.factors, b)
-            res.solves += 1
-        state.v_pot = broadcast_solution(ctx, x, "potential", state.time)
-        timers["linear_solver"] += time.perf_counter() - t0
+            b = assemble_rhs(ctx.mesh, g, self.sys.potential_bc,
+                             problem=ctx.problem)
+            x = solve(ctx.factors, b)
+            self.solves += 1
+        return replace(state, v_pot=broadcast_solution(ctx, x, "potential",
+                                                       state.time))
 
-        progress["phase"] = "exchange"
-        halo_exchange(ctx, state.n_e)  # ion halos are never read (no stencil)
+    @staticmethod
+    def fields(state: StreamerState) -> dict:
+        return {"n_e": state.n_e, "n_i": state.n_i, "potential": state.v_pot}
 
-        progress["phase"] = "diffusion"
-        t0 = time.perf_counter()
-        fc = discharge.prepare_fluxes(state, coeffs, sysctx)
-        timers["diffusion"] += time.perf_counter() - t0
+    def fluxes(self, state: StreamerState) -> FluxContext:
+        return discharge.prepare_fluxes(state, self.coeffs, self.sys)
 
-        progress["phase"] = "stability"
-        dt = _resolve_dt(ctx, cfg, fc.dt_stable)
-        res.dt_min, res.dt_max = min(res.dt_min, dt), max(res.dt_max, dt)
+    def update(self, state: StreamerState, fc: FluxContext, dt: float, conv,
+               diss):
+        n_e, n_i, clip = discharge.apply_update(state, self.sys, fc, dt, conv,
+                                                diss)
+        return replace(state, n_e=n_e, n_i=n_i,
+                       clips=state.clips + clip), clip
 
-        progress["phase"] = "convection"
-        t0 = time.perf_counter()
-        conv = convective_residual(sub, state.n_e, fc.vel, fc.bvals_ne)
-        timers["convection"] += time.perf_counter() - t0
 
-        progress["phase"] = "diffusion"
-        t0 = time.perf_counter()
-        diss = diffusive_residual(sub, state.n_e, sysctx.weights,
-                                  sysctx.diamonds, fc.bvals_ne,
-                                  diffusion=fc.d_faces)
-        timers["diffusion"] += time.perf_counter() - t0
+@contextmanager
+def _timed(res: _RankResult, phase: str):
+    """Mark the rank's phase; add the block's time to that phase's timer."""
+    res.phase = phase
+    t0 = time.perf_counter()
+    yield
+    if phase in res.timers:
+        res.timers[phase] += time.perf_counter() - t0
 
-        n_e2, n_i2, clip = discharge.apply_update(state, sysctx, fc, dt,
-                                                  conv, diss)
-        res.clips += clip
-        state = discharge.StreamerState(n_e=n_e2, n_i=n_i2, v_pot=state.v_pot,
-                                        e_faces=fc.e_faces,
-                                        clips=state.clips + clip)
+
+def _step(ctx: RankContext, phys, state, dt_fixed: float | None,
+          res: _RankResult):
+    """One explicit step of either physics on one rank; returns the state.
+
+    Collective: every rank runs it the same number of times.  Raises
+    SimulationError when an own value of a field is no longer finite.
+    """
+    sub = ctx.sub
+    if phys.couple is not None:
+        with _timed(res, "linear_solver"):
+            state = phys.couple(ctx, state)
+    res.phase = "exchange"
+    u = halo_exchange(ctx, phys.fields(state)[phys.transported])
+    with _timed(res, phys.flux_phase):
+        fl = phys.fluxes(state)
+    res.phase = "stability"
+    dt = _resolve_dt(ctx, dt_fixed, fl.dt_stable)
+    with _timed(res, "convection"):
+        conv = convective_residual(sub, u, fl.vel, fl.bvals)
+    with _timed(res, "diffusion"):
+        diss = diffusive_residual(sub, u, phys.weights, phys.diamonds,
+                                  fl.bvals, fl.diffusion)
+    res.phase = "update"
+    state, clips = phys.update(state, fl, dt, conv, diss)
+    for name, f in phys.fields(state).items():
+        bad = np.count_nonzero(~np.isfinite(f.values[:sub.n_own]))
+        if bad:
+            raise SimulationError(f"'{name}' is not finite on {bad} of "
+                                  f"{sub.n_own} own cells")
+    res.dt_min, res.dt_max = min(res.dt_min, dt), max(res.dt_max, dt)
+    res.clips += clips
+    return state
+
+
+def _physics(ctx: RankContext, cfg: RunConfig):
+    """This rank's physics hook and its initial state."""
+    sub = ctx.sub
+    if cfg.physics != "streamer":
+        return _Transport(sub, cfg), _initial_transport_field(cfg, sub)
+    sc = cfg.streamer
+    coeffs = _build_coefficients(sc)
+    sysctx = discharge.build_system(sub, sc.species_bc, sc.potential_bc,
+                                    cfl=cfg.cfl)
+    ion_amp = sc.seed_amplitude if sc.ion_amplitude is None else sc.ion_amplitude
+    state = StreamerState(
+        n_e=Field(discharge.gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
+                                          sc.seed_amplitude), "n_e"),
+        n_i=Field(discharge.gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
+                                          ion_amp), "n_i"),
+        v_pot=Field(np.zeros(sub.n_local), "potential"))
+    return _Streamer(coeffs, sysctx), state
+
+
+def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult) -> None:
+    res.phase = "setup"
+    phys, state = _physics(ctx, cfg)
+    if cfg.out_dir:
+        _emit_output(ctx, cfg, phys.fields(state), 0, res)
+
+    t_loop = time.perf_counter()
+    for step in range(cfg.steps):
+        res.step = step
+        state = _step(ctx, phys, state, cfg.dt, res)
         if cfg.out_dir and cfg.output_every and (step + 1) % cfg.output_every == 0:
-            progress["phase"] = "output"
-            _emit_output(ctx, shared, _streamer_fields(state),
+            res.phase = "output"
+            _emit_output(ctx, cfg, phys.fields(state),
                          (step + 1) // cfg.output_every, res)
-    timers["total"] = time.perf_counter() - t_loop
+    res.timers["total"] = time.perf_counter() - t_loop
+    res.solves = phys.solves
 
-    progress["phase"] = "final gather"
-    for name, f in sorted(_streamer_fields(state).items()):
-        g = gather_rhs(ctx, f.values[:sub.n_own])
-        if ctx.is_host:
-            res.final_fields[name] = g
+    res.phase = "final gather"
+    res.final_fields = _gather_fields(ctx, phys.fields(state))
 
 
-def _streamer_fields(state) -> dict:
-    return {"n_e": state.n_e, "n_i": state.n_i, "potential": state.v_pot}
+def streamer_step(state: StreamerState, coeffs: StreamerCoefficients,
+                  sys: StreamerSystem, dt: float | None = None) -> StreamerState:
+    """One coupled cycle on a single rank: solve V, E, fluxes, update.
+
+    This is `_step`, the step of every run, on a one-rank context whose
+    collectives send no messages.  dt = None takes the CFL bound of the
+    freshly computed drift field.
+    """
+    if sys.problem is None or sys.factors is None:
+        raise ConfigError("streamer_step needs an assembled + factored system")
+    sub = sys.sub
+    ctx = RankContext(rank=0, k=1, sub=sub, fabric=None, mesh=sub.local_mesh,
+                      all_own_l2g=[sub.cells_l2g[:sub.n_own]],
+                      all_full_l2g=[sub.cells_l2g], problem=sys.problem,
+                      factors=sys.factors)
+    return _step(ctx, _Streamer(coeffs, sys), state, dt, _RankResult(timers={}))
 
 
-def _build_coefficients(sc) -> "discharge.StreamerCoefficients":
+def _build_coefficients(sc) -> StreamerCoefficients:
     table = None
     if sc.model == "table":
         if sc.table_path is None:
             raise ConfigError("model = table requires table_path")
         from .config import load_coefficient_table
         table = load_coefficient_table(sc.table_path)
-    return discharge.StreamerCoefficients(
+    return StreamerCoefficients(
         eps=sc.eps, q_e=sc.q_e, model=sc.model, mu_e=sc.mu_e, d_e=sc.d_e,
         alpha=sc.alpha, table=table)
 
 
-def _worker_shell(rank: int, ctx: RankContext, shared: _Shared) -> None:
-    progress = shared.progress[rank]
+def _worker_shell(ctx: RankContext, cfg: RunConfig, res: _RankResult) -> None:
     try:
-        res = _RankResult(timers={p: 0.0 for p in PHASES})
-        if shared.cfg.physics == "streamer":
-            _streamer_worker(ctx, shared, progress, res)
-        else:
-            _transport_worker(ctx, shared, progress, res)
-        shared.results[rank] = res
+        _rank_loop(ctx, cfg, res)
     except BaseException as exc:  # noqa: BLE001 - must reach the driver
-        shared.fabric.failures.append((rank, progress["step"],
-                                       progress["phase"], exc))
-        shared.fabric.abort.set()
+        ctx.fabric.failures.append((ctx.rank, res.step, res.phase, exc))
+        ctx.fabric.abort.set()
 
 
 def _check_bc_labels(mesh: Mesh, cfg: RunConfig) -> None:
@@ -486,20 +499,18 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
 
     all_own = [s.cells_l2g[:s.n_own] for s in subs]
     all_full = [s.cells_l2g for s in subs]
-    shared = _Shared(cfg=cfg, mesh=mesh, fabric=fabric, problem=problem,
-                     factors=factors,
-                     progress=[{"step": -1, "phase": "spawn"}
-                               for _ in range(cfg.k)],
-                     results=[None] * cfg.k)
-    ctxs = [RankContext(rank=s.rank, k=cfg.k, sub=s,
-                        plan=ExchangePlan.from_subdomain(s), fabric=fabric,
-                        n_global=mesh.n_cells if s.rank == 0 else None,
+    results = [_RankResult(timers={p: 0.0 for p in PHASES}) for _ in subs]
+    ctxs = [RankContext(rank=s.rank, k=cfg.k, sub=s, fabric=fabric,
+                        mesh=mesh if s.rank == 0 else None,
                         all_own_l2g=all_own if s.rank == 0 else None,
-                        all_full_l2g=all_full if s.rank == 0 else None)
+                        all_full_l2g=all_full if s.rank == 0 else None,
+                        problem=problem if s.rank == 0 else None,
+                        factors=factors if s.rank == 0 else None)
             for s in subs]
 
-    threads = [threading.Thread(target=_worker_shell, args=(r, ctxs[r], shared),
-                                name=f"rank-{r}") for r in range(cfg.k)]
+    threads = [threading.Thread(target=_worker_shell,
+                                args=(ctx, cfg, results[ctx.rank]),
+                                name=f"rank-{ctx.rank}") for ctx in ctxs]
     for t in threads:
         t.start()
     for t in threads:
@@ -516,7 +527,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
             f"rank {rank} failed at step {step} in phase '{phase}': {exc}",
             step=step, rank=rank, phase=phase) from exc
 
-    host = shared.results[0]
+    host = results[0]
     return SimulationReport(
         steps=cfg.steps, k=cfg.k, n_cells=mesh.n_cells,
         dt_min=host.dt_min if cfg.steps else 0.0,
@@ -526,7 +537,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         num_assemblies=num_assemblies,
         num_factorizations=num_factorizations,
         num_solves=host.solves,
-        clip_count=sum(r.clips for r in shared.results),
+        clip_count=sum(r.clips for r in results),
         final_fields=host.final_fields,
         outputs=host.outputs)
 

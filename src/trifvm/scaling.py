@@ -53,7 +53,6 @@ class ScalingRow:
 
 @dataclass
 class ScalingReport:
-    base_cores: int
     rows: list
 
 
@@ -101,7 +100,7 @@ def compute_scaling(records: list, base_cores: int = 1) -> ScalingReport:
         rows.append(ScalingRow(cores=rec.cores,
                                sp_ideal=rec.cores / base_cores,
                                speedup=sp, efficiency=eff))
-    return ScalingReport(base_cores=base_cores, rows=rows)
+    return ScalingReport(rows=rows)
 
 
 def write_scaling_csv(report: ScalingReport, path) -> None:

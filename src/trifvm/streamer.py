@@ -3,9 +3,10 @@
 Electrons drift-diffuse in the electric field, ions sit still and grow by
 ionization, and the potential comes from a factor-once direct solve of the
 charge-driven Poisson equation.  Everything here is per-rank local given a
-current (post-solve, post-exchange) state; the multi-rank loop in `runtime`
-composes these pieces around its collectives, and `streamer_step` is the
-single-rank convenience wrapper of the same cycle.
+current (post-solve, post-exchange) state: the charge source, the fluxes and
+CFL bound of that state, and the update.  The one step of the coupled cycle,
+with its solve and collectives, is `runtime`'s; `runtime.streamer_step` runs
+that step on a single rank.
 
 Closed forms for the transport coefficients are not part of the problem
 statement; two config-selected families are supported:
@@ -18,18 +19,17 @@ with dimensionless defaults mu_e = 1, D_e = 0.1, alpha = 1, eps = e = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .direct_solver import LuFactors, solve
-from .errors import ConfigError, ZeroDt
+from .direct_solver import LuFactors
+from .errors import ConfigError
 from .mesh import DiamondCells, NodeWeights, build_diamonds, node_weights
 from .partition import Subdomain
-from .poisson import PoissonProblem, assemble_rhs
-from .transport import (BoundaryValues, FaceVelocity, Field,
+from .poisson import PoissonProblem
+from .transport import (BoundaryValues, FaceVelocity, Field, Fluxes,
                         apply_boundary_conditions, classify_faces,
-                        convective_residual, diffusive_residual,
                         dirichlet_node_data, dirichlet_values, explicit_step,
                         face_gradients, node_values, stable_dt)
 
@@ -83,7 +83,6 @@ class StreamerState:
     n_e: Field
     n_i: Field
     v_pot: Field
-    e_faces: np.ndarray | None = None   # -grad V per face, (n_faces, 2)
     clips: int = 0                      # negative-density clip events so far
 
     @property
@@ -95,8 +94,9 @@ class StreamerState:
 class StreamerSystem:
     """Per-rank geometry + boundary context for the coupled cycle.
 
-    problem/factors are present only where the solve happens (single rank,
-    or the host in a multi-rank run); the flux pieces never touch them.
+    problem/factors are the assembled and factored potential system that
+    `runtime.streamer_step` solves with; a multi-rank run keeps them on the
+    host's rank context instead.  The flux pieces never touch them.
     """
 
     sub: Subdomain
@@ -123,16 +123,17 @@ def build_system(sub: Subdomain, species_bc: dict, potential_bc: dict,
         diamonds = build_diamonds(sub.local_mesh)
     if weights is None:
         weights = node_weights(sub.local_mesh, cell_order=sub.cells_l2g)
-    kind_ne = classify_faces(sub, species_bc)
-    kind_pot = classify_faces(sub, potential_bc)
+    lm = sub.local_mesh
+    kind_ne = classify_faces(lm, species_bc)
+    kind_pot = classify_faces(lm, potential_bc)
     return StreamerSystem(
         sub=sub, diamonds=diamonds, weights=weights,
-        kind_ne=kind_ne, dirich_ne=dirichlet_values(sub, species_bc, kind_ne),
+        kind_ne=kind_ne, dirich_ne=dirichlet_values(lm, species_bc, kind_ne),
         kind_pot=kind_pot,
-        dirich_pot=dirichlet_values(sub, potential_bc, kind_pot),
+        dirich_pot=dirichlet_values(lm, potential_bc, kind_pot),
         potential_bc=potential_bc,
-        ndata_ne=dirichlet_node_data(sub, species_bc, kind_ne),
-        ndata_pot=dirichlet_node_data(sub, potential_bc, kind_pot),
+        ndata_ne=dirichlet_node_data(lm, species_bc, kind_ne),
+        ndata_pot=dirichlet_node_data(lm, potential_bc, kind_pot),
         cfl=cfl, problem=problem, factors=factors)
 
 
@@ -163,16 +164,11 @@ def electric_field(sub: Subdomain, v_pot: Field, weights: NodeWeights,
 
 
 @dataclass
-class FluxContext:
-    """Everything the explicit update needs, evaluated at the current state."""
+class FluxContext(Fluxes):
+    """Everything the explicit update needs, evaluated at the current state:
+    the electron fluxes and their ionization source."""
 
-    e_faces: np.ndarray
-    vel: FaceVelocity
-    d_faces: object             # scalar or per-face array
-    speed_cell: np.ndarray      # |v_e| per own cell (mean of its 3 faces)
     s_e: np.ndarray             # ionization rate per own cell
-    bvals_ne: BoundaryValues
-    dt_stable: float
 
 
 def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
@@ -208,9 +204,8 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
     bvals_ne = apply_boundary_conditions(sub, state.n_e, sys.kind_ne,
                                          sys.dirich_ne, sys.ndata_ne)
     dt = stable_dt(sub, vel, diffusion=d_f, cfl=sys.cfl)
-    return FluxContext(e_faces=e_faces, vel=vel, d_faces=d_f,
-                       speed_cell=speed_cell, s_e=s_e, bvals_ne=bvals_ne,
-                       dt_stable=dt)
+    return FluxContext(vel=vel, bvals=bvals_ne, diffusion=d_f, dt_stable=dt,
+                       s_e=s_e)
 
 
 def apply_update(state: StreamerState, sys: StreamerSystem, fc: FluxContext,
@@ -244,34 +239,3 @@ def total_charge(sub: Subdomain, state: StreamerState) -> float:
     n = sub.n_own
     mu = sub.local_mesh.areas[:n]
     return float(np.sum(mu * (state.n_i.values[:n] - state.n_e.values[:n])))
-
-
-def streamer_step(state: StreamerState, coeffs: StreamerCoefficients,
-                  sys: StreamerSystem, dt: float | None = None) -> StreamerState:
-    """One coupled cycle on a single rank: solve V, E, fluxes, update.
-
-    dt = None takes the CFL bound of the freshly computed drift field.
-    Multi-rank runs use the same pieces through `runtime.run_simulation`,
-    which replaces the direct solve/dt lines with collectives.
-    """
-    if sys.problem is None or sys.factors is None:
-        raise ConfigError("streamer_step needs an assembled + factored system")
-    sub = sys.sub
-    src = charge_source(state, coeffs, sub)
-    b = assemble_rhs(sub.local_mesh, src, sys.potential_bc, problem=sys.problem)
-    x = solve(sys.factors, b)
-    v_pot = Field(values=x, quantity="potential", time=state.time,
-                  halo_stale=False)
-
-    fc = prepare_fluxes(replace(state, v_pot=v_pot), coeffs, sys)
-    if dt is None:
-        dt = fc.dt_stable
-        if not np.isfinite(dt):
-            raise ZeroDt("nothing moves (E = 0 and D_e = 0); pass dt explicitly")
-    conv = convective_residual(sub, state.n_e, fc.vel, fc.bvals_ne)
-    diss = diffusive_residual(sub, state.n_e, sys.weights, sys.diamonds,
-                              fc.bvals_ne, diffusion=fc.d_faces)
-    n_e, n_i, clip = apply_update(state, sys, fc, dt, conv, diss)
-    v_pot.time = n_e.time
-    return StreamerState(n_e=n_e, n_i=n_i, v_pot=v_pot, e_faces=fc.e_faces,
-                         clips=state.clips + clip)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroDt
-from .mesh import INTERIOR, DiamondCells, NodeWeights
+from .mesh import INTERIOR, DiamondCells, Mesh, NodeWeights
 from .partition import Subdomain
 
 BC_INTERIOR = 0
@@ -84,9 +84,19 @@ class BoundaryValues:
     node_value: np.ndarray | None = None
 
 
-def classify_faces(sub: Subdomain, bc: dict) -> np.ndarray:
+@dataclass
+class Fluxes:
+    """The residuals' inputs at the current state, plus this rank's CFL
+    bound (a step takes the minimum over ranks)."""
+
+    vel: FaceVelocity
+    bvals: BoundaryValues
+    diffusion: object           # scalar or per-face array
+    dt_stable: float
+
+
+def classify_faces(lm: Mesh, bc: dict) -> np.ndarray:
     """Map face labels to BC codes. bc: {label: ('dirichlet', g) | ('neumann',)}."""
-    lm = sub.local_mesh
     kind = np.full(lm.n_faces, BC_INTERIOR, dtype=np.int8)
     for f, label in enumerate(lm.face_labels):
         if label == INTERIOR or lm.face_cells[f, 1] >= 0:
@@ -100,9 +110,8 @@ def classify_faces(sub: Subdomain, bc: dict) -> np.ndarray:
     return kind
 
 
-def dirichlet_values(sub: Subdomain, bc: dict, kind: np.ndarray) -> np.ndarray:
+def dirichlet_values(lm: Mesh, bc: dict, kind: np.ndarray) -> np.ndarray:
     """Prescribed values at Dirichlet face midpoints (0 elsewhere)."""
-    lm = sub.local_mesh
     out = np.zeros(lm.n_faces)
     for f in np.flatnonzero(kind == BC_DIRICHLET):
         g = bc[lm.face_labels[f]][1]
@@ -111,10 +120,9 @@ def dirichlet_values(sub: Subdomain, bc: dict, kind: np.ndarray) -> np.ndarray:
     return out
 
 
-def dirichlet_node_data(sub: Subdomain, bc: dict, kind: np.ndarray):
+def dirichlet_node_data(lm: Mesh, bc: dict, kind: np.ndarray):
     """Boundary datum at every node of a Dirichlet face, evaluated at the
     node's own coordinates (averaged where faces with different data meet)."""
-    lm = sub.local_mesh
     sums = np.zeros(lm.n_nodes)
     counts = np.zeros(lm.n_nodes, dtype=np.int64)
     for f in np.flatnonzero(kind == BC_DIRICHLET):
@@ -217,13 +225,6 @@ def diffusive_residual(sub: Subdomain, u: Field, weights: NodeWeights,
     flux = flux * diffusion
     flux[bvals.kind == BC_NEUMANN] = 0.0
     return _per_cell_sum(sub, flux)
-
-
-def residuals(sub: Subdomain, u: Field, vel: FaceVelocity, weights: NodeWeights,
-              diamonds: DiamondCells, bvals: BoundaryValues, diffusion=1.0):
-    """(convective, diffusive) residual arrays over own cells."""
-    return (convective_residual(sub, u, vel, bvals),
-            diffusive_residual(sub, u, weights, diamonds, bvals, diffusion))
 
 
 def explicit_step(sub: Subdomain, u: Field, conv: np.ndarray, diss: np.ndarray,

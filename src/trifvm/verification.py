@@ -27,8 +27,9 @@ from .mesh import build_diamonds, node_weights, structured_triangulation
 from .partition import single_subdomain
 from .poisson import assemble_rhs, assemble_system
 from .transport import (Field, FaceVelocity, apply_boundary_conditions,
-                        classify_faces, dirichlet_node_data, dirichlet_values,
-                        explicit_step, residuals, stable_dt)
+                        classify_faces, convective_residual,
+                        diffusive_residual, dirichlet_node_data,
+                        dirichlet_values, explicit_step, stable_dt)
 
 CASES = ("poisson_sine", "advect_gauss", "diffuse_gauss")
 
@@ -69,9 +70,10 @@ def _gaussian(c, center, sigma):
 
 def _march(sub, vel, dcoef, bc, u, t_end, cfl=0.4, bc_time=None):
     """Explicit march to exactly t_end; Dirichlet data may depend on time."""
-    weights = node_weights(sub.local_mesh)
-    diamonds = build_diamonds(sub.local_mesh)
-    kind = classify_faces(sub, bc)
+    lm = sub.local_mesh
+    weights = node_weights(lm)
+    diamonds = build_diamonds(lm)
+    kind = classify_faces(lm, bc)
     bound = stable_dt(sub, vel, dcoef, cfl)
     steps = max(1, int(math.ceil(t_end / bound)))
     dt = t_end / steps
@@ -79,11 +81,11 @@ def _march(sub, vel, dcoef, bc, u, t_end, cfl=0.4, bc_time=None):
         if bc_time is not None:
             bc = bc_time(s * dt)
             # labels are fixed, only the values move; kinds stay valid
-        dirich = dirichlet_values(sub, bc, kind)
-        ndata = dirichlet_node_data(sub, bc, kind)
+        dirich = dirichlet_values(lm, bc, kind)
+        ndata = dirichlet_node_data(lm, bc, kind)
         bvals = apply_boundary_conditions(sub, u, kind, dirich, ndata)
-        conv, diss = residuals(sub, u, vel, weights, diamonds, bvals,
-                               diffusion=dcoef)
+        conv = convective_residual(sub, u, vel, bvals)
+        diss = diffusive_residual(sub, u, weights, diamonds, bvals, dcoef)
         u = explicit_step(sub, u, conv, diss, dt)
     return u
 

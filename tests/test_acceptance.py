@@ -21,9 +21,9 @@ from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import (build_dual_graph, edge_cut, partition,
                               partition_metrics, single_subdomain)
 from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
-from trifvm.runtime import run_simulation
+from trifvm.runtime import run_simulation, streamer_step
 from trifvm.streamer import (StreamerCoefficients, StreamerState, build_system,
-                             gaussian_seed, streamer_step, total_charge)
+                             gaussian_seed, total_charge)
 from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               classify_faces, convective_residual,
                               diffusive_residual, dirichlet_node_data,
@@ -182,8 +182,8 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
     with _budget(30.0):
         dia, w = geom16
         lm = sub16.local_mesh
-        kind_n = classify_faces(sub16, ALL_NEUMANN)
-        dirich_n = dirichlet_values(sub16, ALL_NEUMANN, kind_n)
+        kind_n = classify_faces(lm, ALL_NEUMANN)
+        dirich_n = dirichlet_values(lm, ALL_NEUMANN, kind_n)
 
         # (a) closed box, pure diffusion: cell-measure-weighted sum frozen
         d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
@@ -218,10 +218,10 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
         lin = lambda x, y: a + b * x + c * y
         ulin = Field(lin(lm.centroids[:, 0], lm.centroids[:, 1]))
         bc = dirichlet_bc(lin)
-        kind = classify_faces(sub16, bc)
+        kind = classify_faces(lm, bc)
         bvals = apply_boundary_conditions(
-            sub16, ulin, kind, dirichlet_values(sub16, bc, kind),
-            dirichlet_node_data(sub16, bc, kind))
+            sub16, ulin, kind, dirichlet_values(lm, bc, kind),
+            dirichlet_node_data(lm, bc, kind))
         grad = face_gradients(sub16, ulin, node_values(sub16, ulin, w), dia,
                               bvals)
         grad_err = max(float(np.abs(grad[:, 0] - b).max()),

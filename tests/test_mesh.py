@@ -105,10 +105,10 @@ def test_diamond_linear_exactness():
     lin = lambda x, y: a + b * x + c * y
     u = Field(lin(m.centroids[:, 0], m.centroids[:, 1]))
     bc = dirichlet_bc(lin)
-    kind = classify_faces(sub, bc)
+    kind = classify_faces(sub.local_mesh, bc)
     bvals = apply_boundary_conditions(
-        sub, u, kind, dirichlet_values(sub, bc, kind),
-        dirichlet_node_data(sub, bc, kind))
+        sub, u, kind, dirichlet_values(sub.local_mesh, bc, kind),
+        dirichlet_node_data(sub.local_mesh, bc, kind))
     grad = face_gradients(sub, u, node_values(sub, u, w), dia, bvals)
     assert np.abs(grad[:, 0] - b).max() < 1e-12
     assert np.abs(grad[:, 1] - c).max() < 1e-12

@@ -134,3 +134,42 @@ def test_host_report_matches_single_rank_fields():
     assert r1.n_cells == r4.n_cells
     assert np.array_equal(r1.final_fields["u"], r4.final_fields["u"])
     assert r1.dt_min == r4.dt_min  # allreduce-min is exact, not approximate
+
+
+def test_non_finite_fields_end_the_run(tmp_path):
+    # dt far above the diffusive bound: the field overflows within a few
+    # dozen steps, and the run must stop there instead of finishing on NaN
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(RunConfig(mesh_n=16, k=2, steps=200, dt=0.5))
+    assert exc.value.phase == "update"
+    assert exc.value.rank in (0, 1)
+    assert 0 <= exc.value.step < 200
+    assert "not finite" in str(exc.value)
+
+    from trifvm.cli import main
+    ini = tmp_path / "blowup.ini"
+    ini.write_text("[run]\nmesh_n = 16\nk = 2\nsteps = 200\ndt = 0.5\n")
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 3
+
+
+def test_rank_failure_names_rank_step_phase_and_joins_every_rank(monkeypatch):
+    import threading
+
+    from trifvm import runtime
+    real = runtime.convective_residual
+    calls = {"n": 0}
+
+    def failing(*args, **kwargs):
+        if threading.current_thread().name == "rank-1":
+            calls["n"] += 1
+            if calls["n"] == 4:  # the convection phase of step 3
+                raise RuntimeError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "convective_residual", failing)
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(_diffusion_cfg(2, steps=10, timeout_s=5.0))
+    assert (exc.value.rank, exc.value.step, exc.value.phase) == \
+        (1, 3, "convection")
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("rank-") and t.is_alive()]

@@ -8,9 +8,10 @@ from trifvm.errors import ConfigError
 from trifvm.mesh import structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.poisson import assemble_system
+from trifvm.runtime import streamer_step
 from trifvm.streamer import (StreamerCoefficients, StreamerState, build_system,
                              charge_source, electric_field, gaussian_seed,
-                             prepare_fluxes, streamer_step, total_charge)
+                             prepare_fluxes, total_charge)
 from trifvm.transport import Field, apply_boundary_conditions
 
 from conftest import ALL_NEUMANN
@@ -176,3 +177,38 @@ def test_gaussian_seed_peaks_at_center():
     peak = sub.local_mesh.centroids[int(np.argmax(ne))]
     assert abs(peak[0] - 0.25) < 0.1 and abs(peak[1] - 0.75) < 0.1
     assert ne.max() <= 2.0 + 1e-12
+
+
+@pytest.mark.parametrize("potential_bc", [PLATES, ALL_NEUMANN],
+                         ids=["plates", "closed"])
+def test_streamer_step_is_the_run_loop_at_one_rank(potential_bc):
+    # iterating the single-rank step from the seed reproduces a whole run,
+    # partitioned or not, to the last bit
+    from trifvm.config import RunConfig, StreamerConfig
+    from trifvm.mesh import build_diamonds, node_weights
+    from trifvm.runtime import run_simulation
+
+    sc = StreamerConfig(mu_e=1.0, d_e=0.05, alpha=1.5, seed_center=(0.4, 0.5),
+                        seed_sigma=0.1, potential_bc=potential_bc)
+    mesh = structured_triangulation(12)
+    sub = single_subdomain(mesh)
+    pin = 0 if potential_bc is ALL_NEUMANN else None
+    problem = assemble_system(mesh, build_diamonds(mesh), node_weights(mesh),
+                              potential_bc, pin_cell=pin)
+    sys = build_system(sub, sc.species_bc, potential_bc, problem=problem,
+                       factors=factorize(problem.matrix))
+    coeffs = StreamerCoefficients(mu_e=sc.mu_e, d_e=sc.d_e, alpha=sc.alpha)
+    seed = gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
+                         sc.seed_amplitude)
+    state = StreamerState(n_e=Field(seed.copy(), "n_e"),
+                          n_i=Field(seed.copy(), "n_i"),
+                          v_pot=Field(np.zeros_like(seed), "potential"))
+    for _ in range(6):
+        state = streamer_step(state, coeffs, sys)
+
+    for k in (1, 3):
+        rep = run_simulation(RunConfig(mesh_n=12, k=k, steps=6,
+                                       physics="streamer", streamer=sc))
+        for name, f in (("n_e", state.n_e), ("n_i", state.n_i),
+                        ("potential", state.v_pot)):
+            assert np.array_equal(rep.final_fields[name], f.values), (k, name)

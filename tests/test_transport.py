@@ -10,15 +10,15 @@ from trifvm.partition import single_subdomain
 from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               classify_faces, convective_residual,
                               diffusive_residual, dirichlet_node_data,
-                              dirichlet_values, explicit_step, residuals,
-                              stable_dt, upwind_face_values)
+                              dirichlet_values, explicit_step, stable_dt,
+                              upwind_face_values)
 
 from conftest import ALL_NEUMANN, dirichlet_bc
 
 
 def _neumann_bvals(sub, u):
-    kind = classify_faces(sub, ALL_NEUMANN)
-    dirich = dirichlet_values(sub, ALL_NEUMANN, kind)
+    kind = classify_faces(sub.local_mesh, ALL_NEUMANN)
+    dirich = dirichlet_values(sub.local_mesh, ALL_NEUMANN, kind)
     return apply_boundary_conditions(sub, u, kind, dirich)
 
 
@@ -62,7 +62,8 @@ def test_diffusion_conserves_mass(sub16, geom16):
     mass0 = float(lm.areas @ u.values)
     for _ in range(40):
         bvals = _neumann_bvals(sub16, u)
-        conv, diss = residuals(sub16, u, vel, w, dia, bvals, diffusion=0.1)
+        conv = convective_residual(sub16, u, vel, bvals)
+        diss = diffusive_residual(sub16, u, w, dia, bvals, diffusion=0.1)
         u = explicit_step(sub16, u, conv, diss, dt)
         assert abs(float(lm.areas @ u.values) - mass0) < 1e-12
 
@@ -100,8 +101,8 @@ def test_upwind_max_principle(sub16, geom16):
 def test_dirichlet_inflow_enters_domain(sub8, geom8):
     bc = dict(ALL_NEUMANN)
     bc["left"] = ("dirichlet", 2.0)
-    kind = classify_faces(sub8, bc)
-    dirich = dirichlet_values(sub8, bc, kind)
+    kind = classify_faces(sub8.local_mesh, bc)
+    dirich = dirichlet_values(sub8.local_mesh, bc, kind)
     u = Field(np.zeros(sub8.local_mesh.n_cells))
     vel = FaceVelocity.uniform(sub8, 1.0, 0.0)
     dt = stable_dt(sub8, vel, 0.0)
@@ -137,8 +138,8 @@ def test_stable_dt_scaling(sub8):
 def test_dirichlet_node_data_evaluates_at_nodes(sub8):
     g = lambda x, y: 1.0 + 2.0 * x - y
     bc = dirichlet_bc(g)
-    kind = classify_faces(sub8, bc)
-    idx, vals = dirichlet_node_data(sub8, bc, kind)
+    kind = classify_faces(sub8.local_mesh, bc)
+    idx, vals = dirichlet_node_data(sub8.local_mesh, bc, kind)
     pts = sub8.local_mesh.points[idx]
     assert np.allclose(vals, g(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-15)
     on_boundary = (pts[:, 0] == 0) | (pts[:, 0] == 1) \
