@@ -370,19 +370,13 @@ class DiamondCells:
     """Per-face gradient-support geometry.
 
     area: quadrilateral (G_left, A, G_right, B) for interior faces, triangle
-    (G_left, A, B) for boundary faces.  lr_normal/lr_length describe the
-    segment joining the left centroid to the right centroid (to the face
-    midpoint on the boundary), rotated -90 degrees into its normal.
+    (G_left, A, B) for boundary faces.  lr_vec: the segment joining the left
+    centroid to the right centroid (to the face midpoint on the boundary),
+    rotated -90 degrees: its unit normal times its length.
     """
 
     area: np.ndarray       # (n_faces,)
-    lr_normal: np.ndarray  # (n_faces, 2) unit
-    lr_length: np.ndarray  # (n_faces,)
-
-    @property
-    def lr_vec(self) -> np.ndarray:
-        """lr_normal * lr_length, the vector actually used in the formula."""
-        return self.lr_normal * self.lr_length[:, None]
+    lr_vec: np.ndarray     # (n_faces, 2)
 
 
 def build_diamonds(mesh: Mesh) -> DiamondCells:
@@ -414,7 +408,7 @@ def build_diamonds(mesh: Mesh) -> DiamondCells:
     if np.any(lr_length <= 0.0):
         f = int(np.flatnonzero(lr_length <= 0.0)[0])
         raise DegenerateDiamond(f"face {f}: coincident diamond centroids")
-    return DiamondCells(area=area, lr_normal=lr / lr_length[:, None], lr_length=lr_length)
+    return DiamondCells(area=area, lr_vec=lr)
 
 
 # --------------------------------------------------------------------------
@@ -433,9 +427,6 @@ class NodeWeights:
     cells: np.ndarray     # stencil cell indices, concatenated
     weights: np.ndarray
     fallback: np.ndarray  # (n_nodes,) bool, True = inverse-distance node
-
-    def node_slice(self, n: int):
-        return slice(self.ptr[n], self.ptr[n + 1])
 
 
 def _stencil_weights(node_xy: np.ndarray, centroids: np.ndarray):

@@ -4,12 +4,15 @@ The discrete equation per cell i is
 
     - sum_f s_f (grad P . n)_f |s_f|  =  mu_i * source_i + lift_i
 
-so A P = b solves  -lap P = source  with the diamond-cell gradient of the
-transport module.  Dirichlet data is eliminated at assembly time: boundary
-face values and boundary node values are known, and their contributions move
-into the lift vector, keeping the matrix symmetric where the scheme is.
-Homogeneous Neumann faces contribute nothing.  An all-Neumann operator has
-the constant nullspace and is rejected unless a cell is pinned to zero.
+so A P = b solves  -lap P = source  with the diamond stencil of the
+transport module: the matrix is that stencil's flux weights, expanded through
+the node interpolation weights and scattered with the cell signs, so A x
+equals the negated explicit diffusive residual (D = 1) plus the lift.
+Dirichlet data is eliminated at assembly time: boundary face values and
+boundary node values are known, and their contributions move into the lift
+vector, keeping the matrix symmetric where the scheme is.  Homogeneous
+Neumann faces contribute nothing.  An all-Neumann operator has the constant
+nullspace and is rejected unless a cell is pinned to zero.
 
 The matrix is stored CSR with a structurally symmetric pattern (explicit
 zeros pad the transpose positions).  It depends only on mesh, weights, and
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, SingularSystem, TopologyError
-from .mesh import DiamondCells, Mesh, NodeWeights, build_diamonds, node_weights
-from .transport import (BC_DIRICHLET, classify_faces, dirichlet_node_data,
-                        dirichlet_values)
+from .mesh import DiamondCells, Mesh, NodeWeights
+from .transport import (BC_DIRICHLET, BC_NEUMANN, diamond_stencil,
+                        dirichlet_data)
 
 
 @dataclass
@@ -128,58 +131,56 @@ class PoissonProblem:
 
 def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
                     bc: dict, pin_cell: int | None = None) -> PoissonProblem:
+    """Expand the diamond stencil of bc into the matrix and its lift.
+
+    The stencil's flux across each non-Neumann face is affine in the cell
+    values, F = Phi u + phi0: known values (the Dirichlet datum at the
+    midpoint, pinned nodes) go to phi0 and a free node expands into its
+    interpolation weights.  With S the signed cell-face incidence, the
+    explicit residual is S F, so A = -S Phi and lift = S phi0.
+    """
     if any(lbl == "halo" for lbl in mesh.face_labels):
         raise TopologyError("Poisson assembly needs the global mesh, not a halo view")
 
-    kind = classify_faces(mesh, bc)
-    g_mid = dirichlet_values(mesh, bc, kind)
-    node_idx, node_data = dirichlet_node_data(mesh, bc, kind)
-    node_val = dict(zip(node_idx.tolist(), node_data))
-    lift = np.zeros(mesh.n_cells)
-    rows, cols, vals = [], [], []
+    st = diamond_stencil(mesh, bc, diamonds, weights)
+    data = dirichlet_data(mesh, bc, st.kind)
 
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
+    # Phi as (face, column, value) triplets: beta (u_right - u_left) ...
+    faces = np.flatnonzero(st.kind != BC_NEUMANN)
+    left, right = mesh.face_cells[faces].T
+    inner = right >= 0
+    f, c, v = [faces, faces[inner]], [left, right[inner]], \
+        [-st.beta[faces], st.beta[faces[inner]]]
+    phi0 = np.zeros(mesh.n_faces)
+    phi0[faces[~inner]] = st.beta[faces[~inner]] * data.face[faces[~inner]]
+    # ... + tau (u_A - u_B)
+    slot = np.full(mesh.n_nodes, -1)    # index into data.node, -1 if free
+    slot[st.pinned] = np.arange(len(st.pinned))
+    for end, sign in ((0, 1.0), (1, -1.0)):
+        node = mesh.face_nodes[faces, end]
+        tau = sign * st.tau[faces]
+        known = slot[node] >= 0
+        phi0[faces[known]] += tau[known] * data.node[slot[node[known]]]
+        free = np.flatnonzero(~known)
+        counts = np.diff(weights.ptr)[node[free]]
+        start = weights.ptr[node[free]] - np.cumsum(counts) + counts
+        entry = np.repeat(start, counts) + np.arange(counts.sum())
+        term = np.repeat(free, counts)
+        f.append(faces[term])
+        c.append(weights.cells[entry])
+        v.append(tau[term] * weights.weights[entry])
+    f, c, v = (np.concatenate(x) for x in (f, c, v))
 
-    def node_term(row, node, coef):
-        """Apply coef * P_node to LHS row (or move it to b when known)."""
-        if node in node_val:
-            lift[row] -= coef * node_val[node]
-        else:
-            sl = weights.node_slice(node)
-            for c, w in zip(weights.cells[sl], weights.weights[sl]):
-                add(row, int(c), coef * w)
-
-    lr_vec = diamonds.lr_vec
-    for f in range(mesh.n_faces):
-        i, j = mesh.face_cells[f]
-        i, j = int(i), int(j)
-        a_node, b_node = (int(x) for x in mesh.face_nodes[f])
-        inv2mu = 1.0 / (2.0 * diamonds.area[f])
-        beta = mesh.face_lengths[f] ** 2 * inv2mu
-        tau = float(np.dot(lr_vec[f], mesh.face_normals[f])) * mesh.face_lengths[f] * inv2mu
-        # tau = (G_r - G_l).(B - A) / (2 mu_D): lr_vec is the rotated segment,
-        # so its dot with n |s| recovers the tangential projection
-        if j >= 0:
-            add(i, i, beta)
-            add(i, j, -beta)
-            add(j, j, beta)
-            add(j, i, -beta)
-            node_term(i, a_node, -tau)
-            node_term(i, b_node, tau)
-            node_term(j, a_node, tau)
-            node_term(j, b_node, -tau)
-        elif kind[f] == BC_DIRICHLET:
-            add(i, i, beta)
-            lift[i] += beta * g_mid[f]
-            # endpoint nodes of a Dirichlet face are Dirichlet by construction
-            node_term(i, a_node, -tau)
-            node_term(i, b_node, tau)
+    # scatter with the cell signs: +1 for the left cell, -1 for the right
+    right = mesh.face_cells[f, 1]
+    inner = right >= 0
+    rows = np.concatenate([mesh.face_cells[f, 0], right[inner]])
+    cols = np.concatenate([c, c[inner]])
+    vals = np.concatenate([-v, v[inner]])
+    lift = (phi0[mesh.cell_faces] * mesh.cell_face_signs).sum(axis=1)
 
     pinned = None
-    if not np.any(kind == BC_DIRICHLET):
+    if not np.any(st.kind == BC_DIRICHLET):
         if pin_cell is None:
             raise SingularSystem(
                 "all-Neumann operator has the constant nullspace; pin a cell")
@@ -188,8 +189,9 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
         # unknown is forced to zero, and downstream rows multiply it by the
         # surviving column entries harmlessly
         pinned = int(pin_cell)
-        vals = [0.0 if r == pinned else v for r, v in zip(rows, vals)]
-        add(pinned, pinned, 1.0)
+        vals[rows == pinned] = 0.0
+        rows, cols = np.append(rows, pinned), np.append(cols, pinned)
+        vals = np.append(vals, 1.0)
         lift[pinned] = 0.0
 
     matrix = csr_from_coo(mesh.n_cells, rows, cols, vals)
@@ -197,19 +199,16 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
 
 
 def assemble_rhs(mesh: Mesh, source: np.ndarray, bc: dict,
-                 problem: PoissonProblem | None = None,
-                 diamonds: DiamondCells | None = None,
-                 weights: NodeWeights | None = None,
-                 pin_cell: int | None = None) -> np.ndarray:
+                 problem: PoissonProblem) -> np.ndarray:
     """b_i = mu_i * source_i + Dirichlet lift.  source is the RHS of
-    -lap P = source (per unit area)."""
+    -lap P = source (per unit area).
+
+    bc is not read (the problem's lift already carries its data); it keeps
+    its third place because callers pass it by position.
+    """
     source = np.asarray(source, dtype=np.float64)
     if source.shape != (mesh.n_cells,):
         raise DimensionMismatch(f"source has shape {source.shape}")
-    if problem is None:
-        diamonds = diamonds if diamonds is not None else build_diamonds(mesh)
-        weights = weights if weights is not None else node_weights(mesh)
-        problem = assemble_system(mesh, diamonds, weights, bc, pin_cell)
     b = mesh.areas * source + problem.lift
     if problem.pinned is not None:
         b[problem.pinned] = 0.0

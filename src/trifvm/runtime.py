@@ -41,10 +41,9 @@ from .poisson import PoissonProblem, assemble_rhs, assemble_system
 from .streamer import (FluxContext, StreamerCoefficients, StreamerState,
                        StreamerSystem)
 from .transport import (Field, FaceVelocity, Fluxes,
-                        apply_boundary_conditions, classify_faces,
-                        convective_residual, diffusive_residual,
-                        dirichlet_node_data, dirichlet_values, explicit_step,
-                        stable_dt)
+                        apply_boundary_conditions, convective_residual,
+                        diamond_stencil, diffusive_residual, dirichlet_data,
+                        explicit_step, stable_dt)
 from .vtk_io import write_vtk
 
 PHASES = ("convection", "diffusion", "linear_solver", "total")
@@ -246,11 +245,10 @@ class _Transport:
         tc = cfg.transport
         lm = sub.local_mesh
         self.sub = sub
-        self.diamonds = build_diamonds(lm)
-        self.weights = node_weights(lm, cell_order=sub.cells_l2g)
-        kind = classify_faces(lm, tc.bc)
-        self.bc = (kind, dirichlet_values(lm, tc.bc, kind),
-                   dirichlet_node_data(lm, tc.bc, kind))
+        self.stencil = diamond_stencil(
+            lm, tc.bc, build_diamonds(lm),
+            node_weights(lm, cell_order=sub.cells_l2g))
+        self.data = dirichlet_data(lm, tc.bc, self.stencil.kind)
         self.vel = FaceVelocity.uniform(sub, *tc.velocity)
         self.dcoef = tc.diffusion
         # the bound never reads the field: one evaluation serves every step
@@ -261,7 +259,8 @@ class _Transport:
         return {"u": u}
 
     def fluxes(self, u: Field) -> Fluxes:
-        bvals = apply_boundary_conditions(self.sub, u, *self.bc)
+        bvals = apply_boundary_conditions(self.sub, u, self.stencil.kind,
+                                          self.data.face)
         return Fluxes(self.vel, bvals, self.dcoef, self.dt_stable)
 
     def update(self, u: Field, fl: Fluxes, dt: float, conv, diss):
@@ -278,8 +277,8 @@ class _Streamer:
     def __init__(self, coeffs: StreamerCoefficients, sysctx: StreamerSystem):
         self.coeffs = coeffs
         self.sys = sysctx
-        self.diamonds = sysctx.diamonds
-        self.weights = sysctx.weights
+        self.stencil = sysctx.species
+        self.data = sysctx.species_data
         self.solves = 0
 
     def couple(self, ctx: RankContext, state: StreamerState) -> StreamerState:
@@ -340,8 +339,8 @@ def _step(ctx: RankContext, phys, state, dt_fixed: float | None,
     with _timed(res, "convection"):
         conv = convective_residual(sub, u, fl.vel, fl.bvals)
     with _timed(res, "diffusion"):
-        diss = diffusive_residual(sub, u, phys.weights, phys.diamonds,
-                                  fl.bvals, fl.diffusion)
+        diss = diffusive_residual(sub, u, phys.stencil, phys.data,
+                                  fl.diffusion)
     res.phase = "update"
     state, clips = phys.update(state, fl, dt, conv, diss)
     for name, f in phys.fields(state).items():

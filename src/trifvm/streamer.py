@@ -4,9 +4,11 @@ Electrons drift-diffuse in the electric field, ions sit still and grow by
 ionization, and the potential comes from a factor-once direct solve of the
 charge-driven Poisson equation.  Everything here is per-rank local given a
 current (post-solve, post-exchange) state: the charge source, the fluxes and
-CFL bound of that state, and the update.  The one step of the coupled cycle,
-with its solve and collectives, is `runtime`'s; `runtime.streamer_step` runs
-that step on a single rank.
+CFL bound of that state, and the update.  The field E = -grad V is the
+diamond gradient of `transport` on the potential's stencil, the one the
+potential matrix expands.  The one step of the coupled cycle, with its solve
+and collectives, is `runtime`'s; `runtime.streamer_step` runs that step on a
+single rank.
 
 Closed forms for the transport coefficients are not part of the problem
 statement; two config-selected families are supported:
@@ -28,10 +30,10 @@ from .errors import ConfigError
 from .mesh import DiamondCells, NodeWeights, build_diamonds, node_weights
 from .partition import Subdomain
 from .poisson import PoissonProblem
-from .transport import (BoundaryValues, FaceVelocity, Field, Fluxes,
-                        apply_boundary_conditions, classify_faces,
-                        dirichlet_node_data, dirichlet_values, explicit_step,
-                        face_gradients, node_values, stable_dt)
+from .transport import (DiamondStencil, DirichletData, FaceVelocity, Field,
+                        Fluxes, apply_boundary_conditions, diamond_stencil,
+                        dirichlet_data, explicit_step, face_gradients,
+                        stable_dt)
 
 
 @dataclass
@@ -94,21 +96,18 @@ class StreamerState:
 class StreamerSystem:
     """Per-rank geometry + boundary context for the coupled cycle.
 
+    One diamond stencil and its data for each BC layout, species and field.
     problem/factors are the assembled and factored potential system that
     `runtime.streamer_step` solves with; a multi-rank run keeps them on the
     host's rank context instead.  The flux pieces never touch them.
     """
 
     sub: Subdomain
-    diamonds: DiamondCells
-    weights: NodeWeights
-    kind_ne: np.ndarray
-    dirich_ne: np.ndarray
-    kind_pot: np.ndarray
-    dirich_pot: np.ndarray
+    species: DiamondStencil
+    species_data: DirichletData
+    potential: DiamondStencil
+    potential_data: DirichletData
     potential_bc: dict
-    ndata_ne: tuple = (None, None)
-    ndata_pot: tuple = (None, None)
     cfl: float = 0.4
     problem: PoissonProblem | None = None
     factors: LuFactors | None = None
@@ -119,22 +118,19 @@ def build_system(sub: Subdomain, species_bc: dict, potential_bc: dict,
                  weights: NodeWeights | None = None, cfl: float = 0.4,
                  problem: PoissonProblem | None = None,
                  factors: LuFactors | None = None) -> StreamerSystem:
-    if diamonds is None:
-        diamonds = build_diamonds(sub.local_mesh)
-    if weights is None:
-        weights = node_weights(sub.local_mesh, cell_order=sub.cells_l2g)
     lm = sub.local_mesh
-    kind_ne = classify_faces(lm, species_bc)
-    kind_pot = classify_faces(lm, potential_bc)
+    if diamonds is None:
+        diamonds = build_diamonds(lm)
+    if weights is None:
+        weights = node_weights(lm, cell_order=sub.cells_l2g)
+    species = diamond_stencil(lm, species_bc, diamonds, weights)
+    potential = diamond_stencil(lm, potential_bc, diamonds, weights)
     return StreamerSystem(
-        sub=sub, diamonds=diamonds, weights=weights,
-        kind_ne=kind_ne, dirich_ne=dirichlet_values(lm, species_bc, kind_ne),
-        kind_pot=kind_pot,
-        dirich_pot=dirichlet_values(lm, potential_bc, kind_pot),
-        potential_bc=potential_bc,
-        ndata_ne=dirichlet_node_data(lm, species_bc, kind_ne),
-        ndata_pot=dirichlet_node_data(lm, potential_bc, kind_pot),
-        cfl=cfl, problem=problem, factors=factors)
+        sub=sub, species=species,
+        species_data=dirichlet_data(lm, species_bc, species.kind),
+        potential=potential,
+        potential_data=dirichlet_data(lm, potential_bc, potential.kind),
+        potential_bc=potential_bc, cfl=cfl, problem=problem, factors=factors)
 
 
 def gaussian_seed(sub: Subdomain, center=(0.5, 0.5), sigma=0.1,
@@ -155,14 +151,6 @@ def charge_source(state: StreamerState, coeffs: StreamerCoefficients,
                                         - state.n_e.values[:n])
 
 
-def electric_field(sub: Subdomain, v_pot: Field, weights: NodeWeights,
-                   diamonds: DiamondCells,
-                   bvals_pot: BoundaryValues) -> np.ndarray:
-    """E = -grad V on every face, via the diamond-cell gradient."""
-    v_node = node_values(sub, v_pot, weights)
-    return -face_gradients(sub, v_pot, v_node, diamonds, bvals_pot)
-
-
 @dataclass
 class FluxContext(Fluxes):
     """Everything the explicit update needs, evaluated at the current state:
@@ -173,7 +161,7 @@ class FluxContext(Fluxes):
 
 def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
                    sys: StreamerSystem) -> FluxContext:
-    """Field, drift velocity, coefficients, source, and CFL bound.
+    """Field E = -grad V, drift velocity, coefficients, source, and CFL bound.
 
     Requires v_pot and n_e with fresh halo slots.  The 3-face means below
     use the canonical cell_faces order, so they are identical no matter how
@@ -181,10 +169,8 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
     """
     sub = sys.sub
     lm = sub.local_mesh
-    bvals_pot = apply_boundary_conditions(sub, state.v_pot, sys.kind_pot,
-                                          sys.dirich_pot, sys.ndata_pot)
-    e_faces = electric_field(sub, state.v_pot, sys.weights, sys.diamonds,
-                             bvals_pot)
+    e_faces = -face_gradients(sub, sys.potential, state.v_pot,
+                              sys.potential_data)
     e_mag = np.hypot(e_faces[:, 0], e_faces[:, 1])
     mu_f = coeffs.mobility(e_mag)
     vel = FaceVelocity(vectors=-np.asarray(mu_f)[..., None] * e_faces)
@@ -201,8 +187,8 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
         alpha_cell = coeffs.ionization(e_cell)
     s_e = alpha_cell * speed_cell * state.n_e.values[:sub.n_own]
 
-    bvals_ne = apply_boundary_conditions(sub, state.n_e, sys.kind_ne,
-                                         sys.dirich_ne, sys.ndata_ne)
+    bvals_ne = apply_boundary_conditions(sub, state.n_e, sys.species.kind,
+                                         sys.species_data.face)
     dt = stable_dt(sub, vel, diffusion=d_f, cfl=sys.cfl)
     return FluxContext(vel=vel, bvals=bvals_ne, diffusion=d_f, dt_stable=dt,
                        s_e=s_e)

@@ -15,10 +15,16 @@ weights.  All per-cell sums run in the cell's canonical 3-edge order and all
 node stencils in ascending global id, so a partitioned run reproduces the
 sequential arithmetic exactly.
 
+The stencil is defined once, in `DiamondStencil`: with the face differences
+d_n = u_right - u_left and d_t = u_A - u_B, the flux is D (beta d_n + tau d_t).
+The explicit diffusion, the field of `streamer` and the matrix of `poisson`
+all read it.
+
 Boundary handling: a Dirichlet face carries the prescribed value at its
 midpoint (used both as the upwind inflow value and as the gradient's
-right-side value); a homogeneous-Neumann face copies the inner value for
-convection and contributes exactly zero diffusive flux.
+right-side value), and the nodes of Dirichlet faces take the prescribed
+value instead of the interpolated one; a homogeneous-Neumann face copies the
+inner value for convection and contributes exactly zero diffusive flux.
 """
 
 from __future__ import annotations
@@ -67,30 +73,12 @@ class FaceVelocity:
 
 
 @dataclass
-class BoundaryValues:
-    """Per-face boundary data produced by apply_boundary_conditions.
-
-    kind: BC_* code per face; value: ghost value (Dirichlet data at the face
-    midpoint, or the copied inner value on Neumann faces).  Fringe faces of a
-    halo region are marked interior: they never feed an own-cell flux.
-    node_idx/node_value: nodes lying on a Dirichlet boundary and the datum
-    there; the diamond gradient pins these instead of interpolating, the same
-    elimination the implicit assembly performs.
-    """
-
-    kind: np.ndarray
-    value: np.ndarray
-    node_idx: np.ndarray | None = None
-    node_value: np.ndarray | None = None
-
-
-@dataclass
 class Fluxes:
     """The residuals' inputs at the current state, plus this rank's CFL
     bound (a step takes the minimum over ranks)."""
 
     vel: FaceVelocity
-    bvals: BoundaryValues
+    bvals: np.ndarray           # ghost value per face
     diffusion: object           # scalar or per-face array
     dt_stable: float
 
@@ -110,55 +98,117 @@ def classify_faces(lm: Mesh, bc: dict) -> np.ndarray:
     return kind
 
 
-def dirichlet_values(lm: Mesh, bc: dict, kind: np.ndarray) -> np.ndarray:
-    """Prescribed values at Dirichlet face midpoints (0 elsewhere)."""
-    out = np.zeros(lm.n_faces)
-    for f in np.flatnonzero(kind == BC_DIRICHLET):
-        g = bc[lm.face_labels[f]][1]
-        x, y = lm.face_midpoints[f]
-        out[f] = g(x, y) if callable(g) else float(g)
-    return out
+@dataclass
+class DirichletData:
+    """The data of one BC layout: the datum at every Dirichlet face midpoint
+    (0 on other faces) and at every pinned node (see DiamondStencil)."""
+
+    face: np.ndarray
+    node: np.ndarray
 
 
-def dirichlet_node_data(lm: Mesh, bc: dict, kind: np.ndarray):
-    """Boundary datum at every node of a Dirichlet face, evaluated at the
-    node's own coordinates (averaged where faces with different data meet)."""
+def dirichlet_data(lm: Mesh, bc: dict, kind: np.ndarray) -> DirichletData:
+    """Evaluate bc at the Dirichlet face midpoints and at their nodes, each
+    node at its own coordinates (averaged where faces with different data
+    meet), nodes ascending."""
+    face = np.zeros(lm.n_faces)
     sums = np.zeros(lm.n_nodes)
     counts = np.zeros(lm.n_nodes, dtype=np.int64)
     for f in np.flatnonzero(kind == BC_DIRICHLET):
         g = bc[lm.face_labels[f]][1]
+        at = g if callable(g) else (lambda x, y, c=float(g): c)
+        face[f] = at(*lm.face_midpoints[f])
         for node in lm.face_nodes[f]:
-            x, y = lm.points[node]
-            sums[node] += g(x, y) if callable(g) else float(g)
+            sums[node] += at(*lm.points[node])
             counts[node] += 1
     idx = np.flatnonzero(counts)
-    return idx, sums[idx] / counts[idx]
+    return DirichletData(face=face, node=sums[idx] / counts[idx])
 
 
 def apply_boundary_conditions(sub: Subdomain, u: Field, kind: np.ndarray,
-                              dirichlet: np.ndarray,
-                              node_data=None) -> BoundaryValues:
-    """Fill the ghost value of every boundary face for the current state."""
-    lm = sub.local_mesh
+                              dirichlet: np.ndarray) -> np.ndarray:
+    """Ghost value of every face for the current state: the Dirichlet datum
+    at the midpoint, or the copied inner value on Neumann faces.  Fringe
+    faces of a halo region are interior: they never feed an own-cell flux.
+    """
     value = dirichlet.copy()
     neu = np.flatnonzero(kind == BC_NEUMANN)
-    value[neu] = u.values[lm.face_cells[neu, 0]]
-    node_idx, node_value = node_data if node_data is not None else (None, None)
-    return BoundaryValues(kind=kind, value=value,
-                          node_idx=node_idx, node_value=node_value)
+    value[neu] = u.values[sub.local_mesh.face_cells[neu, 0]]
+    return value
+
+
+@dataclass
+class DiamondStencil:
+    """The diamond flux of every face of one mesh under one BC layout,
+    D (grad u . n) |s| = D (beta d_n + tau d_t).  pinned: the nodes of
+    Dirichlet faces, ascending; they take their datum, not the interpolant.
+    """
+
+    kind: np.ndarray            # BC_* code per face
+    beta: np.ndarray
+    tau: np.ndarray
+    pinned: np.ndarray
+    diamonds: DiamondCells
+    weights: NodeWeights
+
+
+def _gradient_weights(lm: Mesh, diamonds: DiamondCells):
+    """Weights of d_n and d_t in the diamond gradient, (n_faces, 2) each."""
+    two_area = 2.0 * diamonds.area[:, None]
+    return (lm.face_normals * lm.face_lengths[:, None] / two_area,
+            diamonds.lr_vec / two_area)
+
+
+def diamond_stencil(lm: Mesh, bc: dict, diamonds: DiamondCells,
+                    weights: NodeWeights) -> DiamondStencil:
+    """The diamond stencil of a mesh under the boundary conditions bc."""
+    kind = classify_faces(lm, bc)
+    n_sigma = lm.face_normals * lm.face_lengths[:, None]
+    beta, tau = (np.einsum("ij,ij->i", g, n_sigma)
+                 for g in _gradient_weights(lm, diamonds))
+    return DiamondStencil(kind, beta, tau,
+                          np.unique(lm.face_nodes[kind == BC_DIRICHLET]),
+                          diamonds, weights)
 
 
 def node_values(sub: Subdomain, u: Field, weights: NodeWeights) -> np.ndarray:
-    """Interpolate cell values to nodes through the least-squares weights."""
+    """Interpolate cell values to nodes through the least-squares weights;
+    each node sums its stencil in stored (ascending global id) order."""
     assert not u.halo_stale, "halo slots are stale; exchange before interpolating"
-    out = np.zeros(sub.local_mesh.n_nodes)
-    nodes = np.repeat(np.arange(sub.local_mesh.n_nodes), np.diff(weights.ptr))
-    np.add.at(out, nodes, weights.weights * u.values[weights.cells])
-    return out
+    n = sub.local_mesh.n_nodes
+    nodes = np.repeat(np.arange(n), np.diff(weights.ptr))
+    return np.bincount(nodes, weights.weights * u.values[weights.cells],
+                       minlength=n)
+
+
+def face_differences(sub: Subdomain, st: DiamondStencil, u: Field,
+                     data: DirichletData):
+    """(d_n, d_t) = (u_right - u_left, u_A - u_B) on every face.
+
+    On a boundary face u_right is the ghost value of
+    apply_boundary_conditions; pinned nodes take their data.
+    """
+    lm = sub.local_mesh
+    right = lm.face_cells[:, 1]
+    ghost = apply_boundary_conditions(sub, u, st.kind, data.face)
+    d_n = np.where(right >= 0, u.values[np.maximum(right, 0)], ghost) \
+        - u.values[lm.face_cells[:, 0]]
+    u_node = node_values(sub, u, st.weights)
+    u_node[st.pinned] = data.node
+    d_t = u_node[lm.face_nodes[:, 0]] - u_node[lm.face_nodes[:, 1]]
+    return d_n, d_t
+
+
+def face_gradients(sub: Subdomain, st: DiamondStencil, u: Field,
+                   data: DirichletData) -> np.ndarray:
+    """Diamond-cell gradient on every face, (n_faces, 2)."""
+    d_n, d_t = face_differences(sub, st, u, data)
+    g_n, g_t = _gradient_weights(sub.local_mesh, st.diamonds)
+    return d_n[:, None] * g_n + d_t[:, None] * g_t
 
 
 def upwind_face_values(sub: Subdomain, u: Field, vel: FaceVelocity,
-                       bvals: BoundaryValues) -> np.ndarray:
+                       bvals: np.ndarray) -> np.ndarray:
     """Donor-cell value per face: left cell when V.n >= 0, else the right
     cell (or the ghost value on boundary faces)."""
     assert not u.halo_stale, "halo slots are stale; exchange before upwinding"
@@ -166,28 +216,8 @@ def upwind_face_values(sub: Subdomain, u: Field, vel: FaceVelocity,
     vdotn = np.einsum("ij,ij->i", vel.vectors, lm.face_normals)
     left = lm.face_cells[:, 0]
     right = lm.face_cells[:, 1]
-    downwind = np.where(right >= 0, u.values[np.maximum(right, 0)], bvals.value)
+    downwind = np.where(right >= 0, u.values[np.maximum(right, 0)], bvals)
     return np.where(vdotn >= 0.0, u.values[left], downwind)
-
-
-def face_gradients(sub: Subdomain, u: Field, u_node: np.ndarray,
-                   diamonds: DiamondCells, bvals: BoundaryValues) -> np.ndarray:
-    """Diamond-cell gradient on every face, (n_faces, 2)."""
-    lm = sub.local_mesh
-    if bvals.node_idx is not None and bvals.node_idx.size:
-        u_node = u_node.copy()
-        u_node[bvals.node_idx] = bvals.node_value
-    left = lm.face_cells[:, 0]
-    right = lm.face_cells[:, 1]
-    u_left = u.values[left]
-    u_right = np.where(right >= 0, u.values[np.maximum(right, 0)], bvals.value)
-    ua = u_node[lm.face_nodes[:, 0]]
-    ub = u_node[lm.face_nodes[:, 1]]
-    n_sigma = lm.face_normals * lm.face_lengths[:, None]
-    grad = (u_right - u_left)[:, None] * n_sigma \
-        + (ua - ub)[:, None] * diamonds.lr_vec
-    grad /= (2.0 * diamonds.area)[:, None]
-    return grad
 
 
 def _per_cell_sum(sub: Subdomain, face_contrib: np.ndarray) -> np.ndarray:
@@ -202,28 +232,24 @@ def _per_cell_sum(sub: Subdomain, face_contrib: np.ndarray) -> np.ndarray:
 
 
 def convective_residual(sub: Subdomain, u: Field, vel: FaceVelocity,
-                        bvals: BoundaryValues) -> np.ndarray:
+                        bvals: np.ndarray) -> np.ndarray:
     u_face = upwind_face_values(sub, u, vel, bvals)
     vdotn = np.einsum("ij,ij->i", vel.vectors, sub.local_mesh.face_normals)
     flux = u_face * vdotn * sub.local_mesh.face_lengths
     return _per_cell_sum(sub, flux)
 
 
-def diffusive_residual(sub: Subdomain, u: Field, weights: NodeWeights,
-                       diamonds: DiamondCells, bvals: BoundaryValues,
-                       diffusion=1.0) -> np.ndarray:
+def diffusive_residual(sub: Subdomain, u: Field, st: DiamondStencil,
+                       data: DirichletData, diffusion=1.0) -> np.ndarray:
     """Sum of D (grad u . n) |s| over each own cell's faces.
 
     diffusion may be a scalar or a per-face array.  Neumann faces contribute
     exactly zero (the literal zero-gradient condition), which is what makes
     the closed-box invariant sum(mu u) exact.
     """
-    lm = sub.local_mesh
-    u_node = node_values(sub, u, weights)
-    grad = face_gradients(sub, u, u_node, diamonds, bvals)
-    flux = np.einsum("ij,ij->i", grad, lm.face_normals) * lm.face_lengths
-    flux = flux * diffusion
-    flux[bvals.kind == BC_NEUMANN] = 0.0
+    d_n, d_t = face_differences(sub, st, u, data)
+    flux = (st.beta * d_n + st.tau * d_t) * diffusion
+    flux[st.kind == BC_NEUMANN] = 0.0
     return _per_cell_sum(sub, flux)
 
 

@@ -27,9 +27,9 @@ from .mesh import build_diamonds, node_weights, structured_triangulation
 from .partition import single_subdomain
 from .poisson import assemble_rhs, assemble_system
 from .transport import (Field, FaceVelocity, apply_boundary_conditions,
-                        classify_faces, convective_residual,
-                        diffusive_residual, dirichlet_node_data,
-                        dirichlet_values, explicit_step, stable_dt)
+                        convective_residual, diamond_stencil,
+                        diffusive_residual, dirichlet_data, explicit_step,
+                        stable_dt)
 
 CASES = ("poisson_sine", "advect_gauss", "diffuse_gauss")
 
@@ -71,21 +71,17 @@ def _gaussian(c, center, sigma):
 def _march(sub, vel, dcoef, bc, u, t_end, cfl=0.4, bc_time=None):
     """Explicit march to exactly t_end; Dirichlet data may depend on time."""
     lm = sub.local_mesh
-    weights = node_weights(lm)
-    diamonds = build_diamonds(lm)
-    kind = classify_faces(lm, bc)
+    st = diamond_stencil(lm, bc, build_diamonds(lm), node_weights(lm))
+    data = dirichlet_data(lm, bc, st.kind)
     bound = stable_dt(sub, vel, dcoef, cfl)
     steps = max(1, int(math.ceil(t_end / bound)))
     dt = t_end / steps
     for s in range(steps):
-        if bc_time is not None:
-            bc = bc_time(s * dt)
-            # labels are fixed, only the values move; kinds stay valid
-        dirich = dirichlet_values(lm, bc, kind)
-        ndata = dirichlet_node_data(lm, bc, kind)
-        bvals = apply_boundary_conditions(sub, u, kind, dirich, ndata)
+        if bc_time is not None:  # fixed labels: only the data moves
+            data = dirichlet_data(lm, bc_time(s * dt), st.kind)
+        bvals = apply_boundary_conditions(sub, u, st.kind, data.face)
         conv = convective_residual(sub, u, vel, bvals)
-        diss = diffusive_residual(sub, u, weights, diamonds, bvals, dcoef)
+        diss = diffusive_residual(sub, u, st, data, dcoef)
         u = explicit_step(sub, u, conv, diss, dt)
     return u
 

@@ -1,9 +1,12 @@
 """Shared fixtures: small meshes, single-rank subdomains, BC dictionaries."""
 
+import random
+
 import numpy as np
 import pytest
 
-from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
+from trifvm.mesh import (build_diamonds, build_mesh, node_weights, save_mesh,
+                         structured_triangulation)
 from trifvm.partition import single_subdomain
 
 ALL_NEUMANN = {lab: ("neumann",) for lab in ("left", "right", "top", "bottom")}
@@ -12,6 +15,48 @@ ALL_NEUMANN = {lab: ("neumann",) for lab in ("left", "right", "top", "bottom")}
 def dirichlet_bc(g):
     """Same boundary datum on all four sides (constant or g(x, y))."""
     return {lab: ("dirichlet", g) for lab in ("left", "right", "top", "bottom")}
+
+
+def irregular_mesh(n, seed, jitter=0.2):
+    """Seeded irregular triangulation of the unit square.
+
+    The (n + 1)^2 nodes of the uniform grid move by up to jitter * h per
+    coordinate (boundary nodes only along their side, corners not at all),
+    and each square is split along a diagonal chosen at random.
+    """
+    rng = random.Random(seed)
+    h = 1.0 / n
+    ij = np.array([(i, j) for j in range(n + 1) for i in range(n + 1)])
+    free = (ij > 0) & (ij < n)
+    shift = np.array([[rng.uniform(-jitter, jitter) for _ in range(2)]
+                      for _ in ij])
+    points = h * (ij + np.where(free, shift, 0.0))
+
+    def node(i, j):
+        return j * (n + 1) + i
+
+    tris, boundary = [], {}
+    for j in range(n):
+        for i in range(n):
+            a, b = node(i, j), node(i + 1, j)
+            c, d = node(i + 1, j + 1), node(i, j + 1)
+            tris += [(a, b, c), (a, c, d)] if rng.random() < 0.5 \
+                else [(a, b, d), (b, c, d)]
+    for k in range(n):
+        for p, q, label in ((node(k, 0), node(k + 1, 0), "bottom"),
+                            (node(k, n), node(k + 1, n), "top"),
+                            (node(0, k), node(0, k + 1), "left"),
+                            (node(n, k), node(n, k + 1), "right")):
+            boundary[(min(p, q), max(p, q))] = label
+    mesh = build_mesh(points, np.array(tris), boundary)
+    assert (mesh.areas > 0).all()
+    return mesh
+
+
+def irregular_mesh_file(path, n, seed):
+    """Save irregular_mesh(n, seed) as a mesh file; returns its path."""
+    save_mesh(irregular_mesh(n, seed), path)
+    return str(path)
 
 
 # Verbatim strong-scaling table from the measurement campaign writeup:

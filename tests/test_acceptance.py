@@ -26,9 +26,9 @@ from trifvm.streamer import (StreamerCoefficients, StreamerState, build_system,
                              gaussian_seed, total_charge)
 from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               classify_faces, convective_residual,
-                              diffusive_residual, dirichlet_node_data,
-                              dirichlet_values, explicit_step, face_gradients,
-                              node_values, stable_dt)
+                              diamond_stencil, diffusive_residual,
+                              dirichlet_data, explicit_step,
+                              face_gradients, stable_dt)
 
 from conftest import (ALL_NEUMANN, TIMING_ROWS, dirichlet_bc, random_spd_like,
                       write_timing_table)
@@ -183,7 +183,9 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
         dia, w = geom16
         lm = sub16.local_mesh
         kind_n = classify_faces(lm, ALL_NEUMANN)
-        dirich_n = dirichlet_values(lm, ALL_NEUMANN, kind_n)
+        data_n = dirichlet_data(lm, ALL_NEUMANN, kind_n)
+        dirich_n = data_n.face
+        sten_n = diamond_stencil(lm, ALL_NEUMANN, dia, w)
 
         # (a) closed box, pure diffusion: cell-measure-weighted sum frozen
         d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
@@ -193,8 +195,7 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
         mass = float(lm.areas @ u.values)
         step_drift = 0.0
         for _ in range(50):
-            bvals = apply_boundary_conditions(sub16, u, kind_n, dirich_n)
-            diss = diffusive_residual(sub16, u, w, dia, bvals, 0.1)
+            diss = diffusive_residual(sub16, u, sten_n, data_n, 0.1)
             u = explicit_step(sub16, u, np.zeros_like(diss), diss, dt)
             now = float(lm.areas @ u.values)
             step_drift = max(step_drift, abs(now - mass))
@@ -218,12 +219,8 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
         lin = lambda x, y: a + b * x + c * y
         ulin = Field(lin(lm.centroids[:, 0], lm.centroids[:, 1]))
         bc = dirichlet_bc(lin)
-        kind = classify_faces(lm, bc)
-        bvals = apply_boundary_conditions(
-            sub16, ulin, kind, dirichlet_values(lm, bc, kind),
-            dirichlet_node_data(lm, bc, kind))
-        grad = face_gradients(sub16, ulin, node_values(sub16, ulin, w), dia,
-                              bvals)
+        sten = diamond_stencil(lm, bc, dia, w)
+        grad = face_gradients(sub16, sten, ulin, dirichlet_data(lm, bc, sten.kind))
         grad_err = max(float(np.abs(grad[:, 0] - b).max()),
                        float(np.abs(grad[:, 1] - c).max()))
 
@@ -260,7 +257,7 @@ def test_charge_conservation_and_vacuum_potential():
         # (a) resolved seed far from the walls, 100 coupled steps
         mesh = structured_triangulation(64)
         sub = single_subdomain(mesh)
-        geo = build_system(sub, ALL_NEUMANN, ALL_NEUMANN)
+        geo = build_system(sub, ALL_NEUMANN, ALL_NEUMANN).species
         problem = assemble_system(mesh, geo.diamonds, geo.weights, ALL_NEUMANN,
                                   pin_cell=0)
         sys = build_system(sub, ALL_NEUMANN, ALL_NEUMANN,
@@ -282,7 +279,7 @@ def test_charge_conservation_and_vacuum_potential():
         # solve, same doubles, here nontrivial thanks to the plate lift
         mesh = structured_triangulation(16)
         sub = single_subdomain(mesh)
-        geo = build_system(sub, ALL_NEUMANN, PLATES)
+        geo = build_system(sub, ALL_NEUMANN, PLATES).species
         problem = assemble_system(mesh, geo.diamonds, geo.weights, PLATES)
         sys = build_system(sub, ALL_NEUMANN, PLATES,
                            diamonds=geo.diamonds, weights=geo.weights,

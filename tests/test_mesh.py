@@ -9,11 +9,10 @@ from trifvm.errors import DegenerateDiamond, TopologyError
 from trifvm.mesh import (build_diamonds, build_mesh, load_mesh, node_weights,
                          save_mesh, structured_triangulation, validate_mesh)
 from trifvm.partition import single_subdomain
-from trifvm.transport import (Field, apply_boundary_conditions, classify_faces,
-                              dirichlet_node_data, dirichlet_values,
-                              face_gradients, node_values)
+from trifvm.transport import (Field, diamond_stencil,
+                              dirichlet_data, face_gradients, node_values)
 
-from conftest import dirichlet_bc
+from conftest import dirichlet_bc, irregular_mesh
 
 
 def test_structured_counts():
@@ -97,21 +96,18 @@ def test_build_mesh_rejects_bad_topology():
 
 def test_diamond_linear_exactness():
     # the two-cell-plus-two-node gradient is exact for affine fields
-    m = structured_triangulation(6)
-    sub = single_subdomain(m)
-    dia = build_diamonds(m)
-    w = node_weights(m)
-    a, b, c = 0.7, -1.3, 2.1
-    lin = lambda x, y: a + b * x + c * y
-    u = Field(lin(m.centroids[:, 0], m.centroids[:, 1]))
-    bc = dirichlet_bc(lin)
-    kind = classify_faces(sub.local_mesh, bc)
-    bvals = apply_boundary_conditions(
-        sub, u, kind, dirichlet_values(sub.local_mesh, bc, kind),
-        dirichlet_node_data(sub.local_mesh, bc, kind))
-    grad = face_gradients(sub, u, node_values(sub, u, w), dia, bvals)
-    assert np.abs(grad[:, 0] - b).max() < 1e-12
-    assert np.abs(grad[:, 1] - c).max() < 1e-12
+    for m in (structured_triangulation(6), irregular_mesh(8, seed=3)):
+        sub = single_subdomain(m)
+        dia = build_diamonds(m)
+        w = node_weights(m)
+        a, b, c = 0.7, -1.3, 2.1
+        lin = lambda x, y: a + b * x + c * y
+        u = Field(lin(m.centroids[:, 0], m.centroids[:, 1]))
+        bc = dirichlet_bc(lin)
+        sten = diamond_stencil(m, bc, dia, w)
+        grad = face_gradients(sub, sten, u, dirichlet_data(m, bc, sten.kind))
+        assert np.abs(grad[:, 0] - b).max() < 1e-12
+        assert np.abs(grad[:, 1] - c).max() < 1e-12
 
 
 def test_node_weights_reproduce_linear():

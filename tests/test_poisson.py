@@ -13,10 +13,13 @@ import pytest
 from trifvm.direct_solver import dense_lu_oracle, factorize, solve
 from trifvm.errors import SingularSystem
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
+from trifvm.partition import single_subdomain
 from trifvm.poisson import (assemble_rhs, assemble_system, csr_from_coo,
                             load_matrix_market, save_matrix_market)
+from trifvm.transport import (Field, diamond_stencil,
+                              diffusive_residual, dirichlet_data)
 
-from conftest import ALL_NEUMANN, dirichlet_bc
+from conftest import ALL_NEUMANN, dirichlet_bc, irregular_mesh
 
 # n -> max |u_h - u| for -lap u = 2 pi^2 sin(pi x) sin(pi y), u = 0 on the sides
 MMS_LINF = {8: 7.628355e-03, 16: 2.198973e-03, 32: 5.736147e-04}
@@ -82,7 +85,7 @@ def test_neumann_needs_pin():
     # compatible zero-mean source; pinned row forces u[0] = 0
     x = mesh.centroids[:, 0]
     src = (x - float(x @ mesh.areas)) * mesh.areas
-    b = assemble_rhs(mesh, src, ALL_NEUMANN, problem=problem, pin_cell=0)
+    b = assemble_rhs(mesh, src, ALL_NEUMANN, problem=problem)
     u = solve(factorize(problem.matrix), b)
     assert abs(u[0]) < 1e-14
     a = _csr_to_dense(problem.matrix)
@@ -142,3 +145,27 @@ def test_assemble_matrix_row_sums_vanish_for_pure_neumann():
     assert out[3] == pytest.approx(1.0)
     out[3] = 0.0
     assert np.abs(out).max() < 1e-12
+
+
+MIXED = {"left": ("dirichlet", 1.5),
+         "right": ("dirichlet", lambda x, y: math.cos(2.0 * y) - x),
+         "top": ("neumann",), "bottom": ("neumann",)}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["structured", "irregular1",
+                                                    "irregular2"])
+def test_matrix_is_the_negated_diffusive_residual_plus_lift(seed):
+    # the matrix and the explicit diffusion expand one stencil:
+    # A x = -(diffusive residual of x at D = 1) + lift for any x
+    mesh = structured_triangulation(8) if seed is None \
+        else irregular_mesh(8, seed)
+    dia, w = build_diamonds(mesh), node_weights(mesh)
+    problem = assemble_system(mesh, dia, w, MIXED)
+    sten = diamond_stencil(mesh, MIXED, dia, w)
+    x = np.random.default_rng(11).standard_normal(mesh.n_cells)
+    res = diffusive_residual(single_subdomain(mesh), Field(x), sten,
+                             dirichlet_data(mesh, MIXED, sten.kind), 1.0)
+    ax = _csr_to_dense(problem.matrix) @ x
+    want = problem.lift - res
+    rows = np.arange(mesh.n_cells) != problem.pinned
+    assert np.abs(ax - want)[rows].max() <= 1e-12 * np.abs(want).max()

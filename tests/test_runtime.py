@@ -10,6 +10,8 @@ from trifvm.config import RunConfig, StreamerConfig, TransportConfig
 from trifvm.errors import ConfigError, SimulationError
 from trifvm.runtime import PHASES, run_simulation, write_report
 
+from conftest import irregular_mesh_file
+
 GAUSS = dict(init="gaussian", center=(0.5, 0.5), sigma=0.1, amplitude=1.0)
 
 
@@ -28,26 +30,29 @@ def _streamer_cfg(k, n=16, steps=10, **kw):
                                              seed_amplitude=1.0), **kw)
 
 
-def test_rank_count_invariance_is_bitwise():
-    base = None
-    for k in (1, 2, 4):
-        rep = run_simulation(_diffusion_cfg(k))
-        u = rep.final_fields["u"]
-        if base is None:
-            base = u
-        else:
-            assert np.array_equal(u, base)
+def test_rank_count_invariance_is_bitwise(tmp_path):
+    for mesh_path in (None, irregular_mesh_file(tmp_path / "m.txt", 16, 5)):
+        base = None
+        for k in (1, 2, 4):
+            rep = run_simulation(_diffusion_cfg(k, mesh_path=mesh_path))
+            u = rep.final_fields["u"]
+            if base is None:
+                base = u
+            else:
+                assert np.array_equal(u, base)
 
 
-def test_rank_count_invariance_streamer():
-    base = None
-    for k in (1, 3):
-        rep = run_simulation(_streamer_cfg(k, steps=5))
-        if base is None:
-            base = rep.final_fields
-        else:
-            for name in ("n_e", "n_i", "potential"):
-                assert np.array_equal(rep.final_fields[name], base[name])
+def test_rank_count_invariance_streamer(tmp_path):
+    for mesh_path in (None, irregular_mesh_file(tmp_path / "m.txt", 16, 6)):
+        base = None
+        for k in (1, 3):
+            rep = run_simulation(_streamer_cfg(k, steps=5,
+                                               mesh_path=mesh_path))
+            if base is None:
+                base = rep.final_fields
+            else:
+                for name in ("n_e", "n_i", "potential"):
+                    assert np.array_equal(rep.final_fields[name], base[name])
 
 
 def test_factor_once_counters():
@@ -171,5 +176,27 @@ def test_rank_failure_names_rank_step_phase_and_joins_every_rank(monkeypatch):
         run_simulation(_diffusion_cfg(2, steps=10, timeout_s=5.0))
     assert (exc.value.rank, exc.value.step, exc.value.phase) == \
         (1, 3, "convection")
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("rank-") and t.is_alive()]
+
+
+def test_silent_rank_times_out_and_joins_every_rank(monkeypatch):
+    # rank 1 never sends its halo: rank 0 gives up after timeout_s, and the
+    # run names a rank, the step and the phase instead of hanging
+    import threading
+
+    from trifvm import runtime
+    real = runtime._Fabric.send
+
+    def drop_rank1_halo(self, lane, src, dst, payload):
+        if not (lane == "halo" and src == 1):
+            real(self, lane, src, dst, payload)
+
+    monkeypatch.setattr(runtime._Fabric, "send", drop_rank1_halo)
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(_diffusion_cfg(2, steps=5, timeout_s=0.5))
+    assert exc.value.rank in (0, 1)
+    assert exc.value.step == 0
+    assert exc.value.phase in ("exchange", "stability")
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("rank-") and t.is_alive()]

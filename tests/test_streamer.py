@@ -10,9 +10,9 @@ from trifvm.partition import single_subdomain
 from trifvm.poisson import assemble_system
 from trifvm.runtime import streamer_step
 from trifvm.streamer import (StreamerCoefficients, StreamerState, build_system,
-                             charge_source, electric_field, gaussian_seed,
-                             prepare_fluxes, total_charge)
-from trifvm.transport import Field, apply_boundary_conditions
+                             charge_source, gaussian_seed, prepare_fluxes,
+                             total_charge)
+from trifvm.transport import Field, face_gradients
 
 from conftest import ALL_NEUMANN
 
@@ -23,7 +23,7 @@ PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
 def _closed_system(n=16, pin=0):
     mesh = structured_triangulation(n)
     sub = single_subdomain(mesh)
-    sys = build_system(sub, ALL_NEUMANN, ALL_NEUMANN)
+    sys = build_system(sub, ALL_NEUMANN, ALL_NEUMANN).species
     problem = assemble_system(mesh, sys.diamonds, sys.weights, ALL_NEUMANN,
                               pin_cell=pin)
     return sub, build_system(sub, ALL_NEUMANN, ALL_NEUMANN,
@@ -35,7 +35,7 @@ def _closed_system(n=16, pin=0):
 def _plate_system(n=8):
     mesh = structured_triangulation(n)
     sub = single_subdomain(mesh)
-    sys = build_system(sub, ALL_NEUMANN, PLATES)
+    sys = build_system(sub, ALL_NEUMANN, PLATES).species
     problem = assemble_system(mesh, sys.diamonds, sys.weights, PLATES)
     return sub, build_system(sub, ALL_NEUMANN, PLATES,
                              diamonds=sys.diamonds, weights=sys.weights,
@@ -91,11 +91,9 @@ def test_uniform_field_between_plates():
     sub, sys = _plate_system(8)
     lm = sub.local_mesh
     v = Field(1.0 - lm.centroids[:, 0], "potential")
-    bvals = apply_boundary_conditions(sub, v, sys.kind_pot, sys.dirich_pot,
-                                      sys.ndata_pot)
-    e = electric_field(sub, v, sys.weights, sys.diamonds, bvals)
+    e = -face_gradients(sub, sys.potential, v, sys.potential_data)
     from trifvm.transport import BC_NEUMANN
-    neu = sys.kind_pot == BC_NEUMANN
+    neu = sys.potential.kind == BC_NEUMANN
     assert np.abs(e[~neu, 0] - 1.0).max() < 1e-12
     assert np.abs(e[~neu, 1]).max() < 1e-12
 
@@ -108,7 +106,7 @@ def test_drift_velocity_opposes_field():
                                                     alpha=0.0), sys)
     # electrons drift against E: v = -mu E = (-2, 0)
     from trifvm.transport import BC_NEUMANN
-    good = sys.kind_pot != BC_NEUMANN
+    good = sys.potential.kind != BC_NEUMANN
     assert np.abs(fc.vel.vectors[good, 0] + 2.0).max() < 1e-12
     assert np.abs(fc.vel.vectors[good, 1]).max() < 1e-12
     assert np.isfinite(fc.dt_stable)

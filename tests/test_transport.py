@@ -9,8 +9,8 @@ from trifvm.mesh import structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               classify_faces, convective_residual,
-                              diffusive_residual, dirichlet_node_data,
-                              dirichlet_values, explicit_step, stable_dt,
+                              diamond_stencil, diffusive_residual,
+                              dirichlet_data, explicit_step, stable_dt,
                               upwind_face_values)
 
 from conftest import ALL_NEUMANN, dirichlet_bc
@@ -18,8 +18,14 @@ from conftest import ALL_NEUMANN, dirichlet_bc
 
 def _neumann_bvals(sub, u):
     kind = classify_faces(sub.local_mesh, ALL_NEUMANN)
-    dirich = dirichlet_values(sub.local_mesh, ALL_NEUMANN, kind)
+    dirich = dirichlet_data(sub.local_mesh, ALL_NEUMANN, kind).face
     return apply_boundary_conditions(sub, u, kind, dirich)
+
+
+def _neumann_stencil(sub, dia, w):
+    lm = sub.local_mesh
+    sten = diamond_stencil(lm, ALL_NEUMANN, dia, w)
+    return sten, dirichlet_data(lm, ALL_NEUMANN, sten.kind)
 
 
 def _gaussian_field(mesh, center=(0.5, 0.5), sigma=0.1):
@@ -34,7 +40,7 @@ def test_uniform_field_has_zero_residuals(sub8, geom8):
     bvals = _neumann_bvals(sub8, u)
     vel = FaceVelocity.uniform(sub8, 1.0, -0.5)
     conv = convective_residual(sub8, u, vel, bvals)
-    diss = diffusive_residual(sub8, u, w, dia, bvals, 0.3)
+    diss = diffusive_residual(sub8, u, *_neumann_stencil(sub8, dia, w), 0.3)
     assert np.abs(conv).max() < 1e-12
     assert np.abs(diss).max() < 1e-12
 
@@ -63,7 +69,8 @@ def test_diffusion_conserves_mass(sub16, geom16):
     for _ in range(40):
         bvals = _neumann_bvals(sub16, u)
         conv = convective_residual(sub16, u, vel, bvals)
-        diss = diffusive_residual(sub16, u, w, dia, bvals, diffusion=0.1)
+        diss = diffusive_residual(sub16, u, *_neumann_stencil(sub16, dia, w),
+                                  diffusion=0.1)
         u = explicit_step(sub16, u, conv, diss, dt)
         assert abs(float(lm.areas @ u.values) - mass0) < 1e-12
 
@@ -77,8 +84,7 @@ def test_diffusion_step_conserves_any_field(seed):
     dia, w = build_diamonds(mesh), node_weights(mesh)
     rng = np.random.default_rng(seed)
     u = Field(rng.uniform(-5.0, 5.0, mesh.triangles.shape[0]))
-    bvals = _neumann_bvals(sub, u)
-    diss = diffusive_residual(sub, u, w, dia, bvals, 1.0)
+    diss = diffusive_residual(sub, u, *_neumann_stencil(sub, dia, w), 1.0)
     dt = stable_dt(sub, FaceVelocity.zero(sub), 1.0)
     u1 = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
     assert abs(float(mesh.areas @ (u1.values - u.values))) < 1e-12
@@ -102,7 +108,7 @@ def test_dirichlet_inflow_enters_domain(sub8, geom8):
     bc = dict(ALL_NEUMANN)
     bc["left"] = ("dirichlet", 2.0)
     kind = classify_faces(sub8.local_mesh, bc)
-    dirich = dirichlet_values(sub8.local_mesh, bc, kind)
+    dirich = dirichlet_data(sub8.local_mesh, bc, kind).face
     u = Field(np.zeros(sub8.local_mesh.n_cells))
     vel = FaceVelocity.uniform(sub8, 1.0, 0.0)
     dt = stable_dt(sub8, vel, 0.0)
@@ -135,11 +141,12 @@ def test_stable_dt_scaling(sub8):
     assert stable_dt(sub8, FaceVelocity.zero(sub8), 0.0) == float("inf")
 
 
-def test_dirichlet_node_data_evaluates_at_nodes(sub8):
+def test_dirichlet_node_data_evaluates_at_nodes(sub8, geom8):
     g = lambda x, y: 1.0 + 2.0 * x - y
     bc = dirichlet_bc(g)
     kind = classify_faces(sub8.local_mesh, bc)
-    idx, vals = dirichlet_node_data(sub8.local_mesh, bc, kind)
+    idx = diamond_stencil(sub8.local_mesh, bc, *geom8).pinned
+    vals = dirichlet_data(sub8.local_mesh, bc, kind).node
     pts = sub8.local_mesh.points[idx]
     assert np.allclose(vals, g(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-15)
     on_boundary = (pts[:, 0] == 0) | (pts[:, 0] == 1) \
