@@ -1,19 +1,37 @@
 """Sparse direct LU: factor once, solve every step.
 
-The factorization is left-looking (Gilbert-Peierls): each column j solves
-the sparse triangular system x = L \\ A[:, j], discovering its nonzero
-pattern by depth-first reachability over the columns of L built so far, then
-picks a pivot.  The matrix is first permuted symmetrically by reverse
-Cuthill-McKee to keep fill local; within each column the natural diagonal is
-kept whenever it is at least `threshold` (default 0.1) of the column's
-largest candidate, otherwise the largest candidate is promoted -- classic
-threshold partial pivoting with a full-pivoting fallback per column.  A
-column whose best candidate is below 1e-14 * max|A| raises SingularMatrix
-with the offending column.
+Multifrontal (Duff & Reid 1983; Amestoy et al. 2001, the scheme of MUMPS):
+the matrix, ordered by reverse Cuthill-McKee as B = A[perm][:, perm] to keep
+fill local, is eliminated as a tree of small dense fronts, so the Python
+overhead is paid per front column rather than per nonzero.
 
-The resulting factors satisfy  A[perm_row][:, perm_col] = L U  with L unit
-lower triangular.  Factorization cost dominates; solves are two sparse
-triangular sweeps and are what the time loop pays per step.
+Symbolic phase, on the pattern of B + B^T.  Column j's structure (its rows
+below j in the Cholesky factor of that pattern) is its own lower pattern
+merged with its children's structures minus j; its smallest entry is j's
+parent in the elimination tree (Liu 1990).  Runs of tree edges j -> j + 1
+along which the structure shrinks by one row are the fundamental
+supernodes; supernodes joined by a tree edge are amalgamated while at most
+RELAX_WIDTH columns wide (the explicit zeros this adds count as fill).  A
+front's index list is its columns, then its last column's structure.
+
+Numeric phase, supernodes in order (children first).  A front is assembled
+dense from B's entries whose smaller index is one of its columns plus its
+children's contribution blocks (extend-add through index maps); its
+fully-summed columns are eliminated one by one; U12 = L11^-1 F12; and
+F22 - L21 U12, one matrix product, is the block its parent receives.  The
+inverses of L11 and U11 are kept, so solves are dense matrix-vector sweeps.
+
+Pivoting, per front column: the diagonal is kept when it is at least
+`threshold` (default 0.1) of the column's largest entry in the whole front,
+else the largest fully-summed row is swapped in if it passes the same test.
+A column where neither passes, or whose largest entry is below
+1e-14 * max|A|, raises SingularMatrix naming the column of A.
+
+The factors satisfy  A[perm_row][:, perm_col] = L U  with L unit lower
+triangular; row swaps stay inside a front.  factorize ends with a check
+solve of A x = A 1: the residual ||A x - b|| / (||A|| ||x|| + ||b||)
+(infinity norms) is kept as `check_residual`; above CHECK_BOUND it raises
+SingularMatrix.
 
 dense_lu_oracle is an independent reference path (plain partial-pivoting
 elimination on a dense copy, n <= 500) used to cross-check the sparse
@@ -31,20 +49,38 @@ from .poisson import CsrMatrix
 
 PIVOT_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 0.1
+RELAX_WIDTH = 32     # widest supernode amalgamation builds
+CHECK_BOUND = 1e-8   # largest relative residual the check solve accepts
+
+
+@dataclass(slots=True)
+class Front:
+    """One supernode's factor blocks; columns first .. first + width - 1."""
+    first: int
+    rows: np.ndarray    # front index list in B; rows[:width] are its columns
+    l_inv: np.ndarray   # inverse of the unit lower L11 (width x width)
+    u_inv: np.ndarray   # inverse of U11
+    l21: np.ndarray     # (m - width) x width; its rows are rows[width:] of B
+    u12: np.ndarray     # width x (m - width); its columns are rows[width:]
+
+    @property
+    def width(self) -> int:
+        return len(self.l_inv)
 
 
 @dataclass
 class LuFactors:
     n: int
-    perm_row: np.ndarray   # A-row feeding elimination step t
-    perm_col: np.ndarray   # A-column feeding column t (the RCM order)
-    l_rows: list           # per column: row indices (permuted space), below diag
-    l_vals: list
-    u_rows: list           # per column: pivotal step indices above the diagonal
-    u_vals: list
-    u_diag: np.ndarray
+    perm_row: np.ndarray    # A-row feeding elimination step t
+    perm_col: np.ndarray    # A-column feeding column t (the RCM order)
     pivot_rows: np.ndarray  # permuted-space row chosen at each step
-    fill_nnz: int
+    fronts: list            # Front per supernode, children before parents
+    fill_nnz: int           # entries of L and U, explicit zeros included
+    check_residual: float = 0.0
+
+    @property
+    def offdiag_pivots(self) -> int:
+        return int(np.count_nonzero(self.pivot_rows != np.arange(self.n)))
 
 
 def adjacency_pattern(mat: CsrMatrix):
@@ -98,6 +134,44 @@ def rcm_order(mat: CsrMatrix) -> np.ndarray:
     return order[::-1].copy()
 
 
+def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
+    """Symbolic phase: each supernode's first column (then n), each front's
+    index list and children, and the supernode of each column."""
+    lo, hi = np.minimum(b_rows, b_cols), np.maximum(b_rows, b_cols)
+    pairs = np.unique((lo * n + hi)[lo != hi])   # lower pattern of B + B^T
+    lo, hi = pairs // n, pairs % n
+    lo_ptr = np.searchsorted(lo, np.arange(n + 1))
+    parent = np.full(n, -1, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    struct = [None] * n
+    pending = [[] for _ in range(n)]   # children's structures, minus the parent
+    for j in range(n):
+        parts = pending[j] + [hi[lo_ptr[j]:lo_ptr[j + 1]]]
+        s = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+        struct[j], count[j] = s, len(s)
+        if len(s):
+            parent[j] = s[0]
+            pending[s[0]].append(s[1:])
+
+    tree_edge = parent[:-1] == np.arange(1, n)
+    fundamental = tree_edge & (count[:-1] == count[1:] + 1)
+    starts = [0] + (np.flatnonzero(~fundamental) + 1).tolist()
+    firsts: list = []
+    for f, end in zip(starts, starts[1:] + [n]):
+        # amalgamate along a tree edge while the run stays RELAX_WIDTH wide
+        if not (firsts and tree_edge[f - 1] and end - firsts[-1] <= RELAX_WIDTH):
+            firsts.append(f)
+    firsts.append(n)
+    rows = [np.concatenate([np.arange(f, end), struct[end - 1]])
+            for f, end in zip(firsts[:-1], firsts[1:])]
+    sn_of = np.repeat(np.arange(len(rows)), np.diff(firsts))
+    kids: list = [[] for _ in rows]
+    for s, end in enumerate(firsts[1:]):
+        if parent[end - 1] >= 0:
+            kids[sn_of[parent[end - 1]]].append(s)
+    return firsts, rows, kids, sn_of
+
+
 def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
               reorder: bool = True) -> LuFactors:
     n = mat.n
@@ -105,132 +179,101 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
     inv_perm = np.empty(n, dtype=np.int64)
     inv_perm[perm_col] = np.arange(n)
 
-    # columns of B = A[perm][:, perm], each as (rows, vals)
-    a_rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    b_rows = inv_perm[a_rows]
-    b_cols = inv_perm[mat.indices]
-    order = np.lexsort((b_rows, b_cols))
-    b_rows, b_cols, b_vals = b_rows[order], b_cols[order], mat.data[order]
-    col_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(col_ptr, b_cols + 1, 1)
-    np.cumsum(col_ptr, out=col_ptr)
-
-    max_abs = float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
+    max_abs = float(np.abs(mat.data).max(initial=0.0))
     if max_abs == 0.0:
         raise SingularMatrix("matrix has no nonzero entries", column=0)
     tiny = PIVOT_FLOOR * max_abs
 
-    l_rows: list = [None] * n
-    l_vals: list = [None] * n
-    u_rows: list = [None] * n
-    u_vals: list = [None] * n
-    u_diag = np.zeros(n)
-    pivot_row = np.empty(n, dtype=np.int64)
-    step_of = np.full(n, -1, dtype=np.int64)  # permuted row -> elimination step
+    b_rows = inv_perm[np.repeat(np.arange(n), np.diff(mat.indptr))]
+    b_cols = inv_perm[mat.indices]
+    firsts, front_rows, kids, sn_of = _supernodes(n, b_rows, b_cols)
+    # B's entries, grouped by the front that assembles them
+    owner = sn_of[np.minimum(b_rows, b_cols)]
+    by_front = np.argsort(owner, kind="stable")
+    b_rows, b_cols, b_vals = b_rows[by_front], b_cols[by_front], \
+        mat.data[by_front]
+    entry_ptr = np.searchsorted(owner[by_front], np.arange(len(kids) + 1))
 
-    x = np.zeros(n)
-    stamp = np.full(n, -1, dtype=np.int64)
-    stack = np.empty(n, dtype=np.int64)
-    child = np.empty(n, dtype=np.int64)
-    topo = np.empty(n, dtype=np.int64)
+    pivot_rows = np.arange(n, dtype=np.int64)
+    where = np.empty(n, dtype=np.int64)   # global index -> front position
+    contrib: dict = {}   # supernode -> (its rows past the columns, Schur block)
+    fronts, fill = [], 0
+    for s, rows in enumerate(front_rows):
+        f, w, m = firsts[s], firsts[s + 1] - firsts[s], len(rows)
+        where[rows] = np.arange(m)
+        front = np.zeros((m, m))
+        sl = slice(entry_ptr[s], entry_ptr[s + 1])
+        front[where[b_rows[sl]], where[b_cols[sl]]] = b_vals[sl]
+        for c in kids[s]:
+            idx, block = contrib.pop(c)
+            front[np.ix_(where[idx], where[idx])] += block
 
-    for j in range(n):
-        sl = slice(col_ptr[j], col_ptr[j + 1])
-        seeds = b_rows[sl]
-        # depth-first reach over L columns; reverse postorder = elimination order
-        ntopo = 0
-        for s in seeds:
-            if stamp[s] == j:
-                continue
-            depth = 0
-            stack[0] = s
-            child[0] = 0
-            stamp[s] = j
-            while depth >= 0:
-                r = stack[depth]
-                t = step_of[r]
-                kids = l_rows[t] if t >= 0 else None
-                advanced = False
-                if kids is not None:
-                    c = child[depth]
-                    while c < len(kids):
-                        w = kids[c]
-                        c += 1
-                        if stamp[w] != j:
-                            child[depth] = c
-                            stamp[w] = j
-                            depth += 1
-                            stack[depth] = w
-                            child[depth] = 0
-                            advanced = True
-                            break
-                    else:
-                        child[depth] = c
-                if not advanced:
-                    topo[ntopo] = r
-                    ntopo += 1
-                    depth -= 1
-        reach = topo[:ntopo][::-1]
+        for k in range(w):
+            col = np.abs(front[k:, k])
+            big = col.max()
+            p = 0 if col[0] >= threshold * big else int(np.argmax(col[:w - k]))
+            if big < tiny or col[p] < threshold * big:
+                c = int(perm_col[f + k])
+                raise SingularMatrix(
+                    f"column {c}: best fully-summed pivot {col[p]:.3e}, column "
+                    f"max {big:.3e} (threshold {threshold}, floor {tiny:.3e})",
+                    column=c)
+            if p:
+                front[[k, k + p]] = front[[k + p, k]]
+                pivot_rows[[f + k, f + k + p]] = pivot_rows[[f + k + p, f + k]]
+            front[k + 1:, k] /= front[k, k]
+            front[k + 1:, k + 1:w] -= front[k + 1:, k, None] * front[k, None, k + 1:w]
 
-        x[reach] = 0.0
-        x[seeds] = b_vals[sl]
-        for r in reach:
-            t = step_of[r]
-            if t >= 0 and len(l_rows[t]):
-                x[l_rows[t]] -= l_vals[t] * x[r]
+        l_inv = np.linalg.inv(np.tril(front[:w, :w], -1) + np.eye(w))
+        u_inv = np.linalg.inv(np.triu(front[:w, :w]))
+        l21 = front[w:, :w].copy()
+        u12 = l_inv @ front[:w, w:]
+        if m > w:
+            contrib[s] = rows[w:], front[w:, w:] - l21 @ u12
+        fronts.append(Front(f, rows, l_inv, u_inv, l21, u12))
+        fill += w * (w + 1) + 2 * w * (m - w)
 
-        cand = reach[step_of[reach] < 0]
-        if cand.size == 0:
-            raise SingularMatrix(f"column {j} is structurally singular", column=j)
-        cand_abs = np.abs(x[cand])
-        best = float(cand_abs.max())
-        if best < tiny:
-            raise SingularMatrix(
-                f"column {j}: best pivot {best:.3e} below {tiny:.3e}", column=j)
-        if step_of[j] < 0 and stamp[j] == j and abs(x[j]) >= threshold * best:
-            piv = j  # keep the diagonal when it is strong enough
-        else:
-            hits = cand[cand_abs == best]
-            piv = int(hits.min())
+    lu = LuFactors(n=n, perm_row=perm_col[pivot_rows], perm_col=perm_col,
+                   pivot_rows=pivot_rows, fronts=fronts, fill_nnz=fill)
+    lu.check_residual = _check_residual(mat, lu)
+    if not lu.check_residual <= CHECK_BOUND:
+        raise SingularMatrix(f"check solve residual {lu.check_residual:.3e} "
+                             f"above {CHECK_BOUND:.0e}")
+    return lu
 
-        pivot = x[piv]
-        upper = reach[step_of[reach] >= 0]
-        usteps = step_of[upper]
-        uorder = np.argsort(usteps)
-        u_rows[j] = usteps[uorder]
-        u_vals[j] = x[upper][uorder].copy()
-        u_diag[j] = pivot
-        lower = cand[cand != piv]
-        l_rows[j] = lower.copy()
-        l_vals[j] = x[lower] / pivot
-        pivot_row[j] = piv
-        step_of[piv] = j
 
-    fill = 2 * n + sum(len(l) for l in l_rows) + sum(len(u) for u in u_rows)
-    return LuFactors(n=n, perm_row=perm_col[pivot_row], perm_col=perm_col,
-                     l_rows=l_rows, l_vals=l_vals, u_rows=u_rows, u_vals=u_vals,
-                     u_diag=u_diag, pivot_rows=pivot_row, fill_nnz=fill)
+def _check_residual(mat: CsrMatrix, lu: LuFactors) -> float:
+    """Normwise relative residual of the solve of A x = A 1."""
+    rows = np.repeat(np.arange(mat.n), np.diff(mat.indptr))
+    b = np.bincount(rows, mat.data, minlength=mat.n)
+    x = _sweep(lu, b)
+    r = np.bincount(rows, mat.data * x[mat.indices], minlength=mat.n) - b
+    a_norm = np.bincount(rows, np.abs(mat.data), minlength=mat.n).max()
+    return float(np.abs(r).max() / (a_norm * np.abs(x).max() + np.abs(b).max()))
+
+
+def _sweep(lu: LuFactors, b: np.ndarray) -> np.ndarray:
+    """Forward then backward sweep over the fronts."""
+    z = b[lu.perm_col]   # in B's row order; a front's rows become steps
+    piv = lu.pivot_rows
+    for fr in lu.fronts:
+        f, w = fr.first, fr.width
+        y = fr.l_inv @ z[piv[f:f + w]]
+        z[f:f + w] = y
+        z[fr.rows[w:]] -= fr.l21 @ y
+    for fr in reversed(lu.fronts):
+        f, w = fr.first, fr.width
+        z[f:f + w] = fr.u_inv @ (z[f:f + w] - fr.u12 @ z[fr.rows[w:]])
+    out = np.empty(lu.n)
+    out[lu.perm_col] = z
+    return out
 
 
 def solve(factors: LuFactors, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (factors.n,):
         raise DimensionMismatch(f"rhs has shape {b.shape}, system is {factors.n}")
-    n = factors.n
-    z = b[factors.perm_row].copy()
-    # forward sweep indexes rows in permuted space; translate once
-    step_of = np.empty(n, dtype=np.int64)
-    step_of[factors.pivot_rows] = np.arange(n)
-    for j in range(n):
-        if len(factors.l_rows[j]):
-            z[step_of[factors.l_rows[j]]] -= factors.l_vals[j] * z[j]
-    for j in range(n - 1, -1, -1):
-        z[j] /= factors.u_diag[j]
-        if len(factors.u_rows[j]):
-            z[factors.u_rows[j]] -= factors.u_vals[j] * z[j]
-    out = np.empty(n)
-    out[factors.perm_col] = z
-    return out
+    return _sweep(factors, b)
 
 
 def dense_lu_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

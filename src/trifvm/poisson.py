@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, SingularSystem, TopologyError
+from .errors import DimensionMismatch, SingularSystem, TopologyError
 from .mesh import DiamondCells, Mesh, NodeWeights
 from .transport import (BC_DIRICHLET, BC_NEUMANN, diamond_stencil,
                         dirichlet_data)
@@ -38,10 +38,6 @@ class CsrMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
 
 
 def csr_from_coo(n: int, rows, cols, vals, symmetrize_pattern=True) -> CsrMatrix:
@@ -71,50 +67,6 @@ def csr_from_coo(n: int, rows, cols, vals, symmetrize_pattern=True) -> CsrMatrix
     np.add.at(indptr, r + 1, 1)
     np.cumsum(indptr, out=indptr)
     return CsrMatrix(n=n, indptr=indptr, indices=c, data=data)
-
-
-def save_matrix_market(mat: CsrMatrix, path):
-    rows = np.repeat(np.arange(mat.n), np.diff(mat.indptr))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{mat.n} {mat.n} {mat.nnz}\n")
-        for i, j, v in zip(rows, mat.indices, mat.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-
-
-def load_matrix_market(path) -> CsrMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ParseError("missing MatrixMarket header", path, 1)
-    body = [(ln, t.strip()) for ln, t in enumerate(lines[1:], start=2)
-            if t.strip() and not t.lstrip().startswith("%")]
-    if not body:
-        raise ParseError("missing size line", path)
-    ln0, size = body[0]
-    parts = size.split()
-    if len(parts) != 3:
-        raise ParseError("size line needs 'rows cols nnz'", path, ln0)
-    try:
-        nr, nc, nnz = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad size line '{size}'", path, ln0) from None
-    if nr != nc:
-        raise ParseError("only square matrices supported", path, ln0)
-    if len(body) - 1 != nnz:
-        raise ParseError(f"expected {nnz} entries, found {len(body) - 1}", path)
-    rows, cols, vals = [], [], []
-    for ln, text in body[1:]:
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(f"bad entry '{text}'", path, ln)
-        try:
-            rows.append(int(parts[0]) - 1)
-            cols.append(int(parts[1]) - 1)
-            vals.append(float(parts[2]))
-        except ValueError:
-            raise ParseError(f"bad entry '{text}'", path, ln) from None
-    return csr_from_coo(nr, rows, cols, vals, symmetrize_pattern=False)
 
 
 # --------------------------------------------------------------------------

@@ -173,6 +173,7 @@ class SimulationReport:
     clip_count: int
     final_fields: dict
     outputs: list
+    solver: dict | None = None   # streamer runs: fill and off-diagonal pivots
 
 
 @dataclass
@@ -473,7 +474,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
                                                 cfg.k, cfg.seed))
 
     num_assemblies = num_factorizations = 0
-    problem = factors = None
+    problem = factors = solver = None
     if cfg.physics == "streamer":
         sc = cfg.streamer
         pin = sc.pin_cell
@@ -487,6 +488,8 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         num_assemblies += 1
         factors = factorize(problem.matrix)
         num_factorizations += 1
+        solver = {"fill": factors.fill_nnz,
+                  "offdiag_pivots": factors.offdiag_pivots}
 
     fabric = _Fabric(timeout=cfg.timeout_s)
     for sub in subs:
@@ -538,7 +541,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         num_solves=host.solves,
         clip_count=sum(r.clips for r in results),
         final_fields=host.final_fields,
-        outputs=host.outputs)
+        outputs=host.outputs, solver=solver)
 
 
 def write_report(report: SimulationReport, out_dir) -> tuple[str, str]:
@@ -558,6 +561,8 @@ def write_report(report: SimulationReport, out_dir) -> tuple[str, str]:
         "solves": report.num_solves, "clips": report.clip_count,
         "outputs": [os.path.basename(p) for p in report.outputs],
     }
+    if report.solver is not None:
+        summary["solver"] = report.solver
     json_path = os.path.join(out_dir, "run_summary.json")
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -85,6 +85,8 @@ def test_run_streamer_with_overrides(tmp_path, capsys):
     assert summary["k"] == 3
     assert summary["factorizations"] == 1
     assert summary["solves"] == 6
+    assert summary["solver"]["offdiag_pivots"] == 0
+    assert summary["solver"]["fill"] > 0
 
 
 def test_scaling_command(tmp_path, capsys):

@@ -11,7 +11,7 @@ from trifvm.errors import SingularMatrix
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.poisson import assemble_system, csr_from_coo
 
-from conftest import dirichlet_bc, random_spd_like
+from conftest import dirichlet_bc, irregular_mesh, random_spd_like
 
 
 def _csr_to_dense(mat):
@@ -61,23 +61,40 @@ def test_rcm_on_path_graph_gives_bandwidth_one():
     assert band == 1
 
 
-def test_factorization_reconstructs_permuted_matrix():
-    mesh = structured_triangulation(4)
+def _lu_from_fronts(f):
+    """Dense L and U (step space) rebuilt from the supernodal blocks."""
+    n = f.n
+    step_of = np.empty(n, dtype=np.int64)
+    step_of[f.pivot_rows] = np.arange(n)
+    l, u = np.eye(n), np.zeros((n, n))
+    for fr in f.fronts:
+        cols = slice(fr.first, fr.first + fr.width)
+        rest = fr.rows[fr.width:]
+        l[cols, cols] = np.linalg.inv(fr.l_inv)
+        u[cols, cols] = np.linalg.inv(fr.u_inv)
+        l[step_of[rest], cols] = fr.l21
+        u[cols, rest] = fr.u12
+    return l, u
+
+
+def _assert_reconstructs(mesh):
     dia, w = build_diamonds(mesh), node_weights(mesh)
     mat = assemble_system(mesh, dia, w, dirichlet_bc(0.0)).matrix
     f = factorize(mat)
     a = _csr_to_dense(mat)
-    n = mat.n
-    l = np.eye(n)
-    u = np.zeros((n, n))
-    for j in range(n):
-        for r, v in zip(f.l_rows[j], f.l_vals[j]):
-            l[r, j] = v
-        for r, v in zip(f.u_rows[j], f.u_vals[j]):
-            u[r, j] = v
-        u[j, j] = f.u_diag[j]
+    l, u = _lu_from_fronts(f)
+    assert np.allclose(np.tril(l), l) and np.allclose(np.triu(u), u)
+    assert np.array_equal(np.diag(l), np.ones(mat.n))
     perm = a[np.ix_(f.perm_row, f.perm_col)]
     assert np.abs(l @ u - perm).max() < 1e-12 * np.abs(a).max()
+
+
+def test_factorization_reconstructs_permuted_matrix():
+    _assert_reconstructs(structured_triangulation(4))
+
+
+def test_factorization_reconstructs_permuted_matrix_on_irregular_mesh():
+    _assert_reconstructs(irregular_mesh(8, 3))
 
 
 def test_rcm_reduces_fill_on_assembled_operator():
@@ -112,6 +129,36 @@ def test_any_diagonally_dominant_system_solves(seed, n):
     x = solve(factorize(mat), b)
     ref = dense_lu_oracle(_csr_to_dense(mat), b)
     assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_zero_diagonal_block_takes_an_off_diagonal_pivot():
+    # a 2x2 block [[0, c], [c, 0]] inside a diagonally dominant system: the
+    # first of its columns to be eliminated must swap in the other row
+    rng = np.random.default_rng(5)
+    n, p, q = 30, 3, 17
+    rows, cols, vals = random_spd_like(rng, n)
+    a = np.zeros((n, n))
+    np.add.at(a, (rows, cols), vals)
+    c = 10.0 * np.abs(a).sum(axis=1).max()
+    a[p, p] = a[q, q] = 0.0
+    a[p, q] = a[q, p] = c
+    rows, cols = np.nonzero(a)
+    mat = csr_from_coo(n, rows, cols, a[rows, cols])
+    f = factorize(mat)
+    swapped = np.flatnonzero(f.pivot_rows != np.arange(n))
+    assert sorted(f.perm_col[swapped]) == [p, q]
+    b = rng.standard_normal(n)
+    x = solve(f, b)
+    ref = dense_lu_oracle(a, b)
+    assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_check_solve_rejects_an_unstable_static_pivot():
+    # threshold 1e-20 keeps the 1e-13 diagonal; the 1e13 growth ruins the solve
+    mat = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1e-13, 1.0, 1.0, 1.0])
+    assert factorize(mat, reorder=False).check_residual < 1e-15
+    with pytest.raises(SingularMatrix, match="check solve"):
+        factorize(mat, threshold=1e-20, reorder=False)
 
 
 def test_singular_matrix_raises():

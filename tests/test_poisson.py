@@ -14,8 +14,7 @@ from trifvm.direct_solver import dense_lu_oracle, factorize, solve
 from trifvm.errors import SingularSystem
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
-from trifvm.poisson import (assemble_rhs, assemble_system, csr_from_coo,
-                            load_matrix_market, save_matrix_market)
+from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
 from trifvm.transport import (Field, diamond_stencil,
                               diffusive_residual, dirichlet_data)
 
@@ -106,24 +105,6 @@ def test_dirichlet_lift_moves_data_to_rhs():
     u1 = solve(factorize(p1.matrix), b1)
     # harmonic with constant boundary data is that constant
     assert np.abs(u1 - 2.0).max() < 1e-10
-
-
-def test_matrix_market_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    n = 12
-    rows = rng.integers(0, n, 40)
-    cols = rng.integers(0, n, 40)
-    vals = rng.standard_normal(40)
-    rows = np.concatenate([rows, np.arange(n)])
-    cols = np.concatenate([cols, np.arange(n)])
-    vals = np.concatenate([vals, np.full(n, 10.0)])
-    mat = csr_from_coo(n, rows, cols, vals)
-    p = tmp_path / "m.mtx"
-    save_matrix_market(mat, p)
-    back = load_matrix_market(p)
-    assert np.array_equal(back.indptr, mat.indptr)
-    assert np.array_equal(back.indices, mat.indices)
-    assert np.allclose(back.data, mat.data, rtol=0, atol=0)
 
 
 def test_csr_from_coo_sums_duplicates():
