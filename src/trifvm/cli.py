@@ -170,6 +170,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:
+        if isinstance(exc.__cause__, OSError):  # a rank could not write
+            print(f"io failure: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -3,6 +3,11 @@
 Plain text on purpose: the files stay greppable and the writer needs no
 third-party reader library.  All floats use repr-faithful %.17g so two runs
 of the same simulation produce byte-identical files.
+
+The mesh block (everything from POINTS through the CELL_TYPES lines) does
+not change between frames, so it is formatted once per mesh and reused by
+every later frame; a frame then costs only its fields.  The bytes are the
+same as formatting every line anew.
 """
 
 from __future__ import annotations
@@ -13,9 +18,29 @@ from .mesh import Mesh
 
 VTK_TRIANGLE = 5
 
+# One-slot cache: (mesh, its formatted mesh block).  Mesh arrays are
+# read-only after construction, so the text stays valid for that object.
+# The tuple is read once into a local and replaced whole, so writers on
+# other threads never pair one mesh with another mesh's text.
+_mesh_block: tuple = (None, "")
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+
+def _mesh_text(mesh: Mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES lines of mesh, built once per mesh."""
+    global _mesh_block
+    cached, text = _mesh_block
+    if cached is not mesh:
+        x, y = (map("%.17g".__mod__, col.tolist()) for col in mesh.points.T)
+        n = mesh.n_cells
+        text = "".join([
+            f"POINTS {mesh.n_nodes} double\n",
+            "".join(map("{} {} 0\n".format, x, y)),
+            f"CELLS {n} {4 * n}\n",
+            "".join(map("3 {} {} {}\n".format, *mesh.triangles.T.tolist())),
+            f"CELL_TYPES {n}\n",
+            f"{VTK_TRIANGLE}\n" * n])
+        _mesh_block = (mesh, text)
+    return text
 
 
 def write_vtk(path, mesh: Mesh, cell_data: dict | None = None,
@@ -27,27 +52,19 @@ def write_vtk(path, mesh: Mesh, cell_data: dict | None = None,
             raise ValueError(f"cell array '{name}' has length {len(arr)}, "
                              f"mesh has {mesh.n_cells} cells")
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_nodes} double"]
-    for x, y in mesh.points:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-
-    lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend([str(VTK_TRIANGLE)] * mesh.n_cells)
-
-    if cell_data:
-        lines.append(f"CELL_DATA {mesh.n_cells}")
-        for name in sorted(cell_data):
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in np.asarray(cell_data[name]))
-
+    geometry = _mesh_text(mesh)
+    # written piece by piece: the whole file is never one string
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n")
+        fh.write(geometry)
+        if cell_data:
+            fh.write(f"CELL_DATA {mesh.n_cells}\n")
+        for name in sorted(cell_data):
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            values = np.asarray(cell_data[name], dtype=np.float64).tolist()
+            fh.write("\n".join(map("%.17g".__mod__, values)))
+            fh.write("\n")
 
 
 def read_vtk_cell_data(path) -> dict:

@@ -30,8 +30,8 @@ from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               dirichlet_data, explicit_step,
                               face_gradients, stable_dt)
 
-from conftest import (ALL_NEUMANN, TIMING_ROWS, dirichlet_bc, random_spd_like,
-                      write_timing_table)
+from conftest import (ALL_NEUMANN, TIMING_ROWS, dirichlet_bc, irregular_mesh,
+                      random_spd_like, write_timing_table)
 
 PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
           "top": ("neumann",), "bottom": ("neumann",)}
@@ -176,45 +176,56 @@ def test_sparse_solver_matches_dense_oracle_on_seeded_systems():
             factorize(singular)
 
 
+def _closed_box_mass_drift(sub, dia, w):
+    """Largest per-step change of the cell-measure-weighted sum over 50
+    pure-diffusion steps in a closed (all-Neumann) box."""
+    lm = sub.local_mesh
+    sten_n = diamond_stencil(lm, ALL_NEUMANN, dia, w)
+    data_n = dirichlet_data(lm, ALL_NEUMANN, sten_n.kind)
+    d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
+    u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
+    dt = stable_dt(sub, FaceVelocity.zero(sub), 0.1)
+    mass = float(lm.areas @ u.values)
+    step_drift = 0.0
+    for _ in range(50):
+        diss = diffusive_residual(sub, u, sten_n, data_n, 0.1)
+        u = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
+        now = float(lm.areas @ u.values)
+        step_drift = max(step_drift, abs(now - mass))
+        mass = now
+    return step_drift
+
+
+def _upwind_overshoot(sub):
+    """How far 200 pure upwind convection steps leave the initial bounds."""
+    lm = sub.local_mesh
+    kind_n = classify_faces(lm, ALL_NEUMANN)
+    dirich_n = dirichlet_data(lm, ALL_NEUMANN, kind_n).face
+    d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
+    u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
+    lo, hi = float(u.values.min()), float(u.values.max())
+    vel = FaceVelocity.uniform(sub, 1.0, 0.4)
+    dt = stable_dt(sub, vel, 0.0)
+    overshoot = 0.0
+    for _ in range(200):
+        bvals = apply_boundary_conditions(sub, u, kind_n, dirich_n)
+        conv = convective_residual(sub, u, vel, bvals)
+        u = explicit_step(sub, u, conv, np.zeros_like(conv), dt)
+        overshoot = max(overshoot, lo - float(u.values.min()),
+                        float(u.values.max()) - hi)
+    return overshoot
+
+
 def test_transport_conservation_max_principle_and_exact_gradients(sub16,
                                                                   geom16):
     """Zero-flux mass conservation, upwind bounds, affine-field gradients."""
     with _budget(30.0):
         dia, w = geom16
         lm = sub16.local_mesh
-        kind_n = classify_faces(lm, ALL_NEUMANN)
-        data_n = dirichlet_data(lm, ALL_NEUMANN, kind_n)
-        dirich_n = data_n.face
-        sten_n = diamond_stencil(lm, ALL_NEUMANN, dia, w)
+        step_drift = _closed_box_mass_drift(sub16, dia, w)
+        overshoot = _upwind_overshoot(sub16)
 
-        # (a) closed box, pure diffusion: cell-measure-weighted sum frozen
-        d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
-        u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
-        vel0 = FaceVelocity.zero(sub16)
-        dt = stable_dt(sub16, vel0, 0.1)
-        mass = float(lm.areas @ u.values)
-        step_drift = 0.0
-        for _ in range(50):
-            diss = diffusive_residual(sub16, u, sten_n, data_n, 0.1)
-            u = explicit_step(sub16, u, np.zeros_like(diss), diss, dt)
-            now = float(lm.areas @ u.values)
-            step_drift = max(step_drift, abs(now - mass))
-            mass = now
-
-        # (b) pure upwind convection stays inside the initial bounds
-        u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
-        lo, hi = float(u.values.min()), float(u.values.max())
-        vel = FaceVelocity.uniform(sub16, 1.0, 0.4)
-        dt = stable_dt(sub16, vel, 0.0)
-        overshoot = 0.0
-        for _ in range(200):
-            bvals = apply_boundary_conditions(sub16, u, kind_n, dirich_n)
-            conv = convective_residual(sub16, u, vel, bvals)
-            u = explicit_step(sub16, u, conv, np.zeros_like(conv), dt)
-            overshoot = max(overshoot, lo - float(u.values.min()),
-                            float(u.values.max()) - hi)
-
-        # (c) diamond gradient reproduces an affine field on every face
+        # diamond gradient reproduces an affine field on every face
         a, b, c = 0.7, -1.3, 2.1
         lin = lambda x, y: a + b * x + c * y
         ulin = Field(lin(lm.centroids[:, 0], lm.centroids[:, 1]))
@@ -231,24 +242,60 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
         assert grad_err <= 1e-12
 
 
+def test_transport_conservation_and_upwind_bounds_on_irregular_meshes():
+    """The same drift and overshoot bounds on seeded irregular meshes."""
+    with _budget(30.0):
+        for n, seed in ((16, 1), (16, 2), (32, 1)):
+            sub = single_subdomain(irregular_mesh(n, seed))
+            lm = sub.local_mesh
+            w = node_weights(lm, cell_order=sub.cells_l2g)
+            step_drift = _closed_box_mass_drift(sub, build_diamonds(lm), w)
+            overshoot = _upwind_overshoot(sub)
+            print(f"  measured: n={n} seed={seed} mass drift/step "
+                  f"{step_drift:.3e}, bound overshoot {overshoot:.3e}")
+            assert step_drift <= 1e-12
+            assert overshoot <= 1e-12
+
+
+def _partition_quality(g, k, rng_seed):
+    """(imbalance, edge cut, best cut of 100 random balanced partitions)."""
+    pm = partition(g, k, seed=0)
+    metrics = partition_metrics(g, pm)
+    rng = np.random.default_rng(rng_seed)
+    best_random = min(
+        edge_cut(g, type(pm)(part=rng.permutation(np.arange(g.n) % k), k=k))
+        for _ in range(100))
+    return metrics["imbalance"], metrics["edge_cut"], best_random
+
+
 def test_partition_balance_and_edge_cut_beat_random():
     """4- and 8-way splits of the 16- and 32-meshes: balanced, low cut."""
     with _budget(10.0):
         for n in (16, 32):
             g = build_dual_graph(structured_triangulation(n))
             for k in (4, 8):
-                pm = partition(g, k, seed=0)
-                metrics = partition_metrics(g, pm)
-                rng = np.random.default_rng(1000 * n + k)
-                best_random = min(
-                    edge_cut(g, type(pm)(part=rng.permutation(
-                        np.arange(g.n) % k), k=k))
-                    for _ in range(100))
-                print(f"  measured: n={n} k={k} imbalance "
-                      f"{metrics['imbalance']:.3f} cut {metrics['edge_cut']} "
-                      f"(best random {best_random})")
-                assert metrics["imbalance"] <= 1.10
-                assert metrics["edge_cut"] < best_random
+                imbalance, cut, best_random = _partition_quality(
+                    g, k, 1000 * n + k)
+                print(f"  measured: n={n} k={k} imbalance {imbalance:.3f} "
+                      f"cut {cut} (best random {best_random})")
+                assert imbalance <= 1.10
+                assert cut < best_random
+
+
+def test_partition_balance_and_edge_cut_beat_random_on_irregular_meshes():
+    """The same bounds on seeded irregular meshes of both sizes."""
+    with _budget(20.0):
+        for n in (16, 32):
+            for seed in (1, 2):
+                g = build_dual_graph(irregular_mesh(n, seed))
+                for k in (4, 8):
+                    imbalance, cut, best_random = _partition_quality(
+                        g, k, 1000 * n + 10 * seed + k)
+                    print(f"  measured: n={n} seed={seed} k={k} imbalance "
+                          f"{imbalance:.3f} cut {cut} (best random "
+                          f"{best_random})")
+                    assert imbalance <= 1.10
+                    assert cut < best_random
 
 
 def test_charge_conservation_and_vacuum_potential():

@@ -181,5 +181,17 @@ def test_exit_code_io_failure(tmp_path, capsys):
     assert main(["genmesh", "4", "/nonexistent_dir/m.txt"]) == 4
 
 
+def test_unwritable_frame_exits_io_with_rank_step_phase(tmp_path, capsys):
+    cfg = tmp_path / "d.ini"
+    cfg.write_text("[run]\nmesh_n = 8\nk = 2\nsteps = 4\nphysics = transport\n"
+                   "output_every = 2\nname = blob\n")
+    out = tmp_path / "o"
+    (out / "blob_0001.vtk").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io failure: rank 0 failed at step 1 "
+                          "in phase 'output'")
+
+
 def test_partition_of_missing_mesh(tmp_path, capsys):
     assert main(["partition", str(tmp_path / "nope.txt"), "2"]) == 4
