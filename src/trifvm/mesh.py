@@ -129,7 +129,8 @@ def _finalize_geometry(mesh: Mesh) -> Mesh:
 def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
     """Assemble a Mesh from raw arrays, deduplicating edges into faces.
 
-    boundary_edges: optional {(min(a,b), max(a,b)): label}.  The first
+    boundary_edges: optional {(min(a,b), max(a,b)): label}.  Faces are
+    numbered in order of first traversal over (triangle, edge); the first
     triangle that traverses an edge becomes its left cell, so the stored
     normal is that cell's outward normal.
     """
@@ -147,55 +148,63 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
     if not used.all():
         raise TopologyError(f"node {int(np.flatnonzero(~used)[0])} belongs to no triangle")
 
-    face_of = {}
-    face_nodes, face_cells = [], []
-    cell_faces = np.empty((len(triangles), 3), dtype=np.int64)
-    cell_signs = np.empty((len(triangles), 3), dtype=np.int8)
-    for t, tri in enumerate(triangles):
-        for e in range(3):
-            a, b = int(tri[e]), int(tri[(e + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            f = face_of.get(key)
-            if f is None:
-                f = len(face_nodes)
-                face_of[key] = f
-                face_nodes.append((a, b))
-                face_cells.append([t, -1])
-                cell_signs[t, e] = 1
-            else:
-                if face_cells[f][1] != -1:
-                    raise TopologyError(f"edge {key} shared by more than two triangles")
-                if face_nodes[f] != (b, a):
-                    raise TopologyError(
-                        f"edge {key} traversed twice in the same direction "
-                        "(inconsistent triangle orientation)")
-                face_cells[f][1] = t
-                cell_signs[t, e] = -1
-            cell_faces[t, e] = f
+    # half-edge h = 3 t + e runs a -> b; one stable sort of the edge keys
+    # groups the traversals of each edge in (triangle, edge) order
+    n = len(points)
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    perm = np.argsort(key, kind="stable")
+    sorted_key = key[perm]
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = sorted_key[1:] != sorted_key[:-1]
+    group = np.cumsum(head) - 1
+    start = np.flatnonzero(head)
+    occurrence = np.empty_like(perm)   # 0 for the first traversal of an edge
+    occurrence[perm] = np.arange(len(key)) - start[group]
+    first = occurrence == 0
+    face_of_group = (np.cumsum(first) - 1)[perm[start]]
+    half_face = np.empty_like(perm)
+    half_face[perm] = face_of_group[group]
 
-    labels = []
-    for f, (cl, cr) in enumerate(face_cells):
-        if cr >= 0:
-            labels.append(INTERIOR)
-        else:
-            a, b = face_nodes[f]
-            key = (a, b) if a < b else (b, a)
-            labels.append(boundary_edges.get(key, "default") if boundary_edges else "default")
+    lead = np.flatnonzero(first)       # each face's first traversal
+    face_nodes = np.column_stack([a[lead], b[lead]])
+    bad = (occurrence > 1) | ((occurrence == 1) & (face_nodes[half_face, 0] != b))
+    if bad.any():
+        h = int(np.flatnonzero(bad)[0])
+        edge = (int(min(a[h], b[h])), int(max(a[h], b[h])))
+        if occurrence[h] > 1:
+            raise TopologyError(f"edge {edge} shared by more than two triangles")
+        raise TopologyError(f"edge {edge} traversed twice in the same direction "
+                            "(inconsistent triangle orientation)")
+    face_cells = np.column_stack([lead // 3, np.full(len(lead), -1)])
+    second = np.flatnonzero(occurrence == 1)
+    face_cells[half_face[second], 1] = second // 3
+
+    right = face_cells[:, 1]
+    labels = np.where(right >= 0, INTERIOR, "default").astype(object)
     if boundary_edges:
-        for key, label in boundary_edges.items():
-            f = face_of.get(key)
-            if f is None:
-                raise TopologyError(f"boundary declaration {key} matches no edge")
-            if face_cells[f][1] != -1:
-                raise TopologyError(f"boundary declaration {key} names an interior edge")
+        decl = np.array(list(boundary_edges), dtype=np.int64).reshape(-1, 2)
+        decl_key = decl[:, 0] * n + decl[:, 1]
+        unique_key = sorted_key[start]
+        pos = np.minimum(np.searchsorted(unique_key, decl_key), len(start) - 1)
+        found = ((decl >= 0) & (decl < n)).all(axis=1) & (unique_key[pos] == decl_key)
+        f = face_of_group[pos]
+        bad = ~found | (right[f] >= 0)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise TopologyError(f"boundary declaration {list(boundary_edges)[i]} "
+                                + ("names an interior edge" if found[i]
+                                   else "matches no edge"))
+        labels[f] = list(boundary_edges.values())
 
     mesh = Mesh(points=points,
                 triangles=triangles,
-                face_nodes=np.asarray(face_nodes, dtype=np.int64),
-                face_cells=np.asarray(face_cells, dtype=np.int64),
-                face_labels=labels,
-                cell_faces=cell_faces,
-                cell_face_signs=cell_signs)
+                face_nodes=face_nodes,
+                face_cells=face_cells,
+                face_labels=labels.tolist(),
+                cell_faces=half_face.reshape(-1, 3),
+                cell_face_signs=np.where(first, 1, -1).astype(np.int8).reshape(-1, 3))
     return _finalize_geometry(mesh)
 
 
@@ -234,14 +243,8 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12):
 
 def load_mesh(path) -> Mesh:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-
-    tokens = []  # (line_number, parts)
-    for ln, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            tokens.append((ln, text.split()))
-
+        lines = [raw.split("#", 1)[0].split() for raw in fh]
+    tokens = [(ln, parts) for ln, parts in enumerate(lines, start=1) if parts]
     pos = 0
 
     def expect_section(name, optional=False):
@@ -266,53 +269,41 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return count
 
-    def take_rows(count, width, caster, what):
+    def take_rows(count, width, convert, what):
+        """The next count rows, all converted by one call of convert."""
         nonlocal pos
-        rows = []
-        for _ in range(count):
-            if pos >= len(tokens):
-                raise ParseError(f"file ends inside the {what} section", path)
-            ln, parts = tokens[pos]
+        block = tokens[pos:pos + count]
+        pos += count
+        rows = [parts for _, parts in block]
+        if len(rows) == count and all(len(parts) == width for parts in rows):
+            try:
+                return convert(rows)
+            except ValueError:
+                pass
+        for ln, parts in block:  # error path: name the first bad row
             if len(parts) != width:
                 raise ParseError(f"{what} row needs {width} fields, got {len(parts)}", path, ln)
             try:
-                rows.append([caster(x) for x in parts])
+                convert([parts])
             except ValueError:
                 raise ParseError(f"bad {what} row: {' '.join(parts)}", path, ln) from None
-            pos += 1
-        return rows
+        raise ParseError(f"file ends inside the {what} section", path)
+
+    def edges(rows):
+        ends = np.sort(np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2))
+        return dict(zip(map(tuple, ends.tolist()), (r[2] for r in rows)))
 
     n_nodes = expect_section("nodes")
-    node_rows = take_rows(n_nodes, 2, float, "node")
+    points = take_rows(n_nodes, 2, lambda r: np.array(r, dtype=np.float64), "node")
     n_tris = expect_section("triangles")
-    tri_rows = take_rows(n_tris, 3, int, "triangle")
-
-    boundary_edges = {}
+    triangles = take_rows(n_tris, 3, lambda r: np.array(r, dtype=np.int64), "triangle")
     n_bnd = expect_section("boundary", optional=True)
-    if n_bnd is not None:
-        for _ in range(n_bnd):
-            if pos >= len(tokens):
-                raise ParseError("file ends inside the boundary section", path)
-            ln, parts = tokens[pos]
-            if len(parts) != 3:
-                raise ParseError(f"boundary row needs 3 fields, got {len(parts)}", path, ln)
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad boundary row: {' '.join(parts)}", path, ln) from None
-            key = (a, b) if a < b else (b, a)
-            boundary_edges[key] = parts[2]
-            pos += 1
+    boundary_edges = {} if n_bnd is None else take_rows(n_bnd, 3, edges, "boundary")
     if pos < len(tokens):
         ln, parts = tokens[pos]
         raise ParseError(f"unexpected trailing content '{' '.join(parts)}'", path, ln)
-
-    points = np.asarray(node_rows, dtype=np.float64).reshape(n_nodes, 2)
-    triangles = np.asarray(tri_rows, dtype=np.int64).reshape(n_tris, 3)
-    try:
-        return build_mesh(points, triangles, boundary_edges)
-    except TopologyError:
-        raise
+    return build_mesh(points.reshape(n_nodes, 2), triangles.reshape(n_tris, 3),
+                      boundary_edges)
 
 
 def save_mesh(mesh: Mesh, path):
@@ -341,25 +332,16 @@ def structured_triangulation(n: int) -> Mesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     points = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-
-    boundary = {}
-    for i in range(n):
-        boundary[tuple(sorted((nid(i, 0), nid(i + 1, 0))))] = "bottom"
-        boundary[tuple(sorted((nid(i, n), nid(i + 1, n))))] = "top"
-        boundary[tuple(sorted((nid(0, i), nid(0, i + 1))))] = "left"
-        boundary[tuple(sorted((nid(n, i), nid(n, i + 1))))] = "right"
-    return build_mesh(points, np.asarray(tris), boundary)
+    nid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)   # nid[j, i]
+    v00, v10 = nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel()
+    v01, v11 = nid[1:, :-1].ravel(), nid[1:, 1:].ravel()
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    # edge i of the bottom, top, left and right sides, in that order per i
+    sides = np.stack([nid[0], nid[n], nid[:, 0], nid[:, n]])
+    ends = np.stack([sides[:, :-1], sides[:, 1:]], axis=-1).transpose(1, 0, 2)
+    boundary = dict(zip(map(tuple, ends.reshape(-1, 2).tolist()),
+                        ["bottom", "top", "left", "right"] * n))
+    return build_mesh(points, tris, boundary)
 
 
 # --------------------------------------------------------------------------
@@ -463,23 +445,29 @@ def node_weights(mesh: Mesh, cell_order=None) -> NodeWeights:
     key order so that the same node interpolates identically no matter how
     the mesh was split.
     """
-    order = np.arange(mesh.n_cells) if cell_order is None else np.asarray(cell_order)
-    incident = [[] for _ in range(mesh.n_nodes)]
-    for t in range(mesh.n_cells):
-        for v in mesh.triangles[t]:
-            incident[v].append(t)
-
-    ptr = np.zeros(mesh.n_nodes + 1, dtype=np.int64)
-    cells_out, weights_out = [], []
+    ptr, cells = node_cells(mesh, cell_order)
+    weights_out = []
     fallback = np.zeros(mesh.n_nodes, dtype=bool)
     for n in range(mesh.n_nodes):
-        stencil = sorted(incident[n], key=lambda t: order[t])
+        stencil = cells[ptr[n]:ptr[n + 1]]
         w, fb = _stencil_weights(mesh.points[n], mesh.centroids[stencil])
         fallback[n] = fb
-        cells_out.extend(stencil)
         weights_out.append(w)
-        ptr[n + 1] = ptr[n] + len(stencil)
     return NodeWeights(ptr=ptr,
-                       cells=np.asarray(cells_out, dtype=np.int64),
+                       cells=cells,
                        weights=np.concatenate(weights_out),
                        fallback=fallback)
+
+
+def node_cells(mesh: Mesh, cell_order=None):
+    """Incident cells of every node as CSR arrays (ptr, cells).
+
+    Each node's cells are in ascending cell_order key (the local index by
+    default; ties keep the local order).
+    """
+    cells = np.repeat(np.arange(mesh.n_cells), 3)
+    nodes = mesh.triangles.ravel()
+    key = cells if cell_order is None else np.asarray(cell_order)[cells]
+    ptr = np.zeros(mesh.n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=mesh.n_nodes), out=ptr[1:])
+    return ptr, cells[np.lexsort((key, nodes))]

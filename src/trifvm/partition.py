@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidK
-from .mesh import HALO_FRINGE, INTERIOR, Mesh, _finalize_geometry
+from .mesh import HALO_FRINGE, Mesh, _finalize_geometry
 
 
 @dataclass
@@ -193,14 +193,11 @@ def partition_metrics(graph: DualGraph, pm: PartitionMap) -> dict:
     """{edge_cut, imbalance, halo_total}; halo counted on the dual graph."""
     sizes = np.bincount(pm.part, minlength=pm.k)
     imbalance = float(sizes.max() / (graph.n / pm.k))
-    halo_total = 0
-    for r in range(pm.k):
-        seen = set()
-        for v in np.flatnonzero(pm.part == r):
-            for w in graph.neighbors(v):
-                if pm.part[w] != r:
-                    seen.add(int(w))
-        halo_total += len(seen)
+    heads = np.repeat(np.arange(graph.n), np.diff(graph.ptr))
+    cross = pm.part[heads] != pm.part[graph.adj]
+    # distinct (part, foreign neighbor) pairs
+    halo_total = len(np.unique(pm.part[heads[cross]] * graph.n
+                               + graph.adj[cross]))
     return {"edge_cut": edge_cut(graph, pm),
             "imbalance": imbalance,
             "halo_total": halo_total}
@@ -237,105 +234,53 @@ class Subdomain:
         return sorted(self.neighbor_links)
 
 
-def _node_adjacent_cells(mesh: Mesh):
-    incident = [[] for _ in range(mesh.n_nodes)]
-    for t in range(mesh.n_cells):
-        for v in mesh.triangles[t]:
-            incident[v].append(t)
-    return incident
-
-
 def build_subdomains(mesh: Mesh, pm: PartitionMap) -> list[Subdomain]:
-    incident = _node_adjacent_cells(mesh)
-    own_of = [np.flatnonzero(pm.part == r) for r in range(pm.k)]
-
-    halo_of = []
-    for r in range(pm.k):
-        halo = set()
-        for c in own_of[r]:
-            for v in mesh.triangles[c]:
-                for t in incident[v]:
-                    if pm.part[t] != r:
-                        halo.add(int(t))
-        halo_of.append(np.asarray(sorted(halo), dtype=np.int64))
-
+    tri = mesh.triangles
+    touch = np.zeros((pm.k, mesh.n_nodes), dtype=bool)  # nodes of r's own cells
+    touch[np.repeat(pm.part, 3), tri.ravel()] = True
+    labels = np.asarray(mesh.face_labels, dtype=object)
     subs = []
     for r in range(pm.k):
-        own = own_of[r]
-        halo = halo_of[r]
-        l2g = np.concatenate([own, halo]) if halo.size else own.copy()
-        g2l = {int(g): l for l, g in enumerate(l2g)}
+        own = np.flatnonzero(pm.part == r)
+        halo = np.flatnonzero(touch[r][tri].any(axis=1) & (pm.part != r))
+        l2g = np.concatenate([own, halo])
+        g2l = np.full(mesh.n_cells + 1, -1, dtype=np.int64)  # g2l[-1] stays -1
+        g2l[l2g] = np.arange(len(l2g))
+        nodes_l2g = np.unique(tri[l2g])
 
-        node_set = sorted({int(v) for c in l2g for v in mesh.triangles[c]})
-        nodes_l2g = np.asarray(node_set, dtype=np.int64)
-        node_g2l = {int(g): l for l, g in enumerate(nodes_l2g)}
-
-        tris = np.empty((len(l2g), 3), dtype=np.int64)
-        for l, g in enumerate(l2g):
-            tris[l] = [node_g2l[int(v)] for v in mesh.triangles[g]]
-
-        # local faces = every global face touching a local cell, one copy each
-        face_ids = []
-        seen = set()
-        for l, g in enumerate(l2g):
-            for f in mesh.cell_faces[g]:
-                if int(f) not in seen:
-                    seen.add(int(f))
-                    face_ids.append(int(f))
-        face_l2g = np.asarray(face_ids, dtype=np.int64)
-        face_g2l = {int(g): l for l, g in enumerate(face_l2g)}
-
-        n_lf = len(face_l2g)
-        f_nodes = np.empty((n_lf, 2), dtype=np.int64)
-        f_cells = np.empty((n_lf, 2), dtype=np.int64)
-        f_labels = []
-        for lf, gf in enumerate(face_l2g):
-            a, b = mesh.face_nodes[gf]
-            gl, gr = mesh.face_cells[gf]
-            ll = g2l.get(int(gl), -1)
-            lr = g2l.get(int(gr), -1) if gr >= 0 else -1
-            if ll >= 0:
-                f_nodes[lf] = (node_g2l[int(a)], node_g2l[int(b)])
-                f_cells[lf] = (ll, lr)
-                f_labels.append(mesh.face_labels[gf])
-            else:
-                # left side missing: flip toward the surviving halo cell
-                f_nodes[lf] = (node_g2l[int(b)], node_g2l[int(a)])
-                f_cells[lf] = (lr, -1)
-                f_labels.append(HALO_FRINGE)
-
-        cell_faces = np.empty((len(l2g), 3), dtype=np.int64)
-        cell_signs = np.empty((len(l2g), 3), dtype=np.int8)
-        for l, g in enumerate(l2g):
-            for e in range(3):
-                lf = face_g2l[int(mesh.cell_faces[g, e])]
-                cell_faces[l, e] = lf
-                cell_signs[l, e] = 1 if f_cells[lf, 0] == l else -1
-
-        lm = Mesh(points=mesh.points[nodes_l2g].copy(),
-                  triangles=tris,
+        # local faces = every global face touching a local cell, one copy
+        # each, in order of first appearance over the local cells
+        seen = mesh.cell_faces[l2g].ravel()
+        face_l2g = seen[np.sort(np.unique(seen, return_index=True)[1])]
+        face_g2l = np.empty(mesh.n_faces, dtype=np.int64)
+        face_g2l[face_l2g] = np.arange(len(face_l2g))
+        ends = mesh.face_nodes[face_l2g]
+        left, right = g2l[mesh.face_cells[face_l2g]].T
+        # left side missing: flip toward the surviving halo cell
+        kept = left >= 0
+        f_nodes = np.searchsorted(nodes_l2g,
+                                  np.where(kept[:, None], ends, ends[:, ::-1]))
+        f_cells = np.where(kept[:, None], np.column_stack([left, right]),
+                           np.column_stack([right, np.full_like(right, -1)]))
+        cell_faces = face_g2l[mesh.cell_faces[l2g]]
+        lm = Mesh(points=mesh.points[nodes_l2g],
+                  triangles=np.searchsorted(nodes_l2g, tri[l2g]),
                   face_nodes=f_nodes,
                   face_cells=f_cells,
-                  face_labels=f_labels,
+                  face_labels=np.where(kept, labels[face_l2g],
+                                       HALO_FRINGE).tolist(),
                   cell_faces=cell_faces,
-                  cell_face_signs=cell_signs)
+                  cell_face_signs=np.where(
+                      f_cells[cell_faces, 0] == np.arange(len(l2g))[:, None],
+                      1, -1).astype(np.int8))
         _finalize_geometry(lm)
 
         links = {}
         for s in range(pm.k):
-            if s == r:
-                continue
-            recv_glob = halo[pm.part[halo] == s] if halo.size else halo
-            if recv_glob.size == 0:
-                continue
-            send_glob = np.asarray(
-                sorted({int(c) for c in own
-                        if any(pm.part[t] == s
-                               for v in mesh.triangles[c] for t in incident[v])}),
-                dtype=np.int64)
-            send_local = np.asarray([g2l[int(c)] for c in send_glob], dtype=np.int64)
-            recv_local = np.asarray([g2l[int(c)] for c in recv_glob], dtype=np.int64)
-            links[s] = (send_local, recv_local)
+            recv = halo[pm.part[halo] == s]
+            if s != r and recv.size:
+                send = own[touch[s][tri[own]].any(axis=1)]
+                links[s] = (g2l[send], g2l[recv])
 
         subs.append(Subdomain(rank=r, n_own=len(own), own_cells=own,
                               halo_cells=halo, local_mesh=lm, cells_l2g=l2g,
