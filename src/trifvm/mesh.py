@@ -402,7 +402,9 @@ class NodeWeights:
 
     Stencil cells are stored in ascending order of the `cell_order` key used
     at build time (global cell ids for subdomains), which pins the summation
-    order of the interpolation.
+    order of the interpolation.  weights are the minimum-norm affine-exact
+    weights of `node_weights`; fallback marks the nodes whose stencil fails
+    the rank test and which carry inverse-distance weights instead.
     """
 
     ptr: np.ndarray       # (n_nodes + 1,)
@@ -411,51 +413,53 @@ class NodeWeights:
     fallback: np.ndarray  # (n_nodes,) bool, True = inverse-distance node
 
 
-def _stencil_weights(node_xy: np.ndarray, centroids: np.ndarray):
-    """Least-squares interpolation weights for one node.
-
-    Minimum-norm weights w with sum(w) = 1 and sum(w * (c - x_node)) = 0,
-    i.e. exact for affine fields.  Falls back to inverse-distance (and
-    reports it) when the stencil has fewer than 3 cells or the centroids are
-    collinear.
-    """
-    d = centroids - node_xy[None, :]
-    dist = np.hypot(d[:, 0], d[:, 1])
-    scale = float(np.mean(dist))
-    if scale <= 0.0:
-        raise TopologyError("cell centroid coincides with a mesh node")
-    m = len(centroids)
-    if m >= 3:
-        g = np.empty((3, m))
-        g[0] = 1.0
-        g[1] = d[:, 0] / scale
-        g[2] = d[:, 1] / scale
-        w, _, rank, _ = np.linalg.lstsq(g, np.array([1.0, 0.0, 0.0]), rcond=1e-9)
-        if rank == 3:
-            return w, False
-    inv = 1.0 / dist
-    return inv / inv.sum(), True
-
-
 def node_weights(mesh: Mesh, cell_order=None) -> NodeWeights:
     """Interpolation weights for every node from its incident cell centroids.
 
+    Minimum-norm weights w with sum(w) = 1 and sum(w (c - x_node)) = 0, so
+    affine fields are exact.  With G the 3 x m matrix of rows 1, gx = dx / s
+    and gy = dy / s over the node's m cells (s the mean centroid distance),
+    w = G^T (G G^T)^-1 e_1, solved for all nodes at once in closed form.
+    Rank test: a node whose G has rank < 3, its third singular value at most
+    1e-9 times the first (fewer than 3 cells, collinear centroids), falls
+    back to inverse-distance weights and is flagged.
+
     cell_order: optional per-cell sort key (e.g. global ids in a subdomain);
     defaults to the local cell index.  Stencils are enumerated in ascending
-    key order so that the same node interpolates identically no matter how
-    the mesh was split.
+    key order, and every reduction runs over one node's stencil in that
+    order, so the same node gets bitwise the same weights no matter how the
+    mesh was split.
     """
     ptr, cells = node_cells(mesh, cell_order)
-    weights_out = []
-    fallback = np.zeros(mesh.n_nodes, dtype=bool)
-    for n in range(mesh.n_nodes):
-        stencil = cells[ptr[n]:ptr[n + 1]]
-        w, fb = _stencil_weights(mesh.points[n], mesh.centroids[stencil])
-        fallback[n] = fb
-        weights_out.append(w)
-    return NodeWeights(ptr=ptr,
-                       cells=cells,
-                       weights=np.concatenate(weights_out),
+    count = np.diff(ptr)
+    node = np.repeat(np.arange(mesh.n_nodes), count)
+
+    def total(v):  # per-node sums, each in stencil order
+        return np.bincount(node, v, minlength=mesh.n_nodes)
+
+    d = mesh.centroids[cells] - mesh.points[node]
+    dist = np.hypot(d[:, 0], d[:, 1])
+    scale = total(dist) / count
+    if np.any(scale <= 0.0):
+        raise TopologyError("cell centroid coincides with a mesh node")
+    gx, gy = (d / scale[node, None]).T
+    padded = np.zeros((mesh.n_nodes, 3, max(count.max(initial=0), 3)))
+    slot = np.arange(len(node)) - ptr[node]
+    padded[node, 0, slot], padded[node, 1, slot], padded[node, 2, slot] = 1.0, gx, gy
+    sv = np.linalg.svd(padded, compute_uv=False)
+    fallback = ~(sv[:, 2] > 1e-9 * sv[:, 0])
+
+    # in the basis (1, gx - mean gx, gy - mean gy) of G's rows, G G^T is
+    # diag(m, C): w = 1/m + cx zx + cy zy with C z = -(mean gx, mean gy)
+    mx, my = total(gx) / count, total(gy) / count
+    cx, cy = gx - mx[node], gy - my[node]
+    sxx, sxy, syy = total(cx * cx), total(cx * cy), total(cy * cy)
+    det = np.where(fallback, 1.0, sxx * syy - sxy * sxy)
+    zx, zy = (sxy * my - syy * mx) / det, (sxy * mx - sxx * my) / det
+    fit = 1.0 / count[node] + zx[node] * cx + zy[node] * cy
+    inv = 1.0 / dist
+    return NodeWeights(ptr=ptr, cells=cells,
+                       weights=np.where(fallback[node], inv / total(inv)[node], fit),
                        fallback=fallback)
 
 
