@@ -52,11 +52,16 @@ class ZeroDt(TriFvmError):
 
 
 class Timeout(TriFvmError):
-    """A rank waited too long on a message link."""
+    """A rank waited too long on a message link.
 
-    def __init__(self, message, rank=None):
+    deadline: the monotonic time at which the rank's own wait expired, or
+    None when it stopped waiting because a peer had failed.
+    """
+
+    def __init__(self, message, rank=None, deadline=None):
         super().__init__(message)
         self.rank = rank
+        self.deadline = deadline
 
 
 class SimulationError(TriFvmError):

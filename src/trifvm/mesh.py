@@ -430,9 +430,13 @@ def node_weights(mesh: Mesh, cell_order=None) -> NodeWeights:
     order, so the same node gets bitwise the same weights no matter how the
     mesh was split.
     """
-    ptr, cells = node_cells(mesh, cell_order)
-    count = np.diff(ptr)
-    node = np.repeat(np.arange(mesh.n_nodes), count)
+    cells = np.repeat(np.arange(mesh.n_cells), 3)
+    node = mesh.triangles.ravel()
+    key = cells if cell_order is None else np.asarray(cell_order)[cells]
+    order = np.lexsort((key, node))   # by node, then by key
+    cells, node = cells[order], node[order]
+    count = np.bincount(node, minlength=mesh.n_nodes)
+    ptr = np.concatenate([[0], np.cumsum(count)])
 
     def total(v):  # per-node sums, each in stencil order
         return np.bincount(node, v, minlength=mesh.n_nodes)
@@ -443,35 +447,28 @@ def node_weights(mesh: Mesh, cell_order=None) -> NodeWeights:
     if np.any(scale <= 0.0):
         raise TopologyError("cell centroid coincides with a mesh node")
     gx, gy = (d / scale[node, None]).T
-    padded = np.zeros((mesh.n_nodes, 3, max(count.max(initial=0), 3)))
-    slot = np.arange(len(node)) - ptr[node]
-    padded[node, 0, slot], padded[node, 1, slot], padded[node, 2, slot] = 1.0, gx, gy
-    sv = np.linalg.svd(padded, compute_uv=False)
-    fallback = ~(sv[:, 2] > 1e-9 * sv[:, 0])
-
     # in the basis (1, gx - mean gx, gy - mean gy) of G's rows, G G^T is
     # diag(m, C): w = 1/m + cx zx + cy zy with C z = -(mean gx, mean gy)
     mx, my = total(gx) / count, total(gy) / count
     cx, cy = gx - mx[node], gy - my[node]
     sxx, sxy, syy = total(cx * cx), total(cx * cy), total(cy * cy)
-    det = np.where(fallback, 1.0, sxx * syy - sxy * sxy)
+    det = sxx * syy - sxy * sxy
+
+    # rank 3 is beyond doubt where det(G G^T) = m det(C) exceeds 1e-8
+    # trace(G G^T)^3 (then sigma_3 > 1e-4 sigma_1); an SVD of the zero-padded
+    # G decides the other nodes
+    unsure = count * det <= 1e-8 * (count + total(gx * gx + gy * gy)) ** 3
+    padded = np.zeros((mesh.n_nodes, 3, max(count.max(initial=0), 3)))
+    slot = np.arange(len(node)) - ptr[node]
+    padded[node, 0, slot], padded[node, 1, slot], padded[node, 2, slot] = 1.0, gx, gy
+    sv = np.linalg.svd(padded[unsure], compute_uv=False)
+    fallback = unsure.copy()
+    fallback[unsure] = ~(sv[:, 2] > 1e-9 * sv[:, 0])
+
+    det = np.where(fallback, 1.0, det)
     zx, zy = (sxy * my - syy * mx) / det, (sxy * mx - sxx * my) / det
     fit = 1.0 / count[node] + zx[node] * cx + zy[node] * cy
     inv = 1.0 / dist
     return NodeWeights(ptr=ptr, cells=cells,
                        weights=np.where(fallback[node], inv / total(inv)[node], fit),
                        fallback=fallback)
-
-
-def node_cells(mesh: Mesh, cell_order=None):
-    """Incident cells of every node as CSR arrays (ptr, cells).
-
-    Each node's cells are in ascending cell_order key (the local index by
-    default; ties keep the local order).
-    """
-    cells = np.repeat(np.arange(mesh.n_cells), 3)
-    nodes = mesh.triangles.ravel()
-    key = cells if cell_order is None else np.asarray(cell_order)[cells]
-    ptr = np.zeros(mesh.n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nodes, minlength=mesh.n_nodes), out=ptr[1:])
-    return ptr, cells[np.lexsort((key, nodes))]

@@ -15,6 +15,13 @@ local mesh keeps the global orientation (left/right, endpoint order) of
 every face of an own cell; faces that lost their second cell at the fringe
 are flipped toward the surviving halo cell and labeled so they are never
 mistaken for domain boundary.
+
+Subdomains are built with array operations, no per-cell Python: a boolean
+node mask per part marks the nodes of its own cells; the halo of rank r is
+the cells outside r with a node in r's mask, and r sends to rank s the own
+cells with a node in s's mask.  Local nodes are the sorted global nodes of
+the local cells; local faces follow first appearance in the cells' face
+lists; global-to-local maps are index arrays.
 """
 
 from __future__ import annotations

@@ -73,13 +73,16 @@ class _Fabric:
             try:
                 return q.get(timeout=_POLL)
             except queue.Empty:
-                if self.abort.is_set():
-                    raise Timeout(f"rank {dst}: peer failed while waiting on "
-                                  f"rank {src}", rank=dst)
+                # own deadline first: a peer that gave up later must not
+                # hide that this wait expired earlier
                 if time.monotonic() > deadline:
                     self.abort.set()
                     raise Timeout(f"rank {dst}: no message from rank {src} "
-                                  f"within {self.timeout}s", rank=dst)
+                                  f"within {self.timeout}s", rank=dst,
+                                  deadline=deadline)
+                if self.abort.is_set():
+                    raise Timeout(f"rank {dst}: peer failed while waiting on "
+                                  f"rank {src}", rank=dst)
 
 
 @dataclass
@@ -522,8 +525,10 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         raise SimulationError("a rank is hung; aborting", phase="join")
 
     if fabric.failures:
+        # a rank's own error, else the wait whose deadline expired first
         root = next((f for f in fabric.failures
-                     if not isinstance(f[3], Timeout)), fabric.failures[0])
+                     if not isinstance(f[3], Timeout)), None) or min(
+            fabric.failures, key=lambda f: f[3].deadline or float("inf"))
         rank, step, phase, exc = root
         raise SimulationError(
             f"rank {rank} failed at step {step} in phase '{phase}': {exc}",

@@ -1,11 +1,13 @@
 """Mesh construction, geometry, diamond cells, node interpolation weights."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifvm.errors import DegenerateDiamond, TopologyError
+from trifvm.errors import DegenerateDiamond, ParseError, TopologyError
 from trifvm.mesh import (build_diamonds, build_mesh, load_mesh, node_weights,
                          save_mesh, structured_triangulation, validate_mesh)
 from trifvm.partition import single_subdomain
@@ -94,6 +96,66 @@ def test_build_mesh_rejects_bad_topology():
         build_mesh(pts, np.array([[0, 1, 1]]))  # repeated node
 
 
+# two triangles 0-1-2 and 1-0-3 over the edge (0, 1), plus two apexes
+EDGE_PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                     [0.5, 2.0]])
+
+
+@pytest.mark.parametrize("tris, boundary, message", [
+    ([[0, 1, 2], [1, 0, 3], [0, 1, 4]], None,
+     "edge (0, 1) shared by more than two triangles"),
+    ([[0, 1, 2], [0, 1, 4], [1, 0, 3]], None,
+     "edge (0, 1) traversed twice in the same direction"),
+    ([[0, 1, 2], [1, 0, 3]], {(1, 2): "a", (2, 3): "b"},
+     "boundary declaration (2, 3) matches no edge"),
+    ([[0, 1, 2], [1, 0, 3]], {(1, 2): "a", (0, 9): "b"},
+     "boundary declaration (0, 9) matches no edge"),
+    ([[0, 1, 2], [1, 0, 3]], {(1, 2): "a", (0, 1): "b"},
+     "boundary declaration (0, 1) names an interior edge"),
+])
+def test_build_mesh_names_the_bad_edge(tris, boundary, message):
+    pts = EDGE_PTS[:int(np.max(tris)) + 1]
+    with pytest.raises(TopologyError, match=re.escape(message)):
+        build_mesh(pts, np.array(tris), boundary)
+
+
+MESH_LINES = ["# two triangles", "nodes 4", "0 0", "1 0  # comment", "0.5 1",
+              "", "0.5 -1", "triangles 2", "0 1 2", "1 0 3", "boundary 2",
+              "1 2 top", "3 1 bottom"]
+
+
+@pytest.mark.parametrize("edit, message, line", [
+    ({3: "1 zz"}, "bad node row: 1 zz", 4),
+    ({4: "0.5 1 3"}, "node row needs 2 fields, got 3", 5),
+    ({8: "0 1.0 2"}, "bad triangle row: 0 1.0 2", 9),
+    ({11: "x 2 top"}, "bad boundary row: x 2 top", 12),
+    ({11: "1 2"}, "boundary row needs 3 fields, got 2", 12),
+    ({9: None, 10: None, 11: None, 12: None},
+     "file ends inside the triangle section", None),
+    ({13: "extra 1"}, "unexpected trailing content 'extra 1'", 14),
+])
+def test_load_mesh_names_the_bad_line(tmp_path, edit, message, line):
+    lines = [edit.get(i, text) for i, text in enumerate(MESH_LINES)]
+    lines += [edit[i] for i in sorted(edit) if i >= len(MESH_LINES)]
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(t for t in lines if t is not None) + "\n")
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        load_mesh(path)
+    assert exc.value.line == line
+
+
+def test_load_mesh_reads_sections_comments_and_labels(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(MESH_LINES) + "\n")
+    m = load_mesh(path)
+    assert np.array_equal(m.points, [[0, 0], [1, 0], [0.5, 1], [0.5, -1]])
+    assert np.array_equal(m.triangles, [[0, 1, 2], [1, 0, 3]])
+    labels = {tuple(sorted(m.face_nodes[f])): m.face_labels[f]
+              for f in m.boundary_faces()}
+    assert labels == {(1, 2): "top", (1, 3): "bottom", (0, 2): "default",
+                      (0, 3): "default"}
+
+
 def test_diamond_linear_exactness():
     # the two-cell-plus-two-node gradient is exact for affine fields
     for m in (structured_triangulation(6), irregular_mesh(8, seed=3)):
@@ -135,6 +197,39 @@ def test_node_weights_cell_order_changes_stencil_order_not_values():
     a = node_values(sub, u, w_nat)
     b = node_values(sub, u, w_ord)
     assert np.allclose(a, b, rtol=0, atol=1e-14)
+
+
+def _lstsq_weights(mesh):
+    """Per-node reference: np.linalg.lstsq on each stencil, in local order."""
+    ref, fallback = [], []
+    for n in range(mesh.n_nodes):
+        cells = np.flatnonzero((mesh.triangles == n).any(axis=1))
+        d = mesh.centroids[cells] - mesh.points[n]
+        dist = np.hypot(d[:, 0], d[:, 1])
+        g = np.vstack([np.ones(len(cells)), (d / dist.mean()).T])
+        w, _, rank, _ = np.linalg.lstsq(g, [1.0, 0.0, 0.0], rcond=1e-9)
+        fallback.append(rank < 3)
+        ref.append(1.0 / dist / np.sum(1.0 / dist) if rank < 3 else w)
+    return np.concatenate(ref), np.array(fallback)
+
+
+# a fan of three triangles around node 0 whose centroids are collinear:
+# node 0 has a full stencil of rank 2, which only the SVD can reject
+FAN = build_mesh([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 5.0]],
+                 np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4]]))
+
+
+@pytest.mark.parametrize("mesh", [structured_triangulation(6),
+                                  irregular_mesh(8, seed=1),
+                                  irregular_mesh(10, seed=2), FAN],
+                         ids=["structured", "irregular1", "irregular2", "fan"])
+def test_batched_node_weights_match_per_node_lstsq(mesh):
+    w = node_weights(mesh)
+    ref, fallback = _lstsq_weights(mesh)
+    assert np.array_equal(w.fallback, fallback)
+    assert np.abs(w.weights - ref).max() < 1e-13
+    if mesh is FAN:
+        assert w.fallback[0]
 
 
 def test_degenerate_diamond_raises():

@@ -8,6 +8,8 @@ from trifvm.mesh import structured_triangulation
 from trifvm.partition import (build_dual_graph, build_subdomains, edge_cut,
                               partition, partition_metrics, single_subdomain)
 
+from conftest import irregular_mesh
+
 
 def _node_adjacency(mesh):
     incident = [[] for _ in range(mesh.points.shape[0])]
@@ -79,46 +81,51 @@ def test_subdomains_partition_cells():
         assert not np.intersect1d(s.own_cells, s.halo_cells).size
 
 
+def _split_cases():
+    """(mesh, subdomains): the structured n = 8 grid at k = 4 (seeds 0 and
+    2) and two irregular meshes at k = 2 and 3."""
+    for m, k, seed in ((structured_triangulation(8), 4, 0),
+                       (structured_triangulation(8), 4, 2),
+                       (irregular_mesh(8, 1), 2, 1),
+                       (irregular_mesh(9, 2), 3, 2)):
+        yield m, build_subdomains(m, partition(build_dual_graph(m), k, seed))
+
+
 def test_halo_is_node_adjacent_closure():
-    # every cell sharing a node with an own cell must be present locally,
-    # so own-cell gradients see complete node stencils
-    m = structured_triangulation(8)
-    pm = partition(build_dual_graph(m), 4, seed=0)
-    subs = build_subdomains(m, pm)
-    incident = _node_adjacency(m)
-    for s in subs:
-        local = set(s.cells_l2g.tolist())
-        for c in s.own_cells:
-            for v in m.triangles[c]:
-                assert set(incident[v]) <= local
+    # the halo is exactly the cells outside the part that share a node with
+    # an own cell, so own-cell gradients see complete node stencils
+    for m, subs in _split_cases():
+        incident = _node_adjacency(m)
+        for s in subs:
+            closure = {t for c in s.own_cells for v in m.triangles[c]
+                       for t in incident[v]}
+            assert set(s.halo_cells.tolist()) == closure - set(s.own_cells.tolist())
+            assert np.array_equal(s.halo_cells, np.sort(s.halo_cells))
 
 
 def test_local_geometry_matches_global():
     # subdomain meshes keep the global orientation and measure on every face
     # an own cell touches, the property the rank-count invariance rests on
     # (fringe faces at the halo rim may flip; no own-cell flux reads them)
-    m = structured_triangulation(8)
-    pm = partition(build_dual_graph(m), 4, seed=0)
-    for s in build_subdomains(m, pm):
-        lm = s.local_mesh
-        own_faces = np.unique(lm.cell_faces[:s.n_own])
-        g = s.face_l2g[own_faces]
-        assert np.array_equal(lm.face_normals[own_faces], m.face_normals[g])
-        assert np.array_equal(lm.face_lengths[own_faces], m.face_lengths[g])
-        assert np.array_equal(lm.areas, m.areas[s.cells_l2g])
-        assert np.array_equal(lm.centroids, m.centroids[s.cells_l2g])
+    for m, subs in _split_cases():
+        for s in subs:
+            lm = s.local_mesh
+            own_faces = np.unique(lm.cell_faces[:s.n_own])
+            g = s.face_l2g[own_faces]
+            assert np.array_equal(lm.face_normals[own_faces], m.face_normals[g])
+            assert np.array_equal(lm.face_lengths[own_faces], m.face_lengths[g])
+            assert np.array_equal(lm.areas, m.areas[s.cells_l2g])
+            assert np.array_equal(lm.centroids, m.centroids[s.cells_l2g])
 
 
 def test_neighbor_links_are_mirrored():
-    m = structured_triangulation(8)
-    pm = partition(build_dual_graph(m), 4, seed=2)
-    subs = build_subdomains(m, pm)
-    for s in subs:
-        for nbr, (send_idx, recv_idx) in s.neighbor_links.items():
-            back_send, back_recv = subs[nbr].neighbor_links[s.rank]
-            # what s sends from its own cells lands in nbr's halo slots
-            assert len(send_idx) == len(back_recv)
-            assert len(recv_idx) == len(back_send)
-            sent_global = s.cells_l2g[send_idx]
-            landed_global = subs[nbr].cells_l2g[back_recv]
-            assert np.array_equal(sent_global, landed_global)
+    for m, subs in _split_cases():
+        for s in subs:
+            for nbr, (send_idx, recv_idx) in s.neighbor_links.items():
+                back_send, back_recv = subs[nbr].neighbor_links[s.rank]
+                # what s sends from its own cells lands in nbr's halo slots
+                assert len(send_idx) == len(back_recv)
+                assert len(recv_idx) == len(back_send)
+                sent_global = s.cells_l2g[send_idx]
+                landed_global = subs[nbr].cells_l2g[back_recv]
+                assert np.array_equal(sent_global, landed_global)

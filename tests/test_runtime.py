@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,7 +184,9 @@ def test_rank_failure_names_rank_step_phase_and_joins_every_rank(monkeypatch):
 
 def test_silent_rank_times_out_and_joins_every_rank(monkeypatch):
     # rank 1 never sends its halo: rank 0 gives up after timeout_s, and the
-    # run names a rank, the step and the phase instead of hanging
+    # run names rank 0, the step and the phase instead of hanging.  Rank 1's
+    # own wait (in the dt reduction) starts after rank 0's and may notice
+    # its expiry first; the blame must not follow that race
     import threading
 
     from trifvm import runtime
@@ -193,10 +197,32 @@ def test_silent_rank_times_out_and_joins_every_rank(monkeypatch):
             real(self, lane, src, dst, payload)
 
     monkeypatch.setattr(runtime._Fabric, "send", drop_rank1_halo)
-    with pytest.raises(SimulationError) as exc:
-        run_simulation(_diffusion_cfg(2, steps=5, timeout_s=0.5))
-    assert exc.value.rank in (0, 1)
-    assert exc.value.step == 0
-    assert exc.value.phase in ("exchange", "stability")
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("rank-") and t.is_alive()]
+    for _ in range(10):
+        with pytest.raises(SimulationError) as exc:
+            run_simulation(_diffusion_cfg(2, steps=5, timeout_s=0.2))
+        assert (exc.value.rank, exc.value.step, exc.value.phase) == \
+            (0, 0, "exchange")
+        assert "no message from rank 1" in str(exc.value)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("rank-") and t.is_alive()]
+
+
+def test_runs_never_import_scipy(tmp_path):
+    # scipy is not a dependency: a transport run from a mesh file and a
+    # streamer run (assembly, factorization, solves) must not load it
+    mesh_path = irregular_mesh_file(tmp_path / "m.txt", 8, 1)
+    code = (
+        "import sys\n"
+        "from trifvm.config import RunConfig\n"
+        "from trifvm.runtime import run_simulation\n"
+        f"run_simulation(RunConfig(mesh_path={mesh_path!r}, k=2, steps=2))\n"
+        "run_simulation(RunConfig(mesh_n=8, k=2, steps=2, "
+        "physics='streamer'))\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
