@@ -278,14 +278,14 @@ def load_mesh(path) -> Mesh:
         if len(rows) == count and all(len(parts) == width for parts in rows):
             try:
                 return convert(rows)
-            except ValueError:
+            except (ValueError, OverflowError):
                 pass
         for ln, parts in block:  # error path: name the first bad row
             if len(parts) != width:
                 raise ParseError(f"{what} row needs {width} fields, got {len(parts)}", path, ln)
             try:
                 convert([parts])
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(f"bad {what} row: {' '.join(parts)}", path, ln) from None
         raise ParseError(f"file ends inside the {what} section", path)
 

@@ -128,6 +128,7 @@ MESH_LINES = ["# two triangles", "nodes 4", "0 0", "1 0  # comment", "0.5 1",
     ({3: "1 zz"}, "bad node row: 1 zz", 4),
     ({4: "0.5 1 3"}, "node row needs 2 fields, got 3", 5),
     ({8: "0 1.0 2"}, "bad triangle row: 0 1.0 2", 9),
+    ({9: "1 0 99999999999999999999"}, "bad triangle row: 1 0 9999", 10),
     ({11: "x 2 top"}, "bad boundary row: x 2 top", 12),
     ({11: "1 2"}, "boundary row needs 3 fields, got 2", 12),
     ({9: None, 10: None, 11: None, 12: None},
