@@ -182,7 +182,8 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
     face_cells[half_face[second], 1] = second // 3
 
     right = face_cells[:, 1]
-    labels = np.where(right >= 0, INTERIOR, "default").astype(object)
+    labels = np.full(len(lead), "default", dtype=object)
+    labels[right >= 0] = INTERIOR
     if boundary_edges:
         decl = np.array(list(boundary_edges), dtype=np.int64).reshape(-1, 2)
         decl_key = decl[:, 0] * n + decl[:, 1]
