@@ -96,7 +96,7 @@ def test_build_mesh_rejects_bad_topology():
         build_mesh(pts, np.array([[0, 1, 1]]))  # repeated node
 
 
-# two triangles 0-1-2 and 1-0-3 over the edge (0, 1), plus two apexes
+# the edge (0, 1) and three apexes, 2 and 4 above it, 3 below
 EDGE_PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
                      [0.5, 2.0]])
 
