@@ -45,7 +45,7 @@ def _cmd_genmesh(args) -> int:
 def _cmd_partition(args) -> int:
     mesh = load_mesh(args.mesh)
     graph = build_dual_graph(mesh)
-    pm = partition(graph, args.k, seed=args.seed)
+    pm = partition(graph, args.k)
     metrics = partition_metrics(graph, pm)
     sizes = np.bincount(pm.part, minlength=args.k)
     print(f"k = {args.k}  cells = {mesh.n_cells}")
@@ -55,8 +55,7 @@ def _cmd_partition(args) -> int:
     print("part sizes = " + " ".join(str(s) for s in sizes))
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"k": args.k, "seed": args.seed,
-                       "edge_cut": int(metrics["edge_cut"]),
+            json.dump({"k": args.k, "edge_cut": int(metrics["edge_cut"]),
                        "imbalance": float(metrics["imbalance"]),
                        "halo_total": int(metrics["halo_total"]),
                        "sizes": [int(s) for s in sizes],
@@ -70,8 +69,6 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.ranks is not None:
         cfg.k = args.ranks
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
     if cfg.out_dir is None:
@@ -136,14 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("partition", help="partition a mesh and report quality")
     q.add_argument("mesh", help="mesh file")
     q.add_argument("k", type=int, help="number of parts")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", help="write metrics + assignment JSON here")
     q.set_defaults(fn=_cmd_partition)
 
     r = sub.add_parser("run", help="run a simulation from a config file")
     r.add_argument("--config", required=True)
     r.add_argument("--ranks", type=int, help="override [run] k")
-    r.add_argument("--seed", type=int, help="override [run] seed")
     r.add_argument("--out", help="override [run] out_dir")
     r.set_defaults(fn=_cmd_run)
 

@@ -57,7 +57,6 @@ class RunConfig:
     mesh_path: str | None = None
     mesh_n: int = 16                # used when mesh_path is unset
     k: int = 1
-    seed: int = 0
     steps: int = 10
     dt: float | None = None         # None = CFL-reduced each step
     cfl: float = 0.4
@@ -152,10 +151,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
 
     run_keys = {
-        "mesh_path": str, "mesh_n": _int, "k": _int, "seed": _int,
-        "steps": _int, "dt": _float, "cfl": _float, "physics": str,
-        "output_every": _int, "out_dir": str, "name": str,
-        "timeout_s": _float,
+        "mesh_path": str, "mesh_n": _int, "k": _int, "steps": _int,
+        "dt": _float, "cfl": _float, "physics": str, "output_every": _int,
+        "out_dir": str, "name": str, "timeout_s": _float,
     }
     if parser.has_section("run"):
         for key, raw in parser.items("run"):

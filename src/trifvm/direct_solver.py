@@ -3,7 +3,9 @@
 Multifrontal (Duff & Reid 1983; Amestoy et al. 2001, the scheme of MUMPS):
 the matrix, ordered by reverse Cuthill-McKee as B = A[perm][:, perm] to keep
 fill local, is eliminated as a tree of small dense fronts, so the Python
-overhead is paid per front column rather than per nonzero.
+overhead is paid per front column rather than per nonzero.  The ordering is
+the level sweep `partition.cuthill_mckee` that also splits the mesh, run
+on the pattern of A + A^T.
 
 Symbolic phase, on the pattern of B + B^T.  Column j's structure (its rows
 below j in the Cholesky factor of that pattern) is its own lower pattern
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
+from .partition import DualGraph, cuthill_mckee, graph_from_pairs
 from .poisson import CsrMatrix
 
 PIVOT_FLOOR = 1e-14
@@ -83,24 +86,13 @@ class LuFactors:
         return int(np.count_nonzero(self.pivot_rows != np.arange(self.n)))
 
 
-def adjacency_pattern(mat: CsrMatrix):
-    """Symmetrized off-diagonal pattern as per-vertex sorted neighbor lists."""
+def adjacency_pattern(mat: CsrMatrix) -> DualGraph:
+    """Symmetrized off-diagonal pattern as a CSR graph."""
     rows = np.repeat(np.arange(mat.n), np.diff(mat.indptr))
-    cols = mat.indices
-    keep = rows != cols
-    heads = np.concatenate([rows[keep], cols[keep]])
-    tails = np.concatenate([cols[keep], rows[keep]])
-    order = np.lexsort((tails, heads))
-    heads, tails = heads[order], tails[order]
-    if len(heads):
-        uniq = np.empty(len(heads), dtype=bool)
-        uniq[0] = True
-        uniq[1:] = (heads[1:] != heads[:-1]) | (tails[1:] != tails[:-1])
-        heads, tails = heads[uniq], tails[uniq]
-    ptr = np.zeros(mat.n + 1, dtype=np.int64)
-    np.add.at(ptr, heads + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    return ptr, tails
+    keep = rows != mat.indices
+    rows, cols = rows[keep], mat.indices[keep]
+    return graph_from_pairs(mat.n, np.concatenate([rows, cols]),
+                            np.concatenate([cols, rows]))
 
 
 def rcm_order(mat: CsrMatrix) -> np.ndarray:
@@ -109,29 +101,10 @@ def rcm_order(mat: CsrMatrix) -> np.ndarray:
     Deterministic: each component starts from its minimum-degree vertex
     (lowest index on ties) and neighbors enqueue sorted by (degree, index).
     """
-    ptr, adj = adjacency_pattern(mat)
-    degree = np.diff(ptr)
-    visited = np.zeros(mat.n, dtype=bool)
-    order = np.empty(mat.n, dtype=np.int64)
-    pos = 0
-    by_degree = sorted(range(mat.n), key=lambda v: (degree[v], v))
-    for start in by_degree:
-        if visited[start]:
-            continue
-        visited[start] = True
-        order[pos] = start
-        pos += 1
-        head = pos - 1
-        while head < pos:
-            v = order[head]
-            head += 1
-            nbrs = [int(w) for w in adj[ptr[v]:ptr[v + 1]] if not visited[w]]
-            nbrs.sort(key=lambda w: (degree[w], w))
-            for w in nbrs:
-                visited[w] = True
-                order[pos] = w
-                pos += 1
-    return order[::-1].copy()
+    graph = adjacency_pattern(mat)
+    by_degree = np.argsort(np.diff(graph.ptr), kind="stable")
+    return cuthill_mckee(graph, np.ones(mat.n, dtype=bool),
+                         by_degree)[::-1].copy()
 
 
 def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):

@@ -1,11 +1,14 @@
 """Mesh partitioning over the dual graph, plus subdomain construction.
 
 The dual graph has one vertex per triangle and one edge per interior face
-(degree <= 3).  Partitioning is greedy graph growing from k seeds spread by
-a farthest-point sweep, followed by Kernighan-Lin style boundary refinement
-that only accepts moves keeping the balance constraint.  Everything is
-deterministic for a fixed (graph, k, seed); ties break toward the lowest
-cell index.
+(degree <= 3).  Partitioning is recursive bisection by Cuthill-McKee
+sweeps, the level routine that also orders the direct solver
+(`direct_solver.rcm_order`).  A sweep from the lowest (degree, id) cell
+ends at a far cell; a second sweep from that cell orders the cells level by
+level, and the first floor(n * floor(k/2) / k) of them take floor(k/2) of
+the k parts, the rest the others, each half split again the same way.
+Part sizes differ by at most one, and a partition depends on (graph, k)
+alone.
 
 Subdomains carry the rank's own cells plus a halo of every neighbor cell
 sharing at least one node with an own cell.  That is deliberately wider than
@@ -26,8 +29,6 @@ lists; global-to-local maps are index arrays.
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,11 @@ from .mesh import HALO_FRINGE, Mesh, _finalize_geometry
 
 @dataclass
 class DualGraph:
-    """Adjacency of triangles across interior faces (CSR layout)."""
+    """CSR graph: triangles across interior faces, or a matrix pattern."""
 
     n: int
     ptr: np.ndarray        # (n + 1,)
-    adj: np.ndarray        # neighbor cell ids
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adj[self.ptr[v]:self.ptr[v + 1]]
+    adj: np.ndarray        # neighbor ids, ascending per vertex
 
 
 @dataclass
@@ -54,139 +52,76 @@ class PartitionMap:
     k: int
 
 
+def graph_from_pairs(n: int, heads: np.ndarray, tails: np.ndarray) -> DualGraph:
+    """CSR graph on n vertices with an edge for each distinct (head, tail)
+    pair; each vertex's neighbors ascending.  Pass both directions."""
+    pairs = np.sort(heads * n + tails)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    ptr = np.searchsorted(pairs // n, np.arange(n + 1)).astype(np.int64)
+    return DualGraph(n=n, ptr=ptr, adj=pairs % n)
+
+
 def build_dual_graph(mesh: Mesh) -> DualGraph:
     inter = mesh.interior_faces()
     left = mesh.face_cells[inter, 0]
     right = mesh.face_cells[inter, 1]
-    heads = np.concatenate([left, right])
-    tails = np.concatenate([right, left])
-    order = np.lexsort((tails, heads))
-    heads, tails = heads[order], tails[order]
-    ptr = np.zeros(mesh.n_cells + 1, dtype=np.int64)
-    np.add.at(ptr, heads + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    return DualGraph(n=mesh.n_cells, ptr=ptr, adj=tails)
+    return graph_from_pairs(mesh.n_cells, np.concatenate([left, right]),
+                            np.concatenate([right, left]))
 
 
-def _bfs_farthest(graph: DualGraph, sources) -> int:
-    """Vertex with maximal BFS distance from the source set (lowest id wins)."""
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    q = deque()
-    for s in sources:
-        dist[s] = 0
-        q.append(s)
-    far, far_d = int(sources[0]), 0
-    while q:
-        v = q.popleft()
-        for w in graph.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                q.append(w)
-                if dist[w] > far_d or (dist[w] == far_d and w < far):
-                    far, far_d = int(w), int(dist[w])
-    unreached = np.flatnonzero(dist < 0)
-    if unreached.size:  # disconnected: jump components
-        return int(unreached[0])
-    return far
+def cuthill_mckee(graph: DualGraph, free: np.ndarray, starts) -> np.ndarray:
+    """Cuthill-McKee order of the vertices marked in `free`, which it clears.
+
+    A sweep goes one BFS level at a time from the first still-free vertex
+    of `starts`, then from the next, until no vertex of `starts` is free.
+    A new level lists its vertices by (position of the earliest neighbor in
+    the previous level, degree, id): the order a per-vertex queue that
+    enqueues each vertex's free neighbors by (degree, id) produces.
+    Degrees count every neighbor, free or not.
+    """
+    degree = np.diff(graph.ptr)
+    levels = []
+    for s in starts.tolist():
+        if not free[s]:
+            continue
+        level = np.array([s])
+        while level.size:
+            free[level] = False
+            levels.append(level)
+            lo, count = graph.ptr[level], degree[level]
+            ends = np.cumsum(count)
+            nbrs = graph.adj[np.arange(ends[-1])
+                             + np.repeat(lo - ends + count, count)]
+            parent = np.repeat(np.arange(len(level)), count)
+            keep = free[nbrs]
+            nbrs, parent = nbrs[keep], parent[keep]
+            nbrs = nbrs[np.lexsort((nbrs, degree[nbrs], parent))]
+            level = nbrs[np.sort(np.unique(nbrs, return_index=True)[1])]
+    return np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
 
 
-def _grow(graph: DualGraph, seeds: list[int]) -> np.ndarray:
-    """Simultaneous BFS growth; the currently smallest part claims next."""
-    k = len(seeds)
-    part = np.full(graph.n, -1, dtype=np.int64)
-    frontiers = [deque() for _ in range(k)]
-    sizes = [0] * k
-    for r, s in enumerate(seeds):
-        part[s] = r
-        sizes[r] += 1
-        frontiers[r].append(s)
-    assigned = k
-    while assigned < graph.n:
-        r = min(range(k), key=lambda i: (sizes[i], i))
-        grabbed = False
-        while frontiers[r]:
-            v = frontiers[r].popleft()
-            nxt = [int(w) for w in graph.neighbors(v) if part[w] < 0]
-            if not nxt:
-                continue
-            nxt.sort()
-            w = nxt[0]
-            part[w] = r
-            sizes[r] += 1
-            frontiers[r].append(w)
-            if len(nxt) > 1:
-                frontiers[r].appendleft(v)  # v still has unclaimed neighbors
-            grabbed = True
-            break
-        if not grabbed:
-            # stalled part (walled in or disconnected graph): take the lowest
-            # free vertex so every cell lands somewhere
-            w = int(np.flatnonzero(part < 0)[0])
-            part[w] = r
-            sizes[r] += 1
-            frontiers[r].append(w)
-        assigned += 1
-    return part
+def _bisect(graph: DualGraph, cells: np.ndarray, k: int, first: int,
+            part: np.ndarray) -> None:
+    """Give `cells` (ascending ids) parts first .. first + k - 1."""
+    if k == 1:
+        part[cells] = first
+        return
+    by_degree = cells[np.argsort(np.diff(graph.ptr)[cells], kind="stable")]
+    free = np.zeros(graph.n, dtype=bool)
+    free[cells] = True
+    far = cuthill_mckee(graph, free.copy(), by_degree)[-1]
+    order = cuthill_mckee(graph, free, np.concatenate([[far], by_degree]))
+    half = k // 2
+    cut = len(cells) * half // k
+    _bisect(graph, np.sort(order[:cut]), half, first, part)
+    _bisect(graph, np.sort(order[cut:]), k - half, first + half, part)
 
 
-def _refine(graph: DualGraph, part: np.ndarray, k: int, max_passes: int = 20):
-    """Boundary moves with positive edge-cut gain under a balance cap."""
-    sizes = np.bincount(part, minlength=k)
-    # balance cap: never let a move push a part past 110% of the mean,
-    # rounded down so the ratio itself stays <= 1.10; always feasible
-    cap = max(int(1.10 * graph.n / k), -(-graph.n // k))
-    for _ in range(max_passes):
-        moved = False
-        for v in range(graph.n):
-            home = part[v]
-            if sizes[home] <= 1:
-                continue
-            counts = {}
-            for w in graph.neighbors(v):
-                counts[part[w]] = counts.get(part[w], 0) + 1
-            external = [(p, c) for p, c in counts.items() if p != home]
-            if not external:
-                continue
-            internal = counts.get(home, 0)
-            best_gain, best_part = 0, -1
-            for p, c in sorted(external):
-                if sizes[p] + 1 > cap:
-                    continue
-                gain = c - internal
-                better = gain > best_gain or (
-                    gain == best_gain and best_part >= 0
-                    and sizes[p] < sizes[best_part])
-                if gain > 0 and (best_part < 0 or better):
-                    best_gain, best_part = gain, p
-            if best_part >= 0:
-                sizes[home] -= 1
-                sizes[best_part] += 1
-                part[v] = best_part
-                moved = True
-        if not moved:
-            break
-    return part
-
-
-def partition(graph: DualGraph, k: int, seed: int = 0) -> PartitionMap:
+def partition(graph: DualGraph, k: int) -> PartitionMap:
     if k < 1 or k > graph.n:
         raise InvalidK(f"k = {k} outside 1..{graph.n}")
-    if k == 1:
-        return PartitionMap(part=np.zeros(graph.n, dtype=np.int64), k=1)
-    rng = random.Random(seed)
-    seeds = [rng.randrange(graph.n)]
-    while len(seeds) < k:
-        cand = _bfs_farthest(graph, seeds)
-        if cand in seeds:  # exhausted distances; fill with lowest free ids
-            free = sorted(set(range(graph.n)) - set(seeds))
-            seeds.extend(free[:k - len(seeds)])
-            break
-        seeds.append(cand)
-    part = _grow(graph, seeds[:k])
-    part = _refine(graph, part, k)
-    sizes = np.bincount(part, minlength=k)
-    if sizes.min() < 1:
-        raise InvalidK("refinement emptied a part")  # should be unreachable
+    part = np.empty(graph.n, dtype=np.int64)
+    _bisect(graph, np.arange(graph.n), k, 0, part)
     return PartitionMap(part=part, k=k)
 
 
@@ -205,7 +140,7 @@ def partition_metrics(graph: DualGraph, pm: PartitionMap) -> dict:
     # distinct (part, foreign neighbor) pairs
     halo_total = len(np.unique(pm.part[heads[cross]] * graph.n
                                + graph.adj[cross]))
-    return {"edge_cut": edge_cut(graph, pm),
+    return {"edge_cut": int(np.count_nonzero(cross)) // 2,
             "imbalance": imbalance,
             "halo_total": halo_total}
 

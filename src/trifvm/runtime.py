@@ -461,8 +461,8 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
 
     The host reads and splits the mesh and assembles + factorizes the
     potential matrix exactly once (it depends only on the mesh) before the
-    ranks start; each step then reuses the factors.  Fixed config and seed
-    give bit-identical fields and output files for a fixed k.
+    ranks start; each step then reuses the factors.  A fixed config gives
+    bit-identical fields and output files for a fixed k.
     """
     cfg.validate()
     mesh = _load_global_mesh(cfg)
@@ -473,8 +473,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
     if cfg.k == 1:
         subs = [single_subdomain(mesh)]
     else:
-        subs = build_subdomains(mesh, partition(build_dual_graph(mesh),
-                                                cfg.k, cfg.seed))
+        subs = build_subdomains(mesh, partition(build_dual_graph(mesh), cfg.k))
 
     num_assemblies = num_factorizations = 0
     problem = factors = solver = None

@@ -259,7 +259,7 @@ def test_transport_conservation_and_upwind_bounds_on_irregular_meshes():
 
 def _partition_quality(g, k, rng_seed):
     """(imbalance, edge cut, best cut of 100 random balanced partitions)."""
-    pm = partition(g, k, seed=0)
+    pm = partition(g, k)
     metrics = partition_metrics(g, pm)
     rng = np.random.default_rng(rng_seed)
     best_random = min(

@@ -55,8 +55,7 @@ def test_genmesh_partition_flow(tmp_path, capsys):
     mesh = tmp_path / "m.txt"
     assert main(["genmesh", "10", str(mesh)]) == 0
     out = tmp_path / "parts.json"
-    assert main(["partition", str(mesh), "4", "--seed", "1",
-                 "--out", str(out)]) == 0
+    assert main(["partition", str(mesh), "4", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["k"] == 4 and len(doc["part"]) == 200
     assert doc["imbalance"] <= 1.10
@@ -158,8 +157,9 @@ def test_rerun_outputs_byte_identical(tmp_path, capsys):
 def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
     bad = tmp_path / "bad.ini"
-    bad.write_text("[run]\nmesh_n = 8\nbogus = 1\n")
-    assert main(["run", "--config", str(bad)]) == 2
+    for key in ("bogus", "seed"):   # the partitioner takes no seed
+        bad.write_text(f"[run]\nmesh_n = 8\n{key} = 1\n")
+        assert main(["run", "--config", str(bad)]) == 2
     nobase = tmp_path / "nb.csv"
     nobase.write_text("cores,total\n2,100\n")
     assert main(["scaling", str(nobase), "--out",

@@ -13,7 +13,6 @@ TRANSPORT_INI = """\
 [run]
 mesh_n = 24
 k = 4
-seed = 7
 steps = 30
 cfl = 0.3
 physics = transport
@@ -67,7 +66,7 @@ def _load(tmp_path, text):
 
 def test_transport_round_trip(tmp_path):
     cfg = _load(tmp_path, TRANSPORT_INI)
-    assert cfg.mesh_n == 24 and cfg.k == 4 and cfg.seed == 7
+    assert cfg.mesh_n == 24 and cfg.k == 4
     assert cfg.steps == 30 and cfg.cfl == 0.3 and cfg.timeout_s == 90
     assert cfg.physics == "transport" and cfg.name == "demo"
     t = cfg.transport

@@ -61,6 +61,54 @@ def test_rcm_on_path_graph_gives_bandwidth_one():
     assert band == 1
 
 
+def _rcm_reference(mat):
+    """Reverse Cuthill-McKee by a per-vertex queue on neighbor sets built
+    here: each component starts from its lowest (degree, index) vertex, and
+    each dequeued vertex enqueues its unvisited neighbors by (degree, index).
+    """
+    nbrs = [set() for _ in range(mat.n)]
+    for i in range(mat.n):
+        for j in mat.indices[mat.indptr[i]:mat.indptr[i + 1]].tolist():
+            if j != i:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    key = [(len(s), v) for v, s in enumerate(nbrs)]
+    visited = [False] * mat.n
+    order = []
+    for start in sorted(range(mat.n), key=key.__getitem__):
+        if visited[start]:
+            continue
+        visited[start] = True
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in sorted((w for w in nbrs[v] if not visited[w]),
+                            key=key.__getitem__):
+                visited[w] = True
+                order.append(w)
+    return np.array(order[::-1], dtype=np.int64)
+
+
+def test_rcm_matches_the_per_vertex_queue():
+    # random patterns: up to 2 n off-diagonal entries, so most draws are
+    # disconnected and have isolated vertices; n = 1 has no edge at all
+    rng = np.random.default_rng(7)
+    mats = []
+    for n in [1, 2, 3] + rng.integers(4, 80, 60).tolist():
+        m = int(rng.integers(0, 2 * n + 1))
+        rows = np.concatenate([np.arange(n), rng.integers(0, n, m)])
+        cols = np.concatenate([np.arange(n), rng.integers(0, n, m)])
+        mats.append(csr_from_coo(n, rows, cols, np.ones(n + m)))
+    for mesh in (structured_triangulation(12), irregular_mesh(8, 3)):
+        mats.append(assemble_system(mesh, build_diamonds(mesh),
+                                    node_weights(mesh),
+                                    dirichlet_bc(0.0)).matrix)
+    for mat in mats:
+        assert np.array_equal(rcm_order(mat), _rcm_reference(mat))
+
+
 def _lu_from_fronts(f):
     """Dense L and U (step space) rebuilt from the supernodal blocks."""
     n = f.n

@@ -1,12 +1,13 @@
-"""Dual graph, greedy growth + refinement partitioner, subdomain extraction."""
+"""Dual graph, recursive Cuthill-McKee bisection, subdomain extraction."""
 
 import numpy as np
 import pytest
 
 from trifvm.errors import InvalidK
 from trifvm.mesh import structured_triangulation
-from trifvm.partition import (build_dual_graph, build_subdomains, edge_cut,
-                              partition, partition_metrics, single_subdomain)
+from trifvm.partition import (DualGraph, build_dual_graph, build_subdomains,
+                              edge_cut, partition, partition_metrics,
+                              single_subdomain)
 
 from conftest import irregular_mesh
 
@@ -41,7 +42,7 @@ def test_partition_covers_and_balances():
     m = structured_triangulation(16)
     g = build_dual_graph(m)
     for k in (2, 4, 8):
-        pm = partition(g, k, seed=0)
+        pm = partition(g, k)
         sizes = np.bincount(pm.part, minlength=k)
         assert sizes.min() > 0
         metrics = partition_metrics(g, pm)
@@ -52,12 +53,36 @@ def test_partition_covers_and_balances():
 def test_partition_beats_random_assignment():
     m = structured_triangulation(16)
     g = build_dual_graph(m)
-    pm = partition(g, 4, seed=0)
+    pm = partition(g, 4)
     ours = edge_cut(g, pm)
     rng = np.random.default_rng(0)
     best = min(edge_cut(g, type(pm)(part=rng.permutation(
         np.arange(g.n) % 4), k=4)) for _ in range(20))
     assert ours < best
+
+
+def _side_by_side(a, b):
+    """Two dual graphs as one disconnected graph, b's cells after a's."""
+    return DualGraph(n=a.n + b.n,
+                     ptr=np.concatenate([a.ptr, a.ptr[-1] + b.ptr[1:]]),
+                     adj=np.concatenate([a.adj, a.n + b.adj]))
+
+
+def test_partition_edge_cases_are_balanced_and_repeatable():
+    # one cell per part, odd k on irregular meshes, two components
+    single = build_dual_graph(irregular_mesh(4, 1))
+    cases = [(single, single.n)]
+    cases += [(build_dual_graph(irregular_mesh(n, seed)), k)
+              for n, seed in ((8, 1), (9, 2)) for k in (3, 5, 7)]
+    two = _side_by_side(build_dual_graph(irregular_mesh(6, 1)),
+                        build_dual_graph(structured_triangulation(5)))
+    cases += [(two, k) for k in (2, 3, 5)]
+    for g, k in cases:
+        part = partition(g, k).part
+        sizes = np.bincount(part)
+        assert len(sizes) == k and sizes.min() >= 1
+        assert sizes.max() - sizes.min() <= 1
+        assert np.array_equal(partition(g, k).part, part)
 
 
 def test_single_subdomain_is_identity():
@@ -72,7 +97,7 @@ def test_single_subdomain_is_identity():
 def test_subdomains_partition_cells():
     m = structured_triangulation(8)
     g = build_dual_graph(m)
-    pm = partition(g, 4, seed=1)
+    pm = partition(g, 4)
     subs = build_subdomains(m, pm)
     owned = np.concatenate([s.own_cells for s in subs])
     assert np.array_equal(np.sort(owned), np.arange(m.triangles.shape[0]))
@@ -82,13 +107,13 @@ def test_subdomains_partition_cells():
 
 
 def _split_cases():
-    """(mesh, subdomains): the structured n = 8 grid at k = 4 (seeds 0 and
-    2) and two irregular meshes at k = 2 and 3."""
-    for m, k, seed in ((structured_triangulation(8), 4, 0),
-                       (structured_triangulation(8), 4, 2),
-                       (irregular_mesh(8, 1), 2, 1),
-                       (irregular_mesh(9, 2), 3, 2)):
-        yield m, build_subdomains(m, partition(build_dual_graph(m), k, seed))
+    """(mesh, subdomains): the structured n = 8 grid at k = 4 and 5 and two
+    irregular meshes at k = 2 and 3."""
+    for m, k in ((structured_triangulation(8), 4),
+                 (structured_triangulation(8), 5),
+                 (irregular_mesh(8, 1), 2),
+                 (irregular_mesh(9, 2), 3)):
+        yield m, build_subdomains(m, partition(build_dual_graph(m), k))
 
 
 def test_halo_is_node_adjacent_closure():
