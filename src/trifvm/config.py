@@ -1,9 +1,9 @@
 """Run configuration: dataclasses plus a flat key = value file format.
 
 Sections: [run], [transport], [streamer], [bc], [potential_bc].  Boundary
-entries map a face label to either `neumann` or `dirichlet <value>`.  Any
-unknown key is an error so typos fail loudly instead of silently running
-defaults.
+entries map a face label to either `neumann` or `dirichlet <value>`; other
+keys left empty keep their defaults.  Any unknown key is an error so typos
+fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -138,6 +138,27 @@ def _bc_section(parser, section) -> dict | None:
     return out
 
 
+_KEYS = {
+    "run": {
+        "mesh_path": str, "mesh_n": _int, "k": _int, "steps": _int,
+        "dt": _float, "cfl": _float, "physics": str, "output_every": _int,
+        "out_dir": str, "name": str, "timeout_s": _float,
+    },
+    "transport": {
+        "velocity": _pair, "diffusion": _float, "init": str,
+        "center": _pair, "sigma": _float, "amplitude": _float,
+        "constant": _float,
+    },
+    "streamer": {
+        "model": str, "mu_e": _float, "d_e": _float, "alpha": _float,
+        "eps": _float, "q_e": _float, "table_path": str,
+        "seed_center": _pair, "seed_sigma": _float,
+        "seed_amplitude": _float, "ion_amplitude": _float,
+        "pin_cell": _int,
+    },
+}
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
@@ -145,50 +166,21 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file: {path}")
 
     cfg = RunConfig()
-    known = {"run", "transport", "streamer", "bc", "potential_bc"}
-    extra = set(parser.sections()) - known
+    extra = set(parser.sections()) - set(_KEYS) - {"bc", "potential_bc"}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
 
-    run_keys = {
-        "mesh_path": str, "mesh_n": _int, "k": _int, "steps": _int,
-        "dt": _float, "cfl": _float, "physics": str, "output_every": _int,
-        "out_dir": str, "name": str, "timeout_s": _float,
-    }
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            conv = run_keys.get(key)
+    for section, target in (("run", cfg), ("transport", cfg.transport),
+                            ("streamer", cfg.streamer)):
+        if not parser.has_section(section):
+            continue
+        for key, raw in parser.items(section):
+            conv = _KEYS[section].get(key)
             if conv is None:
-                raise ConfigError(f"[run] unknown key '{key}'")
-            setattr(cfg, key, raw if conv is str else conv("run", key, raw))
-
-    tr_keys = {
-        "velocity": _pair, "diffusion": _float, "init": str,
-        "center": _pair, "sigma": _float, "amplitude": _float,
-        "constant": _float,
-    }
-    if parser.has_section("transport"):
-        for key, raw in parser.items("transport"):
-            conv = tr_keys.get(key)
-            if conv is None:
-                raise ConfigError(f"[transport] unknown key '{key}'")
-            setattr(cfg.transport, key,
-                    raw if conv is str else conv("transport", key, raw))
-
-    st_keys = {
-        "model": str, "mu_e": _float, "d_e": _float, "alpha": _float,
-        "eps": _float, "q_e": _float, "table_path": str,
-        "seed_center": _pair, "seed_sigma": _float,
-        "seed_amplitude": _float, "ion_amplitude": _float,
-        "pin_cell": _int,
-    }
-    if parser.has_section("streamer"):
-        for key, raw in parser.items("streamer"):
-            conv = st_keys.get(key)
-            if conv is None:
-                raise ConfigError(f"[streamer] unknown key '{key}'")
-            setattr(cfg.streamer, key,
-                    raw if conv is str else conv("streamer", key, raw))
+                raise ConfigError(f"[{section}] unknown key '{key}'")
+            if raw:   # an empty value keeps the default
+                setattr(target, key,
+                        raw if conv is str else conv(section, key, raw))
 
     bc = _bc_section(parser, "bc")
     if bc is not None:

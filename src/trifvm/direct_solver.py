@@ -111,9 +111,9 @@ def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
     """Symbolic phase: each supernode's first column (then n), each front's
     index list and children, and the supernode of each column."""
     lo, hi = np.minimum(b_rows, b_cols), np.maximum(b_rows, b_cols)
-    pairs = np.unique((lo * n + hi)[lo != hi])   # lower pattern of B + B^T
-    lo, hi = pairs // n, pairs % n
-    lo_ptr = np.searchsorted(lo, np.arange(n + 1))
+    off = lo != hi
+    lower = graph_from_pairs(n, lo[off], hi[off])   # lower pattern of B + B^T
+    lo_ptr, hi = lower.ptr, lower.adj
     parent = np.full(n, -1, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
     struct = [None] * n

@@ -53,8 +53,8 @@ class PartitionMap:
 
 
 def graph_from_pairs(n: int, heads: np.ndarray, tails: np.ndarray) -> DualGraph:
-    """CSR graph on n vertices with an edge for each distinct (head, tail)
-    pair; each vertex's neighbors ascending.  Pass both directions."""
+    """CSR graph on n vertices, an edge per distinct (head, tail) pair, each
+    vertex's neighbors ascending; undirected graphs pass both directions."""
     pairs = np.sort(heads * n + tails)
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     ptr = np.searchsorted(pairs // n, np.arange(n + 1)).astype(np.int64)

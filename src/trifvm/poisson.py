@@ -14,10 +14,10 @@ vector, keeping the matrix symmetric where the scheme is.  Homogeneous
 Neumann faces contribute nothing.  An all-Neumann operator has the constant
 nullspace and is rejected unless a cell is pinned to zero.
 
-The matrix is stored CSR with a structurally symmetric pattern (explicit
-zeros pad the transpose positions).  It depends only on mesh, weights, and
-boundary layout, so a simulation assembles it exactly once; the right-hand
-side is cheap and rebuilt every step.
+The matrix is stored CSR with its pattern as assembled (the solver works on
+A + A^T).  It depends only on mesh, weights, and boundary layout, so a
+simulation assembles it exactly once; the right-hand side is cheap and
+rebuilt every step.
 """
 
 from __future__ import annotations
@@ -27,46 +27,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem, TopologyError
-from .mesh import DiamondCells, Mesh, NodeWeights
+from .mesh import HALO_FRINGE, DiamondCells, Mesh, NodeWeights
+from .partition import graph_from_pairs
 from .transport import (BC_DIRICHLET, BC_NEUMANN, diamond_stencil,
                         dirichlet_data)
 
 
 @dataclass
 class CsrMatrix:
+    """n x n CSR, columns ascending per row, the pattern as assembled."""
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
 
 
-def csr_from_coo(n: int, rows, cols, vals, symmetrize_pattern=True) -> CsrMatrix:
-    """Sorted, duplicate-summed CSR; optionally pad transpose positions with
-    explicit zeros so (i, j) present <=> (j, i) present."""
+def csr_from_coo(n: int, rows, cols, vals) -> CsrMatrix:
+    """CSR of the triplets, columns ascending per row; duplicates are summed
+    in input order and explicit zeros are kept."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if symmetrize_pattern and len(rows):
-        r0, c0, v0 = rows, cols, vals
-        rows = np.concatenate([r0, c0])
-        cols = np.concatenate([c0, r0])
-        vals = np.concatenate([v0, np.zeros(len(v0))])
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if len(rows):
-        new_group = np.empty(len(rows), dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(new_group)
-        data = np.add.reduceat(vals, starts)
-        r, c = rows[starts], cols[starts]
-    else:
-        data = vals
-        r, c = rows, cols
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, r + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CsrMatrix(n=n, indptr=indptr, indices=c, data=data)
+    g = graph_from_pairs(n, rows, cols)
+    keys = np.repeat(np.arange(n), np.diff(g.ptr)) * n + g.adj
+    slot = np.searchsorted(keys, rows * n + cols)
+    data = np.bincount(slot, weights=np.asarray(vals, dtype=np.float64),
+                       minlength=len(keys))
+    return CsrMatrix(n=n, indptr=g.ptr, indices=g.adj, data=data)
 
 
 # --------------------------------------------------------------------------
@@ -91,7 +77,7 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     interpolation weights.  With S the signed cell-face incidence, the
     explicit residual is S F, so A = -S Phi and lift = S phi0.
     """
-    if any(lbl == "halo" for lbl in mesh.face_labels):
+    if any(lbl == HALO_FRINGE for lbl in mesh.face_labels):
         raise TopologyError("Poisson assembly needs the global mesh, not a halo view")
 
     st = diamond_stencil(mesh, bc, diamonds, weights)

@@ -38,6 +38,7 @@ from .mesh import (INTERIOR, Mesh, build_diamonds, load_mesh, node_weights,
 from .partition import (Subdomain, build_dual_graph, build_subdomains,
                         partition, single_subdomain)
 from .poisson import PoissonProblem, assemble_rhs, assemble_system
+from .scaling import PHASES
 from .streamer import (FluxContext, StreamerCoefficients, StreamerState,
                        StreamerSystem)
 from .transport import (Field, FaceVelocity, Fluxes,
@@ -45,8 +46,6 @@ from .transport import (Field, FaceVelocity, Fluxes,
                         diamond_stencil, diffusive_residual, dirichlet_data,
                         explicit_step, stable_dt)
 from .vtk_io import write_vtk
-
-PHASES = ("convection", "diffusion", "linear_solver", "total")
 
 _POLL = 0.02  # seconds between abort checks while blocked on a link
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroDt
-from .mesh import INTERIOR, DiamondCells, Mesh, NodeWeights
+from .mesh import HALO_FRINGE, INTERIOR, DiamondCells, Mesh, NodeWeights
 from .partition import Subdomain
 
 BC_INTERIOR = 0
@@ -91,7 +91,7 @@ def classify_faces(lm: Mesh, bc: dict) -> np.ndarray:
             continue
         spec = bc.get(label)
         if spec is None:
-            if label == "halo":
+            if label == HALO_FRINGE:
                 continue  # fringe face, owned by another rank
             raise KeyError(f"no boundary condition for label '{label}'")
         kind[f] = BC_DIRICHLET if spec[0] == "dirichlet" else BC_NEUMANN

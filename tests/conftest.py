@@ -116,8 +116,14 @@ def geom16(sub16):
     return build_diamonds(lm), node_weights(lm, cell_order=sub16.cells_l2g)
 
 
-def random_spd_like(rng, n, extra_per_row=3):
-    """Random sparse symmetric-pattern, strictly diagonally dominant system."""
+def random_spd_like(rng, n, extra_per_row=3, symmetric=True):
+    """Random sparse, strictly diagonally dominant system.
+
+    symmetric=True mirrors every off-diagonal entry.  symmetric=False keeps
+    only (i, j), so the pattern is structurally unsymmetric; the diagonal
+    then dominates both its row and its column, which keeps it an
+    acceptable pivot through the elimination.
+    """
     rows, cols, vals = [], [], []
     for i in range(n):
         picks = rng.choice(n, size=min(extra_per_row, n), replace=False)
@@ -125,11 +131,13 @@ def random_spd_like(rng, n, extra_per_row=3):
             if i == j:
                 continue
             v = rng.uniform(-1.0, 1.0)
-            rows += [i, j]
-            cols += [j, i]
-            vals += [v, v]
+            rows += [i, j] if symmetric else [i]
+            cols += [j, i] if symmetric else [j]
+            vals += [v, v] if symmetric else [v]
     off = np.zeros(n)
     np.add.at(off, np.asarray(rows), np.abs(np.asarray(vals)))
+    if not symmetric:
+        np.add.at(off, np.asarray(cols), np.abs(np.asarray(vals)))
     for i in range(n):
         rows.append(i)
         cols.append(i)

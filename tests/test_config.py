@@ -1,8 +1,12 @@
 """INI config parsing, validation, and the VTK writer."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from trifvm.cli import main
 from trifvm.config import (RunConfig, StreamerConfig, TransportConfig,
                            load_coefficient_table, load_config)
 from trifvm.errors import ConfigError
@@ -88,6 +92,27 @@ def test_streamer_round_trip(tmp_path):
     assert s.potential_bc["top"] == ("neumann",)
     assert s.species_bc["left"] == ("neumann",)
     cfg.validate()
+
+
+def test_readme_sample_config_runs(tmp_path):
+    # the README's config block, verbatim: its empty values keep defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    p = tmp_path / "run.ini"
+    p.write_text(block)
+    cfg = load_config(p)
+    assert cfg.mesh_path is None and cfg.dt is None and cfg.out_dir is None
+    assert (cfg.mesh_n, cfg.k, cfg.steps) == (16, 1, 10)
+    assert cfg.streamer.table_path is None and cfg.streamer.pin_cell is None
+    assert cfg.streamer.ion_amplitude is None
+    assert cfg.transport.bc == {"left": ("neumann",),
+                                "right": ("dirichlet", 2.0),
+                                "top": ("neumann",), "bottom": ("neumann",)}
+    assert cfg.streamer.species_bc == cfg.transport.bc
+    assert cfg.streamer.potential_bc["left"] == ("dirichlet", 1.0)
+    assert cfg.streamer.potential_bc["right"] == ("dirichlet", 0.0)
+    assert main(["run", "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("body", [

@@ -155,15 +155,20 @@ def test_rcm_reduces_fill_on_assembled_operator():
 
 
 def test_seeded_systems_match_dense_oracle():
-    rng = np.random.default_rng(42)
-    for trial in range(12):
-        n = int(rng.integers(5, 120))
-        rows, cols, vals = random_spd_like(rng, n)
-        mat = csr_from_coo(n, rows, cols, vals)
-        b = rng.standard_normal(n)
-        x = solve(factorize(mat), b)
-        ref = dense_lu_oracle(_csr_to_dense(mat), b)
-        assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    # the unsymmetric patterns reach the solver unpadded: B + B^T is formed
+    # by the symbolic phase alone
+    for symmetric in (True, False):
+        rng = np.random.default_rng(42)
+        for trial in range(12):
+            n = int(rng.integers(5, 120))
+            rows, cols, vals = random_spd_like(rng, n, symmetric=symmetric)
+            mat = csr_from_coo(n, rows, cols, vals)
+            a = _csr_to_dense(mat)
+            assert np.array_equal(a != 0, a.T != 0) == symmetric
+            b = rng.standard_normal(n)
+            x = solve(factorize(mat), b)
+            ref = dense_lu_oracle(a, b)
+            assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
 @settings(max_examples=25, deadline=None)
@@ -220,8 +225,7 @@ def test_singular_matrix_raises():
 
 
 def test_zero_column_raises():
-    mat = csr_from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 0.0, 1.0],
-                       symmetrize_pattern=False)
+    mat = csr_from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 0.0, 1.0])
     with pytest.raises(SingularMatrix):
         factorize(mat)
 

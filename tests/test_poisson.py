@@ -109,8 +109,10 @@ def test_dirichlet_lift_moves_data_to_rhs():
 
 def test_csr_from_coo_sums_duplicates():
     mat = csr_from_coo(2, [0, 0, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 5.0, -1.0])
-    a = _csr_to_dense(mat)
-    assert a[0, 0] == 3.0 and a[1, 1] == 5.0 and a[0, 1] == -1.0
+    # the pattern as given: no (1, 0) is padded in
+    assert mat.indptr.tolist() == [0, 2, 3]
+    assert mat.indices.tolist() == [0, 1, 1]
+    assert mat.data.tolist() == [3.0, -1.0, 5.0]
 
 
 def test_assemble_matrix_row_sums_vanish_for_pure_neumann():
@@ -131,6 +133,25 @@ def test_assemble_matrix_row_sums_vanish_for_pure_neumann():
 MIXED = {"left": ("dirichlet", 1.5),
          "right": ("dirichlet", lambda x, y: math.cos(2.0 * y) - x),
          "top": ("neumann",), "bottom": ("neumann",)}
+PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
+          "top": ("neumann",), "bottom": ("neumann",)}
+
+
+@pytest.mark.parametrize("bc, pin", [(dirichlet_bc(0.0), None),
+                                     (PLATES, None), (ALL_NEUMANN, 5),
+                                     (MIXED, None)],
+                         ids=["dirichlet", "plates", "neumann", "mixed"])
+@pytest.mark.parametrize("seed", [None, 3], ids=["structured", "irregular"])
+def test_assembled_pattern_is_structurally_symmetric(seed, bc, pin):
+    # (i, j) is assembled iff (j, i) is, so the matrix needs no transpose
+    # padding for the solver's pattern of A + A^T to equal its own
+    mesh = structured_triangulation(12) if seed is None \
+        else irregular_mesh(8, seed)
+    mat = assemble_system(mesh, build_diamonds(mesh), node_weights(mesh),
+                          bc, pin_cell=pin).matrix
+    rows = np.repeat(np.arange(mat.n), np.diff(mat.indptr))
+    keys = rows * mat.n + mat.indices
+    assert np.array_equal(keys, np.sort(mat.indices * mat.n + rows))
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2], ids=["structured", "irregular1",
