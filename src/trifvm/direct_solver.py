@@ -120,7 +120,13 @@ def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
     pending = [[] for _ in range(n)]   # children's structures, minus the parent
     for j in range(n):
         parts = pending[j] + [hi[lo_ptr[j]:lo_ptr[j + 1]]]
-        s = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+        if len(parts) == 1:
+            s = parts[0]
+        else:   # the sorted union: sort, then drop repeats of a neighbour
+            s = np.sort(np.concatenate(parts))
+            keep = np.ones(len(s), dtype=bool)
+            keep[1:] = s[1:] != s[:-1]
+            s = s[keep]
         struct[j], count[j] = s, len(s)
         if len(s):
             parent[j] = s[0]

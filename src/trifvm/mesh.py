@@ -10,6 +10,8 @@ treated as immutable afterwards:
 * cell areas and centroids,
 * per-cell face lists in the triangle's own edge order (v0v1, v1v2, v2v0)
   together with outward-flux signs,
+* the boundary faces, and each face's right cell (its left cell on the
+  boundary), the index arrays the explicit kernels gather through,
 * diamond cells (the quadrilateral spanned by the two adjacent centroids and
   the face endpoints) used by the gradient reconstruction,
 * node interpolation weights from a first-order least-squares fit.
@@ -29,6 +31,7 @@ Boundary edges not listed get the label ``default``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +62,8 @@ class Mesh:
     face_normals: np.ndarray = field(default=None)  # (n_faces, 2) unit, left->right
     face_lengths: np.ndarray = field(default=None)
     face_midpoints: np.ndarray = field(default=None)
+    face_right: np.ndarray = field(default=None)  # right cell, left on boundary
+    boundary: np.ndarray = field(default=None)    # boundary face ids, ascending
 
     @property
     def n_nodes(self) -> int:
@@ -73,7 +78,7 @@ class Mesh:
         return len(self.face_nodes)
 
     def boundary_faces(self) -> np.ndarray:
-        return np.flatnonzero(self.face_cells[:, 1] < 0)
+        return self.boundary
 
     def interior_faces(self) -> np.ndarray:
         return np.flatnonzero(self.face_cells[:, 1] >= 0)
@@ -81,7 +86,8 @@ class Mesh:
     def _freeze(self):
         for arr in (self.points, self.triangles, self.face_nodes, self.face_cells,
                     self.cell_faces, self.cell_face_signs, self.areas, self.centroids,
-                    self.face_normals, self.face_lengths, self.face_midpoints):
+                    self.face_normals, self.face_lengths, self.face_midpoints,
+                    self.face_right, self.boundary):
             arr.setflags(write=False)
 
 
@@ -122,6 +128,10 @@ def _finalize_geometry(mesh: Mesh) -> Mesh:
         raise TopologyError("zero-length face (duplicate node in a triangle?)")
     mesh.face_normals = _rot90cw(seg) / mesh.face_lengths[:, None]
     mesh.face_midpoints = 0.5 * (a + b)
+    left, right = mesh.face_cells.T
+    mesh.boundary = np.flatnonzero(right < 0)
+    mesh.face_right = right.copy()
+    mesh.face_right[mesh.boundary] = left[mesh.boundary]
     mesh._freeze()
     return mesh
 
@@ -244,17 +254,18 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12):
 
 def load_mesh(path) -> Mesh:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [raw.split("#", 1)[0].split() for raw in fh]
-    tokens = [(ln, parts) for ln, parts in enumerate(lines, start=1) if parts]
-    pos = 0
+        lines = re.sub("#[^\n]*", "", fh.read()).split("\n")
+    filled = [ln for ln, text in enumerate(lines, start=1) if text.strip()]
+    pos = 0   # index into filled of the next line to read
 
     def expect_section(name, optional=False):
         nonlocal pos
-        if pos >= len(tokens):
+        if pos >= len(filled):
             if optional:
                 return None
             raise ParseError(f"expected '{name} <count>', got end of file", path)
-        ln, parts = tokens[pos]
+        ln = filled[pos]
+        parts = lines[ln - 1].split()
         if parts[0] != name:
             if optional:
                 return None
@@ -270,18 +281,32 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return count
 
-    def take_rows(count, width, convert, what):
-        """The next count rows, all converted by one call of convert."""
+    def take_rows(count, width, what, dtype=None):
+        """The next count rows: a (count, width) array of dtype, or without
+        a dtype the boundary edges.  A numeric section is parsed by one call
+        of np.loadtxt, which accepts a subset of what np.array takes from the
+        split rows and gives the same values; only when it fails are the rows
+        split one by one, to convert them that way or name the first bad one.
+        """
         nonlocal pos
-        block = tokens[pos:pos + count]
+        block = filled[pos:pos + count]
         pos += count
-        rows = [parts for _, parts in block]
+        text = [lines[ln - 1] for ln in block]
+        if dtype is not None and len(block) == count > 0:
+            try:
+                out = np.loadtxt(text, dtype=dtype, comments=None, ndmin=2)
+                if out.shape == (count, width):
+                    return out
+            except (ValueError, OverflowError):
+                pass
+        convert = edges if dtype is None else lambda r: np.array(r, dtype)
+        rows = [t.split() for t in text]
         if len(rows) == count and all(len(parts) == width for parts in rows):
             try:
                 return convert(rows)
             except (ValueError, OverflowError):
                 pass
-        for ln, parts in block:  # error path: name the first bad row
+        for ln, parts in zip(block, rows):  # error path: name the first bad row
             if len(parts) != width:
                 raise ParseError(f"{what} row needs {width} fields, got {len(parts)}", path, ln)
             try:
@@ -295,14 +320,15 @@ def load_mesh(path) -> Mesh:
         return dict(zip(map(tuple, ends.tolist()), (r[2] for r in rows)))
 
     n_nodes = expect_section("nodes")
-    points = take_rows(n_nodes, 2, lambda r: np.array(r, dtype=np.float64), "node")
+    points = take_rows(n_nodes, 2, "node", np.float64)
     n_tris = expect_section("triangles")
-    triangles = take_rows(n_tris, 3, lambda r: np.array(r, dtype=np.int64), "triangle")
+    triangles = take_rows(n_tris, 3, "triangle", np.int64)
     n_bnd = expect_section("boundary", optional=True)
-    boundary_edges = {} if n_bnd is None else take_rows(n_bnd, 3, edges, "boundary")
-    if pos < len(tokens):
-        ln, parts = tokens[pos]
-        raise ParseError(f"unexpected trailing content '{' '.join(parts)}'", path, ln)
+    boundary_edges = {} if n_bnd is None else take_rows(n_bnd, 3, "boundary")
+    if pos < len(filled):
+        ln = filled[pos]
+        raise ParseError("unexpected trailing content "
+                         f"'{' '.join(lines[ln - 1].split())}'", path, ln)
     return build_mesh(points.reshape(n_nodes, 2), triangles.reshape(n_tris, 3),
                       boundary_edges)
 
@@ -369,7 +395,7 @@ def build_diamonds(mesh: Mesh) -> DiamondCells:
     right = mesh.face_cells[:, 1]
     gl = mesh.centroids[left]
     # boundary faces: the "right centroid" degenerates to the face midpoint
-    gr = np.where((right >= 0)[:, None], mesh.centroids[np.maximum(right, 0)],
+    gr = np.where((right >= 0)[:, None], mesh.centroids[mesh.face_right],
                   mesh.face_midpoints)
 
     # shoelace over (gl, a, gr, b); positive when gl is left of a->b
@@ -409,6 +435,7 @@ class NodeWeights:
     """
 
     ptr: np.ndarray       # (n_nodes + 1,)
+    node: np.ndarray      # the node of each stencil entry
     cells: np.ndarray     # stencil cell indices, concatenated
     weights: np.ndarray
     fallback: np.ndarray  # (n_nodes,) bool, True = inverse-distance node
@@ -470,6 +497,6 @@ def node_weights(mesh: Mesh, cell_order=None) -> NodeWeights:
     zx, zy = (sxy * my - syy * mx) / det, (sxy * mx - sxx * my) / det
     fit = 1.0 / count[node] + zx[node] * cx + zy[node] * cy
     inv = 1.0 / dist
-    return NodeWeights(ptr=ptr, cells=cells,
+    return NodeWeights(ptr=ptr, node=node, cells=cells,
                        weights=np.where(fallback[node], inv / total(inv)[node], fit),
                        fallback=fallback)

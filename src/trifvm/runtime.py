@@ -262,7 +262,7 @@ class _Transport:
         return {"u": u}
 
     def fluxes(self, u: Field) -> Fluxes:
-        bvals = apply_boundary_conditions(self.sub, u, self.stencil.kind,
+        bvals = apply_boundary_conditions(u, self.stencil.neumann,
                                           self.data.face)
         return Fluxes(self.vel, bvals, self.dcoef, self.dt_stable)
 
@@ -342,7 +342,7 @@ def _step(ctx: RankContext, phys, state, dt_fixed: float | None,
     with _timed(res, "convection"):
         conv = convective_residual(sub, u, fl.vel, fl.bvals)
     with _timed(res, "diffusion"):
-        diss = diffusive_residual(sub, u, phys.stencil, phys.data,
+        diss = diffusive_residual(sub, u, phys.stencil, phys.data, fl.bvals,
                                   fl.diffusion)
     res.phase = "update"
     state, clips = phys.update(state, fl, dt, conv, diss)

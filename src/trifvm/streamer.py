@@ -173,7 +173,8 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
                               sys.potential_data)
     e_mag = np.hypot(e_faces[:, 0], e_faces[:, 1])
     mu_f = coeffs.mobility(e_mag)
-    vel = FaceVelocity(vectors=-np.asarray(mu_f)[..., None] * e_faces)
+    vel = FaceVelocity.from_vectors(sub,
+                                    -np.asarray(mu_f)[..., None] * e_faces)
     speed_f = np.asarray(mu_f) * e_mag
     d_f = coeffs.diffusion(e_mag)
 
@@ -187,7 +188,7 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
         alpha_cell = coeffs.ionization(e_cell)
     s_e = alpha_cell * speed_cell * state.n_e.values[:sub.n_own]
 
-    bvals_ne = apply_boundary_conditions(sub, state.n_e, sys.species.kind,
+    bvals_ne = apply_boundary_conditions(state.n_e, sys.species.neumann,
                                          sys.species_data.face)
     dt = stable_dt(sub, vel, diffusion=d_f, cfl=sys.cfl)
     return FluxContext(vel=vel, bvals=bvals_ne, diffusion=d_f, dt_stable=dt,

@@ -25,6 +25,21 @@ midpoint (used both as the upwind inflow value and as the gradient's
 right-side value), and the nodes of Dirichlet faces take the prescribed
 value instead of the interpolated one; a homogeneous-Neumann face copies the
 inner value for convection and contributes exactly zero diffusive flux.
+
+What does not change between steps is built when its inputs are, so a step
+only gathers, multiplies and sums:
+
+* per mesh (`mesh._finalize_geometry`, `node_weights`): each face's right
+  cell (its left cell on the boundary), the boundary faces, and the node of
+  every interpolation-stencil entry;
+* per velocity (`FaceVelocity.from_vectors`): V.n, the donor cell of every
+  face and the boundary inflow faces.  A uniform velocity is sampled once
+  per run; the streamer's drift once per step, for all three of its uses;
+* per BC layout (`diamond_stencil`, `dirichlet_data`): face kinds, flux
+  weights, pinned nodes, the Neumann faces with their inner cells, and the
+  Dirichlet data;
+* per step: the ghost array of `apply_boundary_conditions`, computed once
+  and read by both residuals, then the residuals and the update.
 """
 
 from __future__ import annotations
@@ -57,19 +72,37 @@ class Field:
 
 @dataclass
 class FaceVelocity:
-    """Velocity sampled on faces, (n_faces, 2)."""
+    """Velocity sampled on faces, with what the upwind kernels read of it.
 
-    vectors: np.ndarray
+    normal is V.n per face; donor is the cell whose value a face carries, the
+    left cell when V.n >= 0, else the right one; inflow lists the boundary
+    faces with V.n < 0, which carry the ghost value instead.
+    """
+
+    vectors: np.ndarray         # (n_faces, 2)
+    normal: np.ndarray
+    donor: np.ndarray
+    inflow: np.ndarray
+
+    @classmethod
+    def from_vectors(cls, sub: Subdomain,
+                     vectors: np.ndarray) -> "FaceVelocity":
+        lm = sub.local_mesh
+        normal = np.einsum("ij,ij->i", vectors, lm.face_normals)
+        ahead = normal >= 0.0
+        return cls(vectors=vectors, normal=normal,
+                   donor=np.where(ahead, lm.face_cells[:, 0], lm.face_right),
+                   inflow=lm.boundary[~ahead[lm.boundary]])
 
     @classmethod
     def uniform(cls, sub: Subdomain, vx: float, vy: float) -> "FaceVelocity":
         v = np.empty((sub.local_mesh.n_faces, 2))
         v[:, 0], v[:, 1] = vx, vy
-        return cls(vectors=v)
+        return cls.from_vectors(sub, v)
 
     @classmethod
     def zero(cls, sub: Subdomain) -> "FaceVelocity":
-        return cls(vectors=np.zeros((sub.local_mesh.n_faces, 2)))
+        return cls.from_vectors(sub, np.zeros((sub.local_mesh.n_faces, 2)))
 
 
 @dataclass
@@ -125,15 +158,27 @@ def dirichlet_data(lm: Mesh, bc: dict, kind: np.ndarray) -> DirichletData:
     return DirichletData(face=face, node=sums[idx] / counts[idx])
 
 
-def apply_boundary_conditions(sub: Subdomain, u: Field, kind: np.ndarray,
+@dataclass
+class NeumannFaces:
+    """The homogeneous-Neumann faces of one BC layout and their inner cells."""
+
+    faces: np.ndarray
+    cells: np.ndarray
+
+
+def neumann_faces(lm: Mesh, kind: np.ndarray) -> NeumannFaces:
+    faces = np.flatnonzero(kind == BC_NEUMANN)
+    return NeumannFaces(faces=faces, cells=lm.face_cells[faces, 0])
+
+
+def apply_boundary_conditions(u: Field, neumann: NeumannFaces,
                               dirichlet: np.ndarray) -> np.ndarray:
     """Ghost value of every face for the current state: the Dirichlet datum
     at the midpoint, or the copied inner value on Neumann faces.  Fringe
     faces of a halo region are interior: they never feed an own-cell flux.
     """
     value = dirichlet.copy()
-    neu = np.flatnonzero(kind == BC_NEUMANN)
-    value[neu] = u.values[sub.local_mesh.face_cells[neu, 0]]
+    value[neumann.faces] = u.values[neumann.cells]
     return value
 
 
@@ -145,6 +190,7 @@ class DiamondStencil:
     """
 
     kind: np.ndarray            # BC_* code per face
+    neumann: NeumannFaces       # ghosts copy their inner cell; zero flux
     beta: np.ndarray
     tau: np.ndarray
     pinned: np.ndarray
@@ -166,7 +212,7 @@ def diamond_stencil(lm: Mesh, bc: dict, diamonds: DiamondCells,
     n_sigma = lm.face_normals * lm.face_lengths[:, None]
     beta, tau = (np.einsum("ij,ij->i", g, n_sigma)
                  for g in _gradient_weights(lm, diamonds))
-    return DiamondStencil(kind, beta, tau,
+    return DiamondStencil(kind, neumann_faces(lm, kind), beta, tau,
                           np.unique(lm.face_nodes[kind == BC_DIRICHLET]),
                           diamonds, weights)
 
@@ -175,24 +221,21 @@ def node_values(sub: Subdomain, u: Field, weights: NodeWeights) -> np.ndarray:
     """Interpolate cell values to nodes through the least-squares weights;
     each node sums its stencil in stored (ascending global id) order."""
     assert not u.halo_stale, "halo slots are stale; exchange before interpolating"
-    n = sub.local_mesh.n_nodes
-    nodes = np.repeat(np.arange(n), np.diff(weights.ptr))
-    return np.bincount(nodes, weights.weights * u.values[weights.cells],
-                       minlength=n)
+    return np.bincount(weights.node, weights.weights * u.values[weights.cells],
+                       minlength=sub.local_mesh.n_nodes)
 
 
 def face_differences(sub: Subdomain, st: DiamondStencil, u: Field,
-                     data: DirichletData):
+                     data: DirichletData, bvals: np.ndarray):
     """(d_n, d_t) = (u_right - u_left, u_A - u_B) on every face.
 
-    On a boundary face u_right is the ghost value of
+    On a boundary face u_right is the ghost value bvals of
     apply_boundary_conditions; pinned nodes take their data.
     """
     lm = sub.local_mesh
-    right = lm.face_cells[:, 1]
-    ghost = apply_boundary_conditions(sub, u, st.kind, data.face)
-    d_n = np.where(right >= 0, u.values[np.maximum(right, 0)], ghost) \
-        - u.values[lm.face_cells[:, 0]]
+    u_right = u.values[lm.face_right]
+    u_right[lm.boundary] = bvals[lm.boundary]
+    d_n = u_right - u.values[lm.face_cells[:, 0]]
     u_node = node_values(sub, u, st.weights)
     u_node[st.pinned] = data.node
     d_t = u_node[lm.face_nodes[:, 0]] - u_node[lm.face_nodes[:, 1]]
@@ -202,7 +245,8 @@ def face_differences(sub: Subdomain, st: DiamondStencil, u: Field,
 def face_gradients(sub: Subdomain, st: DiamondStencil, u: Field,
                    data: DirichletData) -> np.ndarray:
     """Diamond-cell gradient on every face, (n_faces, 2)."""
-    d_n, d_t = face_differences(sub, st, u, data)
+    bvals = apply_boundary_conditions(u, st.neumann, data.face)
+    d_n, d_t = face_differences(sub, st, u, data, bvals)
     g_n, g_t = _gradient_weights(sub.local_mesh, st.diamonds)
     return d_n[:, None] * g_n + d_t[:, None] * g_t
 
@@ -212,12 +256,9 @@ def upwind_face_values(sub: Subdomain, u: Field, vel: FaceVelocity,
     """Donor-cell value per face: left cell when V.n >= 0, else the right
     cell (or the ghost value on boundary faces)."""
     assert not u.halo_stale, "halo slots are stale; exchange before upwinding"
-    lm = sub.local_mesh
-    vdotn = np.einsum("ij,ij->i", vel.vectors, lm.face_normals)
-    left = lm.face_cells[:, 0]
-    right = lm.face_cells[:, 1]
-    downwind = np.where(right >= 0, u.values[np.maximum(right, 0)], bvals)
-    return np.where(vdotn >= 0.0, u.values[left], downwind)
+    u_face = u.values[vel.donor]
+    u_face[vel.inflow] = bvals[vel.inflow]
+    return u_face
 
 
 def _per_cell_sum(sub: Subdomain, face_contrib: np.ndarray) -> np.ndarray:
@@ -234,22 +275,23 @@ def _per_cell_sum(sub: Subdomain, face_contrib: np.ndarray) -> np.ndarray:
 def convective_residual(sub: Subdomain, u: Field, vel: FaceVelocity,
                         bvals: np.ndarray) -> np.ndarray:
     u_face = upwind_face_values(sub, u, vel, bvals)
-    vdotn = np.einsum("ij,ij->i", vel.vectors, sub.local_mesh.face_normals)
-    flux = u_face * vdotn * sub.local_mesh.face_lengths
+    flux = u_face * vel.normal * sub.local_mesh.face_lengths
     return _per_cell_sum(sub, flux)
 
 
 def diffusive_residual(sub: Subdomain, u: Field, st: DiamondStencil,
-                       data: DirichletData, diffusion=1.0) -> np.ndarray:
+                       data: DirichletData, bvals: np.ndarray,
+                       diffusion=1.0) -> np.ndarray:
     """Sum of D (grad u . n) |s| over each own cell's faces.
 
-    diffusion may be a scalar or a per-face array.  Neumann faces contribute
+    bvals is the ghost array of apply_boundary_conditions for u.  diffusion
+    may be a scalar or a per-face array.  Neumann faces contribute
     exactly zero (the literal zero-gradient condition), which is what makes
     the closed-box invariant sum(mu u) exact.
     """
-    d_n, d_t = face_differences(sub, st, u, data)
+    d_n, d_t = face_differences(sub, st, u, data, bvals)
     flux = (st.beta * d_n + st.tau * d_t) * diffusion
-    flux[st.kind == BC_NEUMANN] = 0.0
+    flux[st.neumann.faces] = 0.0
     return _per_cell_sum(sub, flux)
 
 
@@ -276,8 +318,7 @@ def stable_dt(sub: Subdomain, vel: FaceVelocity, diffusion=0.0,
     the minimum over ranks; the runtime reduces it.
     """
     lm = sub.local_mesh
-    vdotn = np.abs(np.einsum("ij,ij->i", vel.vectors, lm.face_normals))
-    conv_f = vdotn * lm.face_lengths
+    conv_f = np.abs(vel.normal) * lm.face_lengths
     diff_f = 2.0 * np.asarray(diffusion) * lm.face_lengths ** 2
 
     cf = lm.cell_faces[:sub.n_own]

@@ -79,9 +79,9 @@ def _march(sub, vel, dcoef, bc, u, t_end, cfl=0.4, bc_time=None):
     for s in range(steps):
         if bc_time is not None:  # fixed labels: only the data moves
             data = dirichlet_data(lm, bc_time(s * dt), st.kind)
-        bvals = apply_boundary_conditions(sub, u, st.kind, data.face)
+        bvals = apply_boundary_conditions(u, st.neumann, data.face)
         conv = convective_residual(sub, u, vel, bvals)
-        diss = diffusive_residual(sub, u, st, data, dcoef)
+        diss = diffusive_residual(sub, u, st, data, bvals, dcoef)
         u = explicit_step(sub, u, conv, diss, dt)
     return u
 

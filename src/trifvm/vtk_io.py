@@ -30,13 +30,12 @@ def _mesh_text(mesh: Mesh) -> str:
     global _mesh_block
     cached, text = _mesh_block
     if cached is not mesh:
-        x, y = (map("%.17g".__mod__, col.tolist()) for col in mesh.points.T)
-        n = mesh.n_cells
+        m, n = mesh.n_nodes, mesh.n_cells
         text = "".join([
-            f"POINTS {mesh.n_nodes} double\n",
-            "".join(map("{} {} 0\n".format, x, y)),
+            f"POINTS {m} double\n",
+            "%.17g %.17g 0\n" * m % tuple(mesh.points.ravel().tolist()),
             f"CELLS {n} {4 * n}\n",
-            "".join(map("3 {} {} {}\n".format, *mesh.triangles.T.tolist())),
+            "3 %d %d %d\n" * n % tuple(mesh.triangles.ravel().tolist()),
             f"CELL_TYPES {n}\n",
             f"{VTK_TRIANGLE}\n" * n])
         _mesh_block = (mesh, text)
@@ -63,8 +62,7 @@ def write_vtk(path, mesh: Mesh, cell_data: dict | None = None,
         for name in sorted(cell_data):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             values = np.asarray(cell_data[name], dtype=np.float64).tolist()
-            fh.write("\n".join(map("%.17g".__mod__, values)))
-            fh.write("\n")
+            fh.write("%.17g\n" * len(values) % tuple(values))
 
 
 def read_vtk_cell_data(path) -> dict:

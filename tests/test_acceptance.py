@@ -28,7 +28,7 @@ from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               classify_faces, convective_residual,
                               diamond_stencil, diffusive_residual,
                               dirichlet_data, explicit_step,
-                              face_gradients, stable_dt)
+                              face_gradients, neumann_faces, stable_dt)
 
 from conftest import (ALL_NEUMANN, TIMING_ROWS, dirichlet_bc, irregular_mesh,
                       random_spd_like, write_timing_table)
@@ -188,7 +188,9 @@ def _closed_box_mass_drift(sub, dia, w):
     mass = float(lm.areas @ u.values)
     step_drift = 0.0
     for _ in range(50):
-        diss = diffusive_residual(sub, u, sten_n, data_n, 0.1)
+        diss = diffusive_residual(sub, u, sten_n, data_n,
+                                  apply_boundary_conditions(u, sten_n.neumann,
+                                                            data_n.face), 0.1)
         u = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
         now = float(lm.areas @ u.values)
         step_drift = max(step_drift, abs(now - mass))
@@ -208,7 +210,7 @@ def _upwind_overshoot(sub):
     dt = stable_dt(sub, vel, 0.0)
     overshoot = 0.0
     for _ in range(200):
-        bvals = apply_boundary_conditions(sub, u, kind_n, dirich_n)
+        bvals = apply_boundary_conditions(u, neumann_faces(lm, kind_n), dirich_n)
         conv = convective_residual(sub, u, vel, bvals)
         u = explicit_step(sub, u, conv, np.zeros_like(conv), dt)
         overshoot = max(overshoot, lo - float(u.values.min()),

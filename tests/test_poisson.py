@@ -15,8 +15,9 @@ from trifvm.errors import SingularSystem
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
-from trifvm.transport import (Field, diamond_stencil,
-                              diffusive_residual, dirichlet_data)
+from trifvm.transport import (Field, apply_boundary_conditions,
+                              diamond_stencil, diffusive_residual,
+                              dirichlet_data)
 
 from conftest import ALL_NEUMANN, dirichlet_bc, irregular_mesh
 
@@ -165,8 +166,10 @@ def test_matrix_is_the_negated_diffusive_residual_plus_lift(seed):
     problem = assemble_system(mesh, dia, w, MIXED)
     sten = diamond_stencil(mesh, MIXED, dia, w)
     x = np.random.default_rng(11).standard_normal(mesh.n_cells)
-    res = diffusive_residual(single_subdomain(mesh), Field(x), sten,
-                             dirichlet_data(mesh, MIXED, sten.kind), 1.0)
+    data = dirichlet_data(mesh, MIXED, sten.kind)
+    res = diffusive_residual(single_subdomain(mesh), Field(x), sten, data,
+                             apply_boundary_conditions(Field(x), sten.neumann,
+                                                       data.face), 1.0)
     ax = _csr_to_dense(problem.matrix) @ x
     want = problem.lift - res
     rows = np.arange(mesh.n_cells) != problem.pinned

@@ -33,10 +33,18 @@ def _streamer_cfg(k, n=16, steps=10, **kw):
 
 
 def test_rank_count_invariance_is_bitwise(tmp_path):
-    for mesh_path in (None, irregular_mesh_file(tmp_path / "m.txt", 16, 5)):
+    # V = (1, 0.5): Dirichlet inflow on the left and bottom, outflow on top
+    inflow = {"left": ("dirichlet", 1.0),
+              "bottom": ("dirichlet", lambda x, y: 0.5 + x),
+              "top": ("dirichlet", 0.0), "right": ("neumann",)}
+    mesh_file = irregular_mesh_file(tmp_path / "m.txt", 16, 5)
+    for mesh_path, bc in ((None, None), (mesh_file, None), (None, inflow),
+                          (mesh_file, inflow)):
         base = None
         for k in (1, 2, 4):
-            rep = run_simulation(_diffusion_cfg(k, mesh_path=mesh_path))
+            cfg = _diffusion_cfg(k, mesh_path=mesh_path)
+            cfg.transport.bc = bc or cfg.transport.bc
+            rep = run_simulation(cfg)
             u = rep.final_fields["u"]
             if base is None:
                 base = u
@@ -143,6 +151,7 @@ def test_host_report_matches_single_rank_fields():
     assert r1.dt_min == r4.dt_min  # allreduce-min is exact, not approximate
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_fields_end_the_run(tmp_path):
     # dt far above the diffusive bound: the field overflows within a few
     # dozen steps, and the run must stop there instead of finishing on NaN

@@ -5,21 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifvm.mesh import structured_triangulation
+from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
-from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
+from trifvm.transport import (BC_NEUMANN, FaceVelocity, Field,
+                              apply_boundary_conditions,
                               classify_faces, convective_residual,
                               diamond_stencil, diffusive_residual,
-                              dirichlet_data, explicit_step, stable_dt,
-                              upwind_face_values)
+                              dirichlet_data, explicit_step, neumann_faces,
+                              stable_dt, upwind_face_values)
 
-from conftest import ALL_NEUMANN, dirichlet_bc
+from conftest import ALL_NEUMANN, dirichlet_bc, irregular_mesh
+
+# Dirichlet inflow on the left, Dirichlet outflow on the right under V = (1, 0)
+MIXED = dict(ALL_NEUMANN, left=("dirichlet", -1.0),
+             right=("dirichlet", lambda x, y: -2.0 - y))
 
 
 def _neumann_bvals(sub, u):
     kind = classify_faces(sub.local_mesh, ALL_NEUMANN)
     dirich = dirichlet_data(sub.local_mesh, ALL_NEUMANN, kind).face
-    return apply_boundary_conditions(sub, u, kind, dirich)
+    return apply_boundary_conditions(u, neumann_faces(sub.local_mesh, kind),
+                                     dirich)
 
 
 def _neumann_stencil(sub, dia, w):
@@ -40,22 +46,53 @@ def test_uniform_field_has_zero_residuals(sub8, geom8):
     bvals = _neumann_bvals(sub8, u)
     vel = FaceVelocity.uniform(sub8, 1.0, -0.5)
     conv = convective_residual(sub8, u, vel, bvals)
-    diss = diffusive_residual(sub8, u, *_neumann_stencil(sub8, dia, w), 0.3)
+    diss = diffusive_residual(sub8, u, *_neumann_stencil(sub8, dia, w), bvals,
+                              0.3)
     assert np.abs(conv).max() < 1e-12
     assert np.abs(diss).max() < 1e-12
 
 
 def test_upwind_picks_donor_cell(sub8):
-    lm = sub8.local_mesh
-    u = Field(np.arange(lm.n_cells, dtype=float))
-    bvals = _neumann_bvals(sub8, u)
-    vel = FaceVelocity.uniform(sub8, 1.0, 0.0)
-    uf = upwind_face_values(sub8, u, vel, bvals)
-    vdotn = vel.vectors[:, 0] * lm.face_normals[:, 0] \
-        + vel.vectors[:, 1] * lm.face_normals[:, 1]
-    interior = lm.face_cells[:, 1] >= 0
-    donor = np.where(vdotn >= 0, lm.face_cells[:, 0], lm.face_cells[:, 1])
-    assert np.array_equal(uf[interior], u.values[donor[interior]])
+    # every face against the where-chain on V.n: Neumann and Dirichlet
+    # inflow, Dirichlet outflow, and tangential (V.n = 0) boundary faces
+    for sub in (sub8, single_subdomain(irregular_mesh(8, 4))):
+        lm = sub.local_mesh
+        u = Field(np.arange(lm.n_cells, dtype=float))
+        vel = FaceVelocity.uniform(sub, 1.0, 0.0)
+        vdotn = np.einsum("ij,ij->i", vel.vectors, lm.face_normals)
+        left, right = lm.face_cells.T
+        side = vdotn[right < 0]
+        assert (side < 0).any() and (side > 0).any() and (side == 0).any()
+        for bc in (ALL_NEUMANN, MIXED):
+            kind = classify_faces(lm, bc)
+            bvals = apply_boundary_conditions(
+                u, neumann_faces(lm, kind), dirichlet_data(lm, bc, kind).face)
+            downwind = np.where(right >= 0, u.values[np.maximum(right, 0)],
+                                bvals)
+            want = np.where(vdotn >= 0.0, u.values[left], downwind)
+            assert np.array_equal(upwind_face_values(sub, u, vel, bvals), want)
+
+
+def test_precomputed_maps_equal_their_formulas():
+    # what is built once per mesh, velocity and BC layout is bitwise what
+    # the step used to compute from the mesh each time
+    for mesh in (structured_triangulation(6), irregular_mesh(8, 4)):
+        sub = single_subdomain(mesh)
+        left, right = mesh.face_cells.T
+        assert np.array_equal(mesh.boundary, np.flatnonzero(right < 0))
+        assert np.array_equal(mesh.face_right, np.where(right >= 0, right, left))
+        w = node_weights(mesh, cell_order=sub.cells_l2g[::-1])
+        assert np.array_equal(
+            w.node, np.repeat(np.arange(mesh.n_nodes), np.diff(w.ptr)))
+        for vx, vy in ((1.0, 0.0), (-0.3, 0.7)):
+            vel = FaceVelocity.uniform(sub, vx, vy)
+            assert np.array_equal(
+                vel.normal, np.einsum("ij,ij->i", vel.vectors,
+                                      mesh.face_normals))
+        st_ = diamond_stencil(mesh, MIXED, build_diamonds(mesh), w)
+        neu = np.flatnonzero(st_.kind == BC_NEUMANN)
+        assert np.array_equal(st_.neumann.faces, neu)
+        assert np.array_equal(st_.neumann.cells, left[neu])
 
 
 def test_diffusion_conserves_mass(sub16, geom16):
@@ -70,7 +107,7 @@ def test_diffusion_conserves_mass(sub16, geom16):
         bvals = _neumann_bvals(sub16, u)
         conv = convective_residual(sub16, u, vel, bvals)
         diss = diffusive_residual(sub16, u, *_neumann_stencil(sub16, dia, w),
-                                  diffusion=0.1)
+                                  bvals, diffusion=0.1)
         u = explicit_step(sub16, u, conv, diss, dt)
         assert abs(float(lm.areas @ u.values) - mass0) < 1e-12
 
@@ -84,7 +121,8 @@ def test_diffusion_step_conserves_any_field(seed):
     dia, w = build_diamonds(mesh), node_weights(mesh)
     rng = np.random.default_rng(seed)
     u = Field(rng.uniform(-5.0, 5.0, mesh.triangles.shape[0]))
-    diss = diffusive_residual(sub, u, *_neumann_stencil(sub, dia, w), 1.0)
+    diss = diffusive_residual(sub, u, *_neumann_stencil(sub, dia, w),
+                              _neumann_bvals(sub, u), 1.0)
     dt = stable_dt(sub, FaceVelocity.zero(sub), 1.0)
     u1 = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
     assert abs(float(mesh.areas @ (u1.values - u.values))) < 1e-12
@@ -113,7 +151,8 @@ def test_dirichlet_inflow_enters_domain(sub8, geom8):
     vel = FaceVelocity.uniform(sub8, 1.0, 0.0)
     dt = stable_dt(sub8, vel, 0.0)
     for _ in range(5):
-        bvals = apply_boundary_conditions(sub8, u, kind, dirich)
+        bvals = apply_boundary_conditions(u, neumann_faces(sub8.local_mesh, kind),
+                                          dirich)
         conv = convective_residual(sub8, u, vel, bvals)
         u = explicit_step(sub8, u, conv, np.zeros_like(conv), dt)
     left_cells = sub8.local_mesh.centroids[:, 0] < 0.1
