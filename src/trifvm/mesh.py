@@ -63,7 +63,7 @@ class Mesh:
     face_lengths: np.ndarray = field(default=None)
     face_midpoints: np.ndarray = field(default=None)
     face_right: np.ndarray = field(default=None)  # right cell, left on boundary
-    boundary: np.ndarray = field(default=None)    # boundary face ids, ascending
+    _boundary: np.ndarray = field(default=None, repr=False)  # boundary_faces()
 
     @property
     def n_nodes(self) -> int:
@@ -78,7 +78,8 @@ class Mesh:
         return len(self.face_nodes)
 
     def boundary_faces(self) -> np.ndarray:
-        return self.boundary
+        """Boundary face ids, ascending (built once, read-only)."""
+        return self._boundary
 
     def interior_faces(self) -> np.ndarray:
         return np.flatnonzero(self.face_cells[:, 1] >= 0)
@@ -87,7 +88,7 @@ class Mesh:
         for arr in (self.points, self.triangles, self.face_nodes, self.face_cells,
                     self.cell_faces, self.cell_face_signs, self.areas, self.centroids,
                     self.face_normals, self.face_lengths, self.face_midpoints,
-                    self.face_right, self.boundary):
+                    self.face_right, self._boundary):
             arr.setflags(write=False)
 
 
@@ -129,9 +130,8 @@ def _finalize_geometry(mesh: Mesh) -> Mesh:
     mesh.face_normals = _rot90cw(seg) / mesh.face_lengths[:, None]
     mesh.face_midpoints = 0.5 * (a + b)
     left, right = mesh.face_cells.T
-    mesh.boundary = np.flatnonzero(right < 0)
-    mesh.face_right = right.copy()
-    mesh.face_right[mesh.boundary] = left[mesh.boundary]
+    mesh._boundary = np.flatnonzero(right < 0)
+    mesh.face_right = np.where(right >= 0, right, left)
     mesh._freeze()
     return mesh
 
@@ -281,56 +281,59 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return count
 
-    def take_rows(count, width, what, dtype=None):
-        """The next count rows: a (count, width) array of dtype, or without
-        a dtype the boundary edges.  A numeric section is parsed by one call
-        of np.loadtxt, which accepts a subset of what np.array takes from the
-        split rows and gives the same values; only when it fails are the rows
-        split one by one, to convert them that way or name the first bad one.
-        """
+    def take_rows(count, width, what, convert):
+        """The next count rows, all converted by one call of convert; only
+        when that fails are the rows walked, to name the first bad one."""
         nonlocal pos
         block = filled[pos:pos + count]
         pos += count
         text = [lines[ln - 1] for ln in block]
-        if dtype is not None and len(block) == count > 0:
+        if len(block) == count:
             try:
-                out = np.loadtxt(text, dtype=dtype, comments=None, ndmin=2)
-                if out.shape == (count, width):
-                    return out
+                return convert(text)
             except (ValueError, OverflowError):
                 pass
-        convert = edges if dtype is None else lambda r: np.array(r, dtype)
-        rows = [t.split() for t in text]
-        if len(rows) == count and all(len(parts) == width for parts in rows):
-            try:
-                return convert(rows)
-            except (ValueError, OverflowError):
-                pass
-        for ln, parts in zip(block, rows):  # error path: name the first bad row
+        for ln, row in zip(block, text):  # error path: name the first bad row
+            parts = row.split()
             if len(parts) != width:
                 raise ParseError(f"{what} row needs {width} fields, got {len(parts)}", path, ln)
             try:
-                convert([parts])
+                convert([row])
             except (ValueError, OverflowError):
                 raise ParseError(f"bad {what} row: {' '.join(parts)}", path, ln) from None
         raise ParseError(f"file ends inside the {what} section", path)
 
-    def edges(rows):
+    def numbers(dtype, scalar, width):
+        """Rows of width numbers as a dtype array.  Every value is read by
+        Python's own scalar(), so '2.7' is not an integer on any numpy:
+        loadtxt's own int64 reader reads it as 2 on versions that only warn."""
+        def convert(text):
+            if not text:
+                return np.empty((0, width), dtype)
+            out = np.loadtxt(text, dtype=dtype, converters=scalar, comments=None, ndmin=2)
+            if out.shape != (len(text), width):
+                raise ValueError(f"expected {width} columns")
+            return out
+        return convert
+
+    def edges(text):
+        rows = [row.split() for row in text]
+        if any(len(parts) != 3 for parts in rows):
+            raise ValueError("expected 3 columns")
         ends = np.sort(np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2))
         return dict(zip(map(tuple, ends.tolist()), (r[2] for r in rows)))
 
     n_nodes = expect_section("nodes")
-    points = take_rows(n_nodes, 2, "node", np.float64)
+    points = take_rows(n_nodes, 2, "node", numbers(np.float64, float, 2))
     n_tris = expect_section("triangles")
-    triangles = take_rows(n_tris, 3, "triangle", np.int64)
+    triangles = take_rows(n_tris, 3, "triangle", numbers(np.int64, int, 3))
     n_bnd = expect_section("boundary", optional=True)
-    boundary_edges = {} if n_bnd is None else take_rows(n_bnd, 3, "boundary")
+    boundary_edges = {} if n_bnd is None else take_rows(n_bnd, 3, "boundary", edges)
     if pos < len(filled):
         ln = filled[pos]
         raise ParseError("unexpected trailing content "
                          f"'{' '.join(lines[ln - 1].split())}'", path, ln)
-    return build_mesh(points.reshape(n_nodes, 2), triangles.reshape(n_tris, 3),
-                      boundary_edges)
+    return build_mesh(points, triangles, boundary_edges)
 
 
 def save_mesh(mesh: Mesh, path):

@@ -90,9 +90,10 @@ class FaceVelocity:
         lm = sub.local_mesh
         normal = np.einsum("ij,ij->i", vectors, lm.face_normals)
         ahead = normal >= 0.0
+        bnd = lm.boundary_faces()
         return cls(vectors=vectors, normal=normal,
                    donor=np.where(ahead, lm.face_cells[:, 0], lm.face_right),
-                   inflow=lm.boundary[~ahead[lm.boundary]])
+                   inflow=bnd[~ahead[bnd]])
 
     @classmethod
     def uniform(cls, sub: Subdomain, vx: float, vy: float) -> "FaceVelocity":
@@ -234,7 +235,8 @@ def face_differences(sub: Subdomain, st: DiamondStencil, u: Field,
     """
     lm = sub.local_mesh
     u_right = u.values[lm.face_right]
-    u_right[lm.boundary] = bvals[lm.boundary]
+    bnd = lm.boundary_faces()
+    u_right[bnd] = bvals[bnd]
     d_n = u_right - u.values[lm.face_cells[:, 0]]
     u_node = node_values(sub, u, st.weights)
     u_node[st.pinned] = data.node

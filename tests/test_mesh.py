@@ -134,6 +134,7 @@ MESH_LINES = ["# two triangles", "nodes 4", "0 0", "1 0  # comment", "0.5 1",
     ({9: None, 10: None, 11: None, 12: None},
      "file ends inside the triangle section", None),
     ({13: "extra 1"}, "unexpected trailing content 'extra 1'", 14),
+    ({9: "1 0 2.7"}, "bad triangle row: 1 0 2.7", 10),
 ])
 def test_load_mesh_names_the_bad_line(tmp_path, edit, message, line):
     lines = [edit.get(i, text) for i, text in enumerate(MESH_LINES)]

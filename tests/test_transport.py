@@ -79,7 +79,7 @@ def test_precomputed_maps_equal_their_formulas():
     for mesh in (structured_triangulation(6), irregular_mesh(8, 4)):
         sub = single_subdomain(mesh)
         left, right = mesh.face_cells.T
-        assert np.array_equal(mesh.boundary, np.flatnonzero(right < 0))
+        assert np.array_equal(mesh.boundary_faces(), np.flatnonzero(right < 0))
         assert np.array_equal(mesh.face_right, np.where(right >= 0, right, left))
         w = node_weights(mesh, cell_order=sub.cells_l2g[::-1])
         assert np.array_equal(
