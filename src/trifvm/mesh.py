@@ -430,11 +430,12 @@ def build_diamonds(mesh: Mesh) -> DiamondCells:
 class NodeWeights:
     """CSR-like node -> (cells, weights) map with a fallback flag per node.
 
-    Stencil cells are stored in ascending order of the `cell_order` key used
-    at build time (global cell ids for subdomains), which pins the summation
-    order of the interpolation.  weights are the minimum-norm affine-exact
-    weights of `node_weights`; fallback marks the nodes whose stencil fails
-    the rank test and which carry inverse-distance weights instead.
+    Stencil cells are stored in ascending cell id, which pins the summation
+    order of the interpolation; a subdomain's slice of the global weights
+    keeps that order (`partition.build_subdomains`).  weights are the
+    minimum-norm affine-exact weights of `node_weights`; fallback marks the
+    nodes whose stencil fails the rank test and which carry inverse-distance
+    weights instead.
     """
 
     ptr: np.ndarray       # (n_nodes + 1,)
@@ -444,7 +445,7 @@ class NodeWeights:
     fallback: np.ndarray  # (n_nodes,) bool, True = inverse-distance node
 
 
-def node_weights(mesh: Mesh, cell_order=None) -> NodeWeights:
+def node_weights(mesh: Mesh) -> NodeWeights:
     """Interpolation weights for every node from its incident cell centroids.
 
     Minimum-norm weights w with sum(w) = 1 and sum(w (c - x_node)) = 0, so
@@ -455,16 +456,12 @@ def node_weights(mesh: Mesh, cell_order=None) -> NodeWeights:
     1e-9 times the first (fewer than 3 cells, collinear centroids), falls
     back to inverse-distance weights and is flagged.
 
-    cell_order: optional per-cell sort key (e.g. global ids in a subdomain);
-    defaults to the local cell index.  Stencils are enumerated in ascending
-    key order, and every reduction runs over one node's stencil in that
-    order, so the same node gets bitwise the same weights no matter how the
-    mesh was split.
+    Stencils are enumerated in ascending cell id, and every reduction runs
+    over one node's stencil in that order.
     """
     cells = np.repeat(np.arange(mesh.n_cells), 3)
     node = mesh.triangles.ravel()
-    key = cells if cell_order is None else np.asarray(cell_order)[cells]
-    order = np.lexsort((key, node))   # by node, then by key
+    order = np.argsort(node, kind="stable")   # by node, then by cell
     cells, node = cells[order], node[order]
     count = np.bincount(node, minlength=mesh.n_nodes)
     ptr = np.concatenate([[0], np.cumsum(count)])

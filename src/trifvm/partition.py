@@ -12,12 +12,18 @@ alone.
 
 Subdomains carry the rank's own cells plus a halo of every neighbor cell
 sharing at least one node with an own cell.  That is deliberately wider than
-face adjacency: node interpolation sums over all cells around a node, and
-the partitioned run must reproduce the sequential one to the last bit.  The
+face adjacency: node interpolation sums over all cells around a node, so
+every cell of the stencil of a node of an own cell is own or halo.  The
 local mesh keeps the global orientation (left/right, endpoint order) of
 every face of an own cell; faces that lost their second cell at the fringe
 are flipped toward the surviving halo cell and labeled so they are never
 mistaken for domain boundary.
+
+A subdomain carries its slice of the run's geometry, built once on the
+global mesh: the diamonds of its local faces and the weights of the nodes
+of its own cells (other local nodes get empty stencils).  A face of an own
+cell has both endpoints on that cell, so own-cell fluxes read only these,
+and a partitioned run matches the sequential one to the last bit.
 
 Subdomains are built with array operations, no per-cell Python: a boolean
 node mask per part marks the nodes of its own cells; the halo of rank r is
@@ -34,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidK
-from .mesh import HALO_FRINGE, Mesh, _finalize_geometry
+from .mesh import (HALO_FRINGE, DiamondCells, Mesh, NodeWeights,
+                   _finalize_geometry, build_diamonds, node_weights)
 
 
 @dataclass
@@ -166,6 +173,8 @@ class Subdomain:
     cells_l2g: np.ndarray       # (n_own + n_halo,)
     face_l2g: np.ndarray
     neighbor_links: dict[int, tuple[np.ndarray, np.ndarray]]
+    diamonds: DiamondCells      # this rank's slice of the run's geometry
+    weights: NodeWeights
 
     @property
     def n_local(self) -> int:
@@ -176,7 +185,20 @@ class Subdomain:
         return sorted(self.neighbor_links)
 
 
-def build_subdomains(mesh: Mesh, pm: PartitionMap) -> list[Subdomain]:
+def _slice_weights(weights: NodeWeights, keep: np.ndarray,
+                   nodes_l2g: np.ndarray, g2l: np.ndarray) -> NodeWeights:
+    """The stencils of the nodes marked in keep, in local ids; empty elsewhere."""
+    mask = keep[weights.node]
+    node = np.searchsorted(nodes_l2g, weights.node[mask])
+    ptr = np.searchsorted(node, np.arange(len(nodes_l2g) + 1))
+    return NodeWeights(ptr=ptr, node=node, cells=g2l[weights.cells[mask]],
+                       weights=weights.weights[mask],
+                       fallback=weights.fallback[nodes_l2g])
+
+
+def build_subdomains(mesh: Mesh, pm: PartitionMap, diamonds: DiamondCells,
+                     weights: NodeWeights) -> list[Subdomain]:
+    """Each part's subdomain, with its slice of the diamonds and weights."""
     tri = mesh.triangles
     touch = np.zeros((pm.k, mesh.n_nodes), dtype=bool)  # nodes of r's own cells
     touch[np.repeat(pm.part, 3), tri.ravel()] = True
@@ -226,12 +248,18 @@ def build_subdomains(mesh: Mesh, pm: PartitionMap) -> list[Subdomain]:
 
         subs.append(Subdomain(rank=r, n_own=len(own), own_cells=own,
                               halo_cells=halo, local_mesh=lm, cells_l2g=l2g,
-                              face_l2g=face_l2g,
-                              neighbor_links=links))
+                              face_l2g=face_l2g, neighbor_links=links,
+                              diamonds=DiamondCells(
+                                  area=diamonds.area[face_l2g],
+                                  lr_vec=diamonds.lr_vec[face_l2g]),
+                              weights=_slice_weights(weights, touch[r],
+                                                     nodes_l2g, g2l)))
     return subs
 
 
 def single_subdomain(mesh: Mesh) -> Subdomain:
-    """The k = 1 view of a mesh: everything own, no halo, no links."""
+    """The k = 1 view of a mesh, with its geometry: everything own, no halo,
+    no links."""
     pm = PartitionMap(part=np.zeros(mesh.n_cells, dtype=np.int64), k=1)
-    return build_subdomains(mesh, pm)[0]
+    return build_subdomains(mesh, pm, build_diamonds(mesh),
+                            node_weights(mesh))[0]

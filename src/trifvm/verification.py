@@ -71,7 +71,7 @@ def _gaussian(c, center, sigma):
 def _march(sub, vel, dcoef, bc, u, t_end, cfl=0.4, bc_time=None):
     """Explicit march to exactly t_end; Dirichlet data may depend on time."""
     lm = sub.local_mesh
-    st = diamond_stencil(lm, bc, build_diamonds(lm), node_weights(lm))
+    st = diamond_stencil(lm, bc, sub.diamonds, sub.weights)
     data = dirichlet_data(lm, bc, st.kind)
     bound = stable_dt(sub, vel, dcoef, cfl)
     steps = max(1, int(math.ceil(t_end / bound)))

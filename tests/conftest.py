@@ -107,13 +107,13 @@ def sub16(mesh16):
 @pytest.fixture(scope="session")
 def geom8(sub8):
     lm = sub8.local_mesh
-    return build_diamonds(lm), node_weights(lm, cell_order=sub8.cells_l2g)
+    return build_diamonds(lm), node_weights(lm)
 
 
 @pytest.fixture(scope="session")
 def geom16(sub16):
     lm = sub16.local_mesh
-    return build_diamonds(lm), node_weights(lm, cell_order=sub16.cells_l2g)
+    return build_diamonds(lm), node_weights(lm)
 
 
 def random_spd_like(rng, n, extra_per_row=3, symmetric=True):

@@ -250,7 +250,7 @@ def test_transport_conservation_and_upwind_bounds_on_irregular_meshes():
         for n, seed in ((16, 1), (16, 2), (32, 1)):
             sub = single_subdomain(irregular_mesh(n, seed))
             lm = sub.local_mesh
-            w = node_weights(lm, cell_order=sub.cells_l2g)
+            w = node_weights(lm)
             step_drift = _closed_box_mass_drift(sub, build_diamonds(lm), w)
             overshoot = _upwind_overshoot(sub)
             print(f"  measured: n={n} seed={seed} mass drift/step "
@@ -306,11 +306,9 @@ def test_charge_conservation_and_vacuum_potential():
         # (a) resolved seed far from the walls, 100 coupled steps
         mesh = structured_triangulation(64)
         sub = single_subdomain(mesh)
-        geo = build_system(sub, ALL_NEUMANN, ALL_NEUMANN).species
-        problem = assemble_system(mesh, geo.diamonds, geo.weights, ALL_NEUMANN,
+        problem = assemble_system(mesh, sub.diamonds, sub.weights, ALL_NEUMANN,
                                   pin_cell=0)
         sys = build_system(sub, ALL_NEUMANN, ALL_NEUMANN,
-                           diamonds=geo.diamonds, weights=geo.weights,
                            problem=problem, factors=factorize(problem.matrix))
         ne = gaussian_seed(sub, (0.5, 0.5), 0.06, 1.0)
         state = StreamerState(n_e=Field(ne.copy(), "n_e"),
@@ -328,10 +326,8 @@ def test_charge_conservation_and_vacuum_potential():
         # solve, same doubles, here nontrivial thanks to the plate lift
         mesh = structured_triangulation(16)
         sub = single_subdomain(mesh)
-        geo = build_system(sub, ALL_NEUMANN, PLATES).species
-        problem = assemble_system(mesh, geo.diamonds, geo.weights, PLATES)
+        problem = assemble_system(mesh, sub.diamonds, sub.weights, PLATES)
         sys = build_system(sub, ALL_NEUMANN, PLATES,
-                           diamonds=geo.diamonds, weights=geo.weights,
                            problem=problem, factors=factorize(problem.matrix))
         ne = gaussian_seed(sub, (0.5, 0.5), 0.1, 1.0)
         neutral = StreamerState(n_e=Field(ne.copy(), "n_e"),

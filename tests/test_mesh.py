@@ -190,17 +190,6 @@ def test_node_weights_reproduce_linear():
     assert set(np.flatnonzero(w.fallback)) <= corners
 
 
-def test_node_weights_cell_order_changes_stencil_order_not_values():
-    m = structured_triangulation(4)
-    sub = single_subdomain(m)
-    w_nat = node_weights(m)
-    w_ord = node_weights(m, cell_order=sub.cells_l2g)
-    u = Field(np.linspace(0.0, 1.0, m.triangles.shape[0]))
-    a = node_values(sub, u, w_nat)
-    b = node_values(sub, u, w_ord)
-    assert np.allclose(a, b, rtol=0, atol=1e-14)
-
-
 def _lstsq_weights(mesh):
     """Per-node reference: np.linalg.lstsq on each stencil, in local order."""
     ref, fallback = [], []

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from trifvm.errors import InvalidK
-from trifvm.mesh import structured_triangulation
+from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import (DualGraph, build_dual_graph, build_subdomains,
                               edge_cut, partition, partition_metrics,
                               single_subdomain)
+from trifvm.transport import Field, node_values
 
 from conftest import irregular_mesh
 
@@ -98,7 +99,7 @@ def test_subdomains_partition_cells():
     m = structured_triangulation(8)
     g = build_dual_graph(m)
     pm = partition(g, 4)
-    subs = build_subdomains(m, pm)
+    subs = build_subdomains(m, pm, build_diamonds(m), node_weights(m))
     owned = np.concatenate([s.own_cells for s in subs])
     assert np.array_equal(np.sort(owned), np.arange(m.triangles.shape[0]))
     for s in subs:
@@ -113,7 +114,27 @@ def _split_cases():
                  (structured_triangulation(8), 5),
                  (irregular_mesh(8, 1), 2),
                  (irregular_mesh(9, 2), 3)):
-        yield m, build_subdomains(m, partition(build_dual_graph(m), k))
+        yield m, build_subdomains(m, partition(build_dual_graph(m), k),
+                                  build_diamonds(m), node_weights(m))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_subdomains_slice_the_global_geometry(seed, k):
+    # own-cell faces carry the global diamonds, and own-cell nodes
+    # interpolate any field to the global node values, bit for bit
+    m = irregular_mesh(16, seed)
+    dia, w = build_diamonds(m), node_weights(m)
+    u = np.random.default_rng(10 * seed + k).standard_normal(m.n_cells)
+    ref = node_values(single_subdomain(m), Field(u), w)
+    for s in build_subdomains(m, partition(build_dual_graph(m), k), dia, w):
+        faces = np.unique(s.local_mesh.cell_faces[:s.n_own])
+        g = s.face_l2g[faces]
+        assert np.array_equal(s.diamonds.area[faces], dia.area[g])
+        assert np.array_equal(s.diamonds.lr_vec[faces], dia.lr_vec[g])
+        vals = node_values(s, Field(u[s.cells_l2g]), s.weights)
+        assert np.array_equal(vals[s.local_mesh.triangles[:s.n_own]],
+                              ref[m.triangles[s.own_cells]])
 
 
 def test_halo_is_node_adjacent_closure():

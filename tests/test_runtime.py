@@ -72,6 +72,45 @@ def test_factor_once_counters():
     assert rep.num_solves == 7
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("make_cfg", [_diffusion_cfg, _streamer_cfg],
+                         ids=["transport", "streamer"])
+def test_geometry_built_once_per_run(monkeypatch, make_cfg, k):
+    # the host builds the global diamonds and node weights once; every rank
+    # reads its subdomain's slice of them and builds none
+    from trifvm import partition, runtime, streamer
+
+    calls = []
+    for name in ("build_diamonds", "node_weights"):
+        def counted(*args, _fn=getattr(runtime, name), _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        for module in (runtime, streamer, partition):
+            monkeypatch.setattr(module, name, counted)
+    run_simulation(make_cfg(k, steps=2))
+    assert sorted(calls) == ["build_diamonds", "node_weights"]
+
+
+def test_constant_table_reproduces_linear_model(tmp_path):
+    # a table whose columns are the linear model's constants (mu_e = 1,
+    # D_e = 0.1, alpha = 1) takes the table branch and lands on its bits
+    table = tmp_path / "coefficients.txt"
+    table.write_text("0.0 1.0 0.1 1.0\n1e6 1.0 0.1 1.0\n")
+    plates = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
+              "top": ("neumann",), "bottom": ("neumann",)}
+    for k in (1, 2):
+        final = {}
+        for model in ("linear", "table"):
+            sc = StreamerConfig(model=model, table_path=str(table),
+                                potential_bc=plates)
+            final[model] = run_simulation(RunConfig(
+                mesh_n=12, k=k, steps=5, physics="streamer",
+                streamer=sc)).final_fields
+        for name in ("n_e", "n_i", "potential"):
+            assert np.array_equal(final["table"][name],
+                                  final["linear"][name]), (k, name)
+
+
 def test_transport_runs_no_solver():
     rep = run_simulation(_diffusion_cfg(2, steps=5))
     assert rep.num_factorizations == 0

@@ -23,11 +23,9 @@ PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
 def _closed_system(n=16, pin=0):
     mesh = structured_triangulation(n)
     sub = single_subdomain(mesh)
-    sys = build_system(sub, ALL_NEUMANN, ALL_NEUMANN).species
-    problem = assemble_system(mesh, sys.diamonds, sys.weights, ALL_NEUMANN,
+    problem = assemble_system(mesh, sub.diamonds, sub.weights, ALL_NEUMANN,
                               pin_cell=pin)
     return sub, build_system(sub, ALL_NEUMANN, ALL_NEUMANN,
-                             diamonds=sys.diamonds, weights=sys.weights,
                              problem=problem,
                              factors=factorize(problem.matrix))
 
@@ -35,10 +33,8 @@ def _closed_system(n=16, pin=0):
 def _plate_system(n=8):
     mesh = structured_triangulation(n)
     sub = single_subdomain(mesh)
-    sys = build_system(sub, ALL_NEUMANN, PLATES).species
-    problem = assemble_system(mesh, sys.diamonds, sys.weights, PLATES)
+    problem = assemble_system(mesh, sub.diamonds, sub.weights, PLATES)
     return sub, build_system(sub, ALL_NEUMANN, PLATES,
-                             diamonds=sys.diamonds, weights=sys.weights,
                              problem=problem,
                              factors=factorize(problem.matrix))
 

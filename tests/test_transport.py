@@ -81,7 +81,7 @@ def test_precomputed_maps_equal_their_formulas():
         left, right = mesh.face_cells.T
         assert np.array_equal(mesh.boundary_faces(), np.flatnonzero(right < 0))
         assert np.array_equal(mesh.face_right, np.where(right >= 0, right, left))
-        w = node_weights(mesh, cell_order=sub.cells_l2g[::-1])
+        w = node_weights(mesh)
         assert np.array_equal(
             w.node, np.repeat(np.arange(mesh.n_nodes), np.diff(w.ptr)))
         for vx, vy in ((1.0, 0.0), (-0.3, 0.7)):
