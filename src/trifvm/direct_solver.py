@@ -53,12 +53,16 @@ from .poisson import CsrMatrix
 PIVOT_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 0.1
 RELAX_WIDTH = 32     # widest supernode amalgamation builds
+LEAF_SIZE = 64       # largest vertex set nested dissection leaves uncut
 CHECK_BOUND = 1e-8   # largest relative residual the check solve accepts
+STACK_ENTRIES = 4096  # padded block entries worth one more level stack
 
 
 @dataclass(slots=True)
 class Front:
-    """One supernode's factor blocks; columns first .. first + width - 1."""
+    """One supernode's factor blocks; columns first .. first + width - 1.
+
+    The blocks are views into the slot of its level stack."""
     first: int
     rows: np.ndarray    # front index list in B; rows[:width] are its columns
     l_inv: np.ndarray   # inverse of the unit lower L11 (width x width)
@@ -71,13 +75,34 @@ class Front:
         return len(self.l_inv)
 
 
+@dataclass(slots=True)
+class LevelStack:
+    """The fronts of one elimination-tree level whose widths and rows past
+    the columns pad to the same (wp, rp), stacked in supernode order.
+
+    Padding is zero in the blocks and index n in the index arrays: the
+    sweep's spare entry, which padded reads find zero and padded writes
+    leave zero."""
+    cols: np.ndarray     # (g, wp) each front's columns of B
+    piv: np.ndarray      # (g, wp) the pivot row feeding each column
+    rest: np.ndarray     # (g, rp) each front's rows past its columns
+    targets: np.ndarray  # the distinct entries of rest, ascending
+    slot: np.ndarray     # rest, flattened, as positions in targets
+    l_inv: np.ndarray    # (g, wp, wp)
+    u_inv: np.ndarray    # (g, wp, wp)
+    l21: np.ndarray      # (g, rp, wp)
+    u12: np.ndarray      # (g, wp, rp)
+
+
 @dataclass
 class LuFactors:
     n: int
     perm_row: np.ndarray    # A-row feeding elimination step t
-    perm_col: np.ndarray    # A-column feeding column t (the RCM order)
+    perm_col: np.ndarray    # A-column feeding column t (the fill order)
     pivot_rows: np.ndarray  # permuted-space row chosen at each step
     fronts: list            # Front per supernode, children before parents
+    stacks: list            # LevelStack per level and shape, leaves first
+    levels: int             # height of the supernode tree
     fill_nnz: int           # entries of L and U, explicit zeros included
     check_residual: float = 0.0
 
@@ -95,16 +120,75 @@ def adjacency_pattern(mat: CsrMatrix) -> DualGraph:
                             np.concatenate([cols, rows]))
 
 
-def rcm_order(mat: CsrMatrix) -> np.ndarray:
-    """Reverse Cuthill-McKee over the symmetrized pattern.
+def rcm_order(mat: CsrMatrix, leaf_size: int = LEAF_SIZE) -> np.ndarray:
+    """Nested-dissection order over the symmetrized pattern.
 
-    Deterministic: each component starts from its minimum-degree vertex
-    (lowest index on ties) and neighbors enqueue sorted by (degree, index).
+    The name is the reverse Cuthill-McKee order's, which this was and which
+    its leaves still are: a matrix of at most `leaf_size` rows gets that
+    order bit for bit, and callers that look the ordering up by name (the
+    benchmark's tracer times it so) still find it.  The sets of one depth
+    of the dissection are swept side by side.  Deterministic: a sweep starts
+    from the vertex of lowest (degree, index) and neighbors enqueue by
+    (degree, index).
     """
+    n = mat.n
     graph = adjacency_pattern(mat)
-    by_degree = np.argsort(np.diff(graph.ptr), kind="stable")
-    return cuthill_mckee(graph, np.ones(mat.n, dtype=bool),
-                         by_degree)[::-1].copy()
+    degree = np.diff(graph.ptr)
+    perm = np.empty(n, dtype=np.int64)
+    verts = np.arange(n)   # still to place, set by set, ascending in each
+    set_of = np.zeros(n, dtype=np.int64)
+    lo = np.zeros(1, dtype=np.int64)   # each set's first place in perm
+    while len(verts):
+        part = np.full(n, -1)
+        part[verts] = set_of
+        size = np.bincount(set_of)
+        start = np.cumsum(size) - size
+        by_degree = verts[np.lexsort((degree[verts], set_of))]
+        order, depth = cuthill_mckee(graph, part, by_degree)
+        # a leaf takes its reversed sweep
+        sid = part[order]
+        leaf = (size <= leaf_size)[sid]
+        where = (lo + start + size - 1)[sid] - np.arange(len(order))
+        perm[where[leaf]] = order[leaf]
+        big = np.flatnonzero(size > leaf_size)
+        if not len(big):
+            break
+        # the rest: a second sweep from the far end of the first; the level
+        # holding the middle vertex, never the last one, separates
+        keep = (size > leaf_size)[sid]
+        order, depth = order[keep], depth[keep]
+        renumber = np.full(len(size) + 1, -1)
+        renumber[big] = np.arange(len(big))
+        part = renumber[part]
+        size, lo = size[big], lo[big]
+        start = np.cumsum(size) - size
+        sid = part[order]
+        mid = np.minimum(depth[start + size // 2],
+                         np.maximum.reduceat(depth, start) - 1)[sid]
+        beyond = np.zeros(n, dtype=bool)
+        beyond[order[depth > mid]] = True
+        # thin the level to the vertices with a neighbor beyond it
+        cand = np.flatnonzero(depth == mid)
+        count = degree[order[cand]]
+        far = beyond[graph.adj[np.repeat(graph.ptr[order[cand]], count)
+                               + np.arange(count.sum())
+                               - np.repeat(np.cumsum(count) - count, count)]]
+        side = (depth > mid).astype(np.int64)   # 0 near, 1 far, 2 separator
+        side[cand[np.repeat(np.arange(len(cand)), count)[far]]] = 2
+        count = np.bincount(sid * 3 + side, minlength=3 * len(big))
+        count = count.reshape(-1, 3)
+        sep = side == 2
+        first_sep = np.cumsum(count[:, 2]) - count[:, 2]
+        perm[(lo + count[:, 0] + count[:, 1] - first_sep)[sid[sep]]
+             + np.arange(np.count_nonzero(sep))] = order[sep]
+        child = sid * 2 + side
+        kept = ~sep
+        child, verts = child[kept], order[kept]
+        keys, set_of = np.unique(child, return_inverse=True)
+        lo = lo[keys // 2] + (keys % 2) * count[keys // 2, 0]
+        by_set = np.lexsort((verts, set_of))
+        verts, set_of = verts[by_set], set_of[by_set]
+    return perm
 
 
 def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
@@ -113,22 +197,17 @@ def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
     lo, hi = np.minimum(b_rows, b_cols), np.maximum(b_rows, b_cols)
     off = lo != hi
     lower = graph_from_pairs(n, lo[off], hi[off])   # lower pattern of B + B^T
-    lo_ptr, hi = lower.ptr, lower.adj
+    ptr, hi = lower.ptr.tolist(), lower.adj.tolist()
     parent = np.full(n, -1, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
-    struct = [None] * n
+    struct = [None] * n   # Python lists: a column's merge is a few µs
     pending = [[] for _ in range(n)]   # children's structures, minus the parent
     for j in range(n):
-        parts = pending[j] + [hi[lo_ptr[j]:lo_ptr[j + 1]]]
-        if len(parts) == 1:
-            s = parts[0]
-        else:   # the sorted union: sort, then drop repeats of a neighbour
-            s = np.sort(np.concatenate(parts))
-            keep = np.ones(len(s), dtype=bool)
-            keep[1:] = s[1:] != s[:-1]
-            s = s[keep]
+        s = hi[ptr[j]:ptr[j + 1]]
+        if pending[j]:
+            s = sorted(set(s).union(*pending[j]))
         struct[j], count[j] = s, len(s)
-        if len(s):
+        if s:
             parent[j] = s[0]
             pending[s[0]].append(s[1:])
 
@@ -141,7 +220,7 @@ def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
         if not (firsts and tree_edge[f - 1] and end - firsts[-1] <= RELAX_WIDTH):
             firsts.append(f)
     firsts.append(n)
-    rows = [np.concatenate([np.arange(f, end), struct[end - 1]])
+    rows = [np.array(list(range(f, end)) + struct[end - 1], dtype=np.int64)
             for f, end in zip(firsts[:-1], firsts[1:])]
     sn_of = np.repeat(np.arange(len(rows)), np.diff(firsts))
     kids: list = [[] for _ in rows]
@@ -149,6 +228,67 @@ def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
         if parent[end - 1] >= 0:
             kids[sn_of[parent[end - 1]]].append(s)
     return firsts, rows, kids, sn_of
+
+
+def _shape_groups(shapes: list) -> list:
+    """Split one level's fronts, given as (index, width, rows past the
+    columns), into groups that pad to one shape each.  Fronts are bucketed
+    by width on a 1, 2, 3, 4, 6, 8, 12, ... ladder; runs of adjacent buckets
+    merge when the padding they add costs less than the sweep overhead of
+    a stack, STACK_ENTRIES (least total cost by dynamic programming)."""
+    buckets: dict = {}
+    for shape in shapes:
+        p = 1 << max(shape[1] - 1, 0).bit_length()
+        buckets.setdefault(3 * p // 4 if 2 < shape[1] <= 3 * p // 4 else p,
+                           []).append(shape)
+    runs = [buckets[k] for k in sorted(buckets)]
+    best, cut = [0], [0]
+    for j in range(1, len(runs) + 1):
+        wp = rp = g = 0
+        options = []
+        for i in range(j - 1, -1, -1):
+            g += len(runs[i])
+            wp = max(wp, max(w for _, w, _ in runs[i]))
+            rp = max(rp, max(r for _, _, r in runs[i]))
+            options.append((best[i] + STACK_ENTRIES + g * wp * (wp + rp), i))
+        cost, i = min(options)
+        best.append(cost)
+        cut.append(i)
+    groups, j = [], len(runs)
+    while j:
+        groups.append(sorted(sum(runs[cut[j]:j], [])))
+        j = cut[j]
+    return groups[::-1]
+
+
+def _level_stacks(n: int, firsts: list, rows: list, kids: list):
+    """Zeroed level stacks for the fronts, and each front's (stack, slot)."""
+    height = np.zeros(len(rows), dtype=np.int64)
+    for s, ks in enumerate(kids):
+        if ks:
+            height[s] = height[ks].max() + 1
+    shapes: list = [[] for _ in range(int(height.max(initial=-1)) + 1)]
+    for s, (f, end) in enumerate(zip(firsts[:-1], firsts[1:])):
+        shapes[height[s]].append((s, end - f, len(rows[s]) - end + f))
+    stacks, slot_of = [], [None] * len(rows)
+    for level in shapes:
+        for group in _shape_groups(level):
+            g = len(group)
+            wp = max(w for _, w, _ in group)
+            rp = max(r for _, _, r in group)
+            cols = np.full((g, wp), n, dtype=np.int64)
+            rest = np.full((g, rp), n, dtype=np.int64)
+            for i, (s, w, r) in enumerate(group):
+                cols[i, :w] = rows[s][:w]
+                rest[i, :r] = rows[s][w:]
+                slot_of[s] = (len(stacks), i)
+            targets, slot = np.unique(rest, return_inverse=True)
+            stacks.append(LevelStack(
+                cols=cols, piv=cols, rest=rest, targets=targets,
+                slot=slot.ravel(), l_inv=np.zeros((g, wp, wp)),
+                u_inv=np.zeros((g, wp, wp)), l21=np.zeros((g, rp, wp)),
+                u12=np.zeros((g, wp, rp))))
+    return stacks, slot_of, len(shapes)
 
 
 def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
@@ -166,6 +306,7 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
     b_rows = inv_perm[np.repeat(np.arange(n), np.diff(mat.indptr))]
     b_cols = inv_perm[mat.indices]
     firsts, front_rows, kids, sn_of = _supernodes(n, b_rows, b_cols)
+    stacks, slot_of, levels = _level_stacks(n, firsts, front_rows, kids)
     # B's entries, grouped by the front that assembles them
     owner = sn_of[np.minimum(b_rows, b_cols)]
     by_front = np.argsort(owner, kind="stable")
@@ -204,16 +345,29 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
             front[k + 1:, k + 1:w] -= front[k + 1:, k, None] * front[k, None, k + 1:w]
 
         l_inv = np.linalg.inv(np.tril(front[:w, :w], -1) + np.eye(w))
-        u_inv = np.linalg.inv(np.triu(front[:w, :w]))
         l21 = front[w:, :w].copy()
         u12 = l_inv @ front[:w, w:]
         if m > w:
             contrib[s] = rows[w:], front[w:, w:] - l21 @ u12
-        fronts.append(Front(f, rows, l_inv, u_inv, l21, u12))
+        st, i = stacks[slot_of[s][0]], slot_of[s][1]
+        blocks = (st.l_inv[i, :w, :w], st.u_inv[i, :w, :w],
+                  st.l21[i, :m - w, :w], st.u12[i, :w, :m - w])
+        for view, block in zip(blocks, (l_inv, front[:w, :w], l21, u12)):
+            view[...] = block
+        fronts.append(Front(f, rows, *blocks))
         fill += w * (w + 1) + 2 * w * (m - w)
+    for st in stacks:
+        st.piv = np.append(pivot_rows, n)[st.cols]
+        # U11 in place of its inverse, identity on the padding: invert the
+        # whole stack at once, then clear the padding again
+        real = st.cols < n
+        block = real[:, :, None] & real[:, None, :]
+        st.u_inv[...] = np.linalg.inv(np.where(
+            block, np.triu(st.u_inv), np.eye(st.cols.shape[1]))) * block
 
     lu = LuFactors(n=n, perm_row=perm_col[pivot_rows], perm_col=perm_col,
-                   pivot_rows=pivot_rows, fronts=fronts, fill_nnz=fill)
+                   pivot_rows=pivot_rows, fronts=fronts, stacks=stacks,
+                   levels=levels, fill_nnz=fill)
     lu.check_residual = _check_residual(mat, lu)
     if not lu.check_residual <= CHECK_BOUND:
         raise SingularMatrix(f"check solve residual {lu.check_residual:.3e} "
@@ -232,19 +386,24 @@ def _check_residual(mat: CsrMatrix, lu: LuFactors) -> float:
 
 
 def _sweep(lu: LuFactors, b: np.ndarray) -> np.ndarray:
-    """Forward then backward sweep over the fronts."""
-    z = b[lu.perm_col]   # in B's row order; a front's rows become steps
-    piv = lu.pivot_rows
-    for fr in lu.fronts:
-        f, w = fr.first, fr.width
-        y = fr.l_inv @ z[piv[f:f + w]]
-        z[f:f + w] = y
-        z[fr.rows[w:]] -= fr.l21 @ y
-    for fr in reversed(lu.fronts):
-        f, w = fr.first, fr.width
-        z[f:f + w] = fr.u_inv @ (z[f:f + w] - fr.u12 @ z[fr.rows[w:]])
+    """Forward sweep from the leaves, then backward from the root, one
+    level stack at a time; updates to shared rows sum in stack order."""
+    z = np.zeros(lu.n + 1)   # in B's row order, plus the spare entry n
+    z[:lu.n] = b[lu.perm_col]
+    for st in lu.stacks:
+        y = np.matmul(st.l_inv, z[st.piv][..., None])
+        z[st.cols] = y[..., 0]
+        if st.rest.size:
+            z[st.targets] -= np.bincount(st.slot,
+                                         np.matmul(st.l21, y).ravel(),
+                                         minlength=len(st.targets))
+    for st in reversed(lu.stacks):
+        t = z[st.cols]
+        if st.rest.size:
+            t -= np.matmul(st.u12, z[st.rest][..., None])[..., 0]
+        z[st.cols] = np.matmul(st.u_inv, t[..., None])[..., 0]
     out = np.empty(lu.n)
-    out[lu.perm_col] = z
+    out[lu.perm_col] = z[:lu.n]
     return out
 
 

@@ -76,35 +76,53 @@ def build_dual_graph(mesh: Mesh) -> DualGraph:
                             np.concatenate([right, left]))
 
 
-def cuthill_mckee(graph: DualGraph, free: np.ndarray, starts) -> np.ndarray:
-    """Cuthill-McKee order of the vertices marked in `free`, which it clears.
+def cuthill_mckee(graph: DualGraph, part: np.ndarray, starts: np.ndarray):
+    """Cuthill-McKee sweeps of the vertex sets part == 0, 1, ..., side by
+    side; vertices with part -1 are in none, and no edge may join two sets.
 
-    A sweep goes one BFS level at a time from the first still-free vertex
-    of `starts`, then from the next, until no vertex of `starts` is free.
-    A new level lists its vertices by (position of the earliest neighbor in
-    the previous level, degree, id): the order a per-vertex queue that
-    enqueues each vertex's free neighbors by (degree, id) produces.
-    Degrees count every neighbor, free or not.
+    Each set's sweep goes one BFS level at a time from its first vertex in
+    `starts`.  When every set's component is done, each set goes on from
+    its first vertex in `starts` not yet swept, until none is left.  A new
+    level lists its vertices by (position of the earliest neighbor in the
+    previous level, degree, id): the order a per-vertex queue that enqueues
+    each vertex's unswept neighbors by (degree, id) produces.  Degrees count
+    every neighbor.  An edge joins vertices of one level or of two adjacent
+    ones, so each level separates those before it from those after it.
+
+    Returns the swept vertices set by set, each set's in Cuthill-McKee
+    order, and the level of each (the step of the sweeps that took it).
     """
-    degree = np.diff(graph.ptr)
-    levels = []
-    for s in starts.tolist():
-        if not free[s]:
-            continue
-        level = np.array([s])
-        while level.size:
-            free[level] = False
-            levels.append(level)
-            lo, count = graph.ptr[level], degree[level]
-            ends = np.cumsum(count)
-            nbrs = graph.adj[np.arange(ends[-1])
-                             + np.repeat(lo - ends + count, count)]
-            parent = np.repeat(np.arange(len(level)), count)
-            keep = free[nbrs]
-            nbrs, parent = nbrs[keep], parent[keep]
-            nbrs = nbrs[np.lexsort((nbrs, degree[nbrs], parent))]
-            level = nbrs[np.sort(np.unique(nbrs, return_index=True)[1])]
-    return np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
+    n, ptr = graph.n, graph.ptr
+    degree = np.diff(ptr)
+    span = int(degree.max(initial=0)) + 1
+    free = part >= 0
+    claim = np.full(n, n * span)   # a vertex's earliest entry in its step
+    steps = []
+    level = np.empty(0, dtype=np.int64)
+    while True:
+        if not level.size:
+            more = starts[free[starts]]
+            level = more[np.unique(part[more], return_index=True)[1]]
+            if not level.size:
+                break
+        free[level] = False
+        steps.append(level)
+        count = degree[level]
+        ends = np.cumsum(count)
+        nbrs = graph.adj[np.arange(ends[-1])
+                         + np.repeat(ptr[level] - ends + count, count)]
+        at = np.flatnonzero(free[nbrs])
+        nbrs = nbrs[at]
+        np.minimum.at(claim, nbrs, at)
+        nbrs = nbrs[claim[nbrs] == at]
+        parent = np.searchsorted(ends, claim[nbrs], side="right")
+        level = nbrs[np.argsort((parent * span + degree[nbrs]) * n + nbrs)]
+    if not steps:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    order = np.concatenate(steps)
+    depth = np.repeat(np.arange(len(steps)), [len(s) for s in steps])
+    by_set = np.argsort(part[order], kind="stable")
+    return order[by_set], depth[by_set]
 
 
 def _bisect(graph: DualGraph, cells: np.ndarray, k: int, first: int,
@@ -114,10 +132,10 @@ def _bisect(graph: DualGraph, cells: np.ndarray, k: int, first: int,
         part[cells] = first
         return
     by_degree = cells[np.argsort(np.diff(graph.ptr)[cells], kind="stable")]
-    free = np.zeros(graph.n, dtype=bool)
-    free[cells] = True
-    far = cuthill_mckee(graph, free.copy(), by_degree)[-1]
-    order = cuthill_mckee(graph, free, np.concatenate([[far], by_degree]))
+    one = np.full(graph.n, -1)
+    one[cells] = 0
+    far = cuthill_mckee(graph, one, by_degree)[0][-1]
+    order = cuthill_mckee(graph, one, np.concatenate([[far], by_degree]))[0]
     half = k // 2
     cut = len(cells) * half // k
     _bisect(graph, np.sort(order[:cut]), half, first, part)
