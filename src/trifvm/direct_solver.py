@@ -206,7 +206,10 @@ def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
         s = hi[ptr[j]:ptr[j + 1]]
         if pending[j]:
             s = sorted(set(s).union(*pending[j]))
+            pending[j] = None
         struct[j], count[j] = s, len(s)
+        if j and parent[j - 1] == j and count[j - 1] == len(s) + 1:
+            struct[j - 1] = None   # inside a fundamental supernode
         if s:
             parent[j] = s[0]
             pending[s[0]].append(s[1:])
@@ -352,7 +355,7 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
         st, i = stacks[slot_of[s][0]], slot_of[s][1]
         blocks = (st.l_inv[i, :w, :w], st.u_inv[i, :w, :w],
                   st.l21[i, :m - w, :w], st.u12[i, :w, :m - w])
-        for view, block in zip(blocks, (l_inv, front[:w, :w], l21, u12)):
+        for view, block in zip(blocks, (l_inv, np.triu(front[:w, :w]), l21, u12)):
             view[...] = block
         fronts.append(Front(f, rows, *blocks))
         fill += w * (w + 1) + 2 * w * (m - w)
@@ -360,10 +363,10 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
         st.piv = np.append(pivot_rows, n)[st.cols]
         # U11 in place of its inverse, identity on the padding: invert the
         # whole stack at once, then clear the padding again
-        real = st.cols < n
-        block = real[:, :, None] & real[:, None, :]
-        st.u_inv[...] = np.linalg.inv(np.where(
-            block, np.triu(st.u_inv), np.eye(st.cols.shape[1]))) * block
+        pad = st.u_inv.reshape(len(st.cols), -1)[:, ::st.cols.shape[1] + 1]
+        pad[st.cols == n] = 1.0
+        st.u_inv[...] = np.linalg.inv(st.u_inv)
+        pad[st.cols == n] = 0.0
 
     lu = LuFactors(n=n, perm_row=perm_col[pivot_rows], perm_col=perm_col,
                    pivot_rows=pivot_rows, fronts=fronts, stacks=stacks,
