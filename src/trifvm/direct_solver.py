@@ -1,11 +1,19 @@
 """Sparse direct LU: factor once, solve every step.
 
 Multifrontal (Duff & Reid 1983; Amestoy et al. 2001, the scheme of MUMPS):
-the matrix, ordered by reverse Cuthill-McKee as B = A[perm][:, perm] to keep
-fill local, is eliminated as a tree of small dense fronts, so the Python
-overhead is paid per front column rather than per nonzero.  The ordering is
-the level sweep `partition.cuthill_mckee` that also splits the mesh, run
-on the pattern of A + A^T.
+the matrix, ordered by nested dissection as B = A[perm][:, perm] to keep
+fill low, is eliminated as a tree of small dense fronts, so the Python
+overhead is paid per front column rather than per nonzero.
+
+Ordering, on the pattern of A + A^T (George 1973).  The separators come
+from the Cuthill-McKee level sweep `partition.cuthill_mckee` that also
+splits the mesh: a set of more than LEAF_SIZE vertices is swept from its
+vertex of lowest (degree, index), and the level holding its middle vertex
+(never its last level), thinned to the vertices with a neighbour in a later
+level, is ordered after the vertices before it and those after it, each
+side dissected again.  A leaf takes its sweep reversed, which is reverse
+Cuthill-McKee: a matrix that fits in one leaf gets that order bit for bit.
+The sets of one depth of the dissection are swept side by side.
 
 Symbolic phase, on the pattern of B + B^T.  Column j's structure (its rows
 below j in the Cholesky factor of that pattern) is its own lower pattern
@@ -14,14 +22,24 @@ parent in the elimination tree (Liu 1990).  Runs of tree edges j -> j + 1
 along which the structure shrinks by one row are the fundamental
 supernodes; supernodes joined by a tree edge are amalgamated while at most
 RELAX_WIDTH columns wide (the explicit zeros this adds count as fill).  A
-front's index list is its columns, then its last column's structure.
+front's index list is its columns, then its last column's structure.  A
+front's level is its height in the supernode tree (leaves 0); the fronts of
+one level are independent (Liu 1990), and each level's are grouped by
+padded shape into level stacks, allocated once, zero-padded.
 
 Numeric phase, supernodes in order (children first).  A front is assembled
 dense from B's entries whose smaller index is one of its columns plus its
 children's contribution blocks (extend-add through index maps); its
 fully-summed columns are eliminated one by one; U12 = L11^-1 F12; and
 F22 - L21 U12, one matrix product, is the block its parent receives.  The
-inverses of L11 and U11 are kept, so solves are dense matrix-vector sweeps.
+inverses of L11 and U11, L21 and U12 are written into the front's slot of
+its level stack (the U11 inverses one batched inversion per stack), and a
+Front's blocks are views of that slot: the factor is stored once.
+
+Solve: a forward sweep from the leaves and a backward sweep from the root,
+per level stack a gather, batched matrix-vector products (np.matmul) and a
+scatter; the forward updates of shared ancestor rows are summed by one
+np.bincount in stack order, so reruns are byte-identical.
 
 Pivoting, per front column: the diagonal is kept when it is at least
 `threshold` (default 0.1) of the column's largest entry in the whole front,
@@ -47,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
-from .partition import DualGraph, cuthill_mckee, graph_from_pairs
+from .partition import DualGraph, cuthill_mckee, graph_from_pairs, neighbors
 from .poisson import CsrMatrix
 
 PIVOT_FLOOR = 1e-14
@@ -121,74 +139,65 @@ def adjacency_pattern(mat: CsrMatrix) -> DualGraph:
 
 
 def rcm_order(mat: CsrMatrix, leaf_size: int = LEAF_SIZE) -> np.ndarray:
-    """Nested-dissection order over the symmetrized pattern.
+    """Nested-dissection order over the symmetrized pattern (module doc).
 
-    The name is the reverse Cuthill-McKee order's, which this was and which
-    its leaves still are: a matrix of at most `leaf_size` rows gets that
-    order bit for bit, and callers that look the ordering up by name (the
-    benchmark's tracer times it so) still find it.  The sets of one depth
-    of the dissection are swept side by side.  Deterministic: a sweep starts
-    from the vertex of lowest (degree, index) and neighbors enqueue by
-    (degree, index).
+    It keeps the name of the reverse Cuthill-McKee order it replaced, which
+    a matrix of at most `leaf_size` rows still gets, so callers that look
+    the ordering up by name (the benchmark's tracer times it so) find it.
     """
-    n = mat.n
-    graph = adjacency_pattern(mat)
+    return dissection(adjacency_pattern(mat), leaf_size)[0]
+
+
+def dissection(graph: DualGraph, leaf_size: int = LEAF_SIZE):
+    """Nested-dissection order of a graph, and its splits: one row per
+    separator, (first place, near count, far count, separator count), for
+    the near side, the far side and the separator placed in that order."""
+    n = graph.n
     degree = np.diff(graph.ptr)
     perm = np.empty(n, dtype=np.int64)
-    verts = np.arange(n)   # still to place, set by set, ascending in each
-    set_of = np.zeros(n, dtype=np.int64)
-    lo = np.zeros(1, dtype=np.int64)   # each set's first place in perm
+    splits = [np.empty((0, 4), dtype=np.int64)]
+    # the sets of one depth: their vertices set by set, ascending in each;
+    # the set of each; and each set's first place in perm
+    verts, set_of = np.arange(n), np.zeros(n, dtype=np.int64)
+    lo = np.zeros(1, dtype=np.int64)
     while len(verts):
         part = np.full(n, -1)
         part[verts] = set_of
+        order, depth = cuthill_mckee(
+            graph, part, verts[np.lexsort((degree[verts], set_of))])
         size = np.bincount(set_of)
-        start = np.cumsum(size) - size
-        by_degree = verts[np.lexsort((degree[verts], set_of))]
-        order, depth = cuthill_mckee(graph, part, by_degree)
-        # a leaf takes its reversed sweep
         sid = part[order]
-        leaf = (size <= leaf_size)[sid]
-        where = (lo + start + size - 1)[sid] - np.arange(len(order))
-        perm[where[leaf]] = order[leaf]
-        big = np.flatnonzero(size > leaf_size)
-        if not len(big):
+        leaf = size[sid] <= leaf_size
+        back = (lo + np.cumsum(size) - 1)[sid] - np.arange(len(order))
+        perm[back[leaf]] = order[leaf]
+        order, depth = order[~leaf], depth[~leaf]
+        if not len(order):
             break
-        # the rest: a second sweep from the far end of the first; the level
-        # holding the middle vertex, never the last one, separates
-        keep = (size > leaf_size)[sid]
-        order, depth = order[keep], depth[keep]
-        renumber = np.full(len(size) + 1, -1)
-        renumber[big] = np.arange(len(big))
-        part = renumber[part]
-        size, lo = size[big], lo[big]
-        start = np.cumsum(size) - size
-        sid = part[order]
-        mid = np.minimum(depth[start + size // 2],
-                         np.maximum.reduceat(depth, start) - 1)[sid]
-        beyond = np.zeros(n, dtype=bool)
-        beyond[order[depth > mid]] = True
-        # thin the level to the vertices with a neighbor beyond it
-        cand = np.flatnonzero(depth == mid)
-        count = degree[order[cand]]
-        far = beyond[graph.adj[np.repeat(graph.ptr[order[cand]], count)
-                               + np.arange(count.sum())
-                               - np.repeat(np.cumsum(count) - count, count)]]
+        keys, sid = np.unique(sid[~leaf], return_inverse=True)
+        size, lo = size[keys], lo[keys]
+        first = np.cumsum(size) - size
+        mid = np.minimum(depth[first + size // 2],
+                         np.maximum.reduceat(depth, first) - 1)[sid]
         side = (depth > mid).astype(np.int64)   # 0 near, 1 far, 2 separator
-        side[cand[np.repeat(np.arange(len(cand)), count)[far]]] = 2
-        count = np.bincount(sid * 3 + side, minlength=3 * len(big))
+        beyond = np.zeros(n, dtype=bool)
+        beyond[order[side == 1]] = True
+        cand = np.flatnonzero(depth == mid)
+        nbrs, ends = neighbors(graph, order[cand])
+        side[cand[np.searchsorted(ends, np.flatnonzero(beyond[nbrs]),
+                                  side="right")]] = 2
+        count = np.bincount(sid * 3 + side, minlength=3 * len(keys))
         count = count.reshape(-1, 3)
+        splits.append(np.column_stack([lo, count]))
         sep = side == 2
-        first_sep = np.cumsum(count[:, 2]) - count[:, 2]
-        perm[(lo + count[:, 0] + count[:, 1] - first_sep)[sid[sep]]
+        perm[(lo + count[:, 0] + count[:, 1] - np.cumsum(count[:, 2])
+              + count[:, 2])[sid[sep]]
              + np.arange(np.count_nonzero(sep))] = order[sep]
-        child = sid * 2 + side
-        kept = ~sep
-        child, verts = child[kept], order[kept]
-        keys, set_of = np.unique(child, return_inverse=True)
-        lo = lo[keys // 2] + (keys % 2) * count[keys // 2, 0]
+        keys, set_of = np.unique((sid * 2 + side)[~sep], return_inverse=True)
+        lo = lo[keys // 2] + keys % 2 * count[keys // 2, 0]
+        verts = order[~sep]
         by_set = np.lexsort((verts, set_of))
         verts, set_of = verts[by_set], set_of[by_set]
-    return perm
+    return perm, np.concatenate(splits)
 
 
 def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):

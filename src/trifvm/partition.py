@@ -76,6 +76,16 @@ def build_dual_graph(mesh: Mesh) -> DualGraph:
                             np.concatenate([right, left]))
 
 
+def neighbors(graph: DualGraph, verts: np.ndarray):
+    """The neighbors of each of `verts` (not empty), concatenated, and the
+    end of each vertex's run in them."""
+    lo = graph.ptr[verts]
+    count = graph.ptr[verts + 1] - lo
+    ends = np.cumsum(count)
+    return graph.adj[np.arange(ends[-1]) + np.repeat(lo - ends + count,
+                                                     count)], ends
+
+
 def cuthill_mckee(graph: DualGraph, part: np.ndarray, starts: np.ndarray):
     """Cuthill-McKee sweeps of the vertex sets part == 0, 1, ..., side by
     side; vertices with part -1 are in none, and no edge may join two sets.
@@ -92,11 +102,11 @@ def cuthill_mckee(graph: DualGraph, part: np.ndarray, starts: np.ndarray):
     Returns the swept vertices set by set, each set's in Cuthill-McKee
     order, and the level of each (the step of the sweeps that took it).
     """
-    n, ptr = graph.n, graph.ptr
-    degree = np.diff(ptr)
+    n = graph.n
+    degree = np.diff(graph.ptr)
     span = int(degree.max(initial=0)) + 1
     free = part >= 0
-    claim = np.full(n, n * span)   # a vertex's earliest entry in its step
+    claim = np.full(n, len(graph.adj))   # a vertex's first entry in its step
     steps = []
     level = np.empty(0, dtype=np.int64)
     while True:
@@ -107,10 +117,7 @@ def cuthill_mckee(graph: DualGraph, part: np.ndarray, starts: np.ndarray):
                 break
         free[level] = False
         steps.append(level)
-        count = degree[level]
-        ends = np.cumsum(count)
-        nbrs = graph.adj[np.arange(ends[-1])
-                         + np.repeat(ptr[level] - ends + count, count)]
+        nbrs, ends = neighbors(graph, level)
         at = np.flatnonzero(free[nbrs])
         nbrs = nbrs[at]
         np.minimum.at(claim, nbrs, at)

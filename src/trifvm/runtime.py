@@ -177,7 +177,7 @@ class SimulationReport:
     clip_count: int
     final_fields: dict
     outputs: list
-    solver: dict | None = None   # streamer runs: fill and off-diagonal pivots
+    solver: dict | None = None   # streamer runs: the factor's statistics
 
 
 @dataclass
@@ -486,7 +486,9 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         factors = factorize(problem.matrix)
         num_factorizations += 1
         solver = {"fill": factors.fill_nnz,
-                  "offdiag_pivots": factors.offdiag_pivots}
+                  "offdiag_pivots": factors.offdiag_pivots,
+                  "levels": factors.levels,
+                  "check_residual": factors.check_residual}
 
     fabric = _Fabric(timeout=cfg.timeout_s)
     for sub in subs:
