@@ -153,28 +153,26 @@ def dissection(graph: DualGraph, leaf_size: int = LEAF_SIZE):
     separator, (first place, near count, far count, separator count), for
     the near side, the far side and the separator placed in that order."""
     n = graph.n
-    degree = np.diff(graph.ptr)
+    by_degree = np.argsort(np.diff(graph.ptr), kind="stable")
     perm = np.empty(n, dtype=np.int64)
     splits = [np.empty((0, 4), dtype=np.int64)]
-    # the sets of one depth: their vertices set by set, ascending in each;
-    # the set of each; and each set's first place in perm
-    verts, set_of = np.arange(n), np.zeros(n, dtype=np.int64)
-    lo = np.zeros(1, dtype=np.int64)
-    while len(verts):
-        part = np.full(n, -1)
-        part[verts] = set_of
-        order, depth = cuthill_mckee(
-            graph, part, verts[np.lexsort((degree[verts], set_of))])
-        size = np.bincount(set_of)
+    # the sets of one depth: the set of each vertex (-1 for none) and each
+    # set's first place in perm
+    part, lo = np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    while True:
+        order, depth = cuthill_mckee(graph, part,
+                                     by_degree[part[by_degree] >= 0])
         sid = part[order]
+        size = np.bincount(sid, minlength=len(lo))
         leaf = size[sid] <= leaf_size
         back = (lo + np.cumsum(size) - 1)[sid] - np.arange(len(order))
         perm[back[leaf]] = order[leaf]
-        order, depth = order[~leaf], depth[~leaf]
-        if not len(order):
+        big = size > leaf_size
+        if not big.any():
             break
-        keys, sid = np.unique(sid[~leaf], return_inverse=True)
-        size, lo = size[keys], lo[keys]
+        order, depth = order[~leaf], depth[~leaf]
+        sid = (np.cumsum(big) - 1)[sid[~leaf]]
+        size, lo = size[big], lo[big]
         first = np.cumsum(size) - size
         mid = np.minimum(depth[first + size // 2],
                          np.maximum.reduceat(depth, first) - 1)[sid]
@@ -185,18 +183,18 @@ def dissection(graph: DualGraph, leaf_size: int = LEAF_SIZE):
         nbrs, ends = neighbors(graph, order[cand])
         side[cand[np.searchsorted(ends, np.flatnonzero(beyond[nbrs]),
                                   side="right")]] = 2
-        count = np.bincount(sid * 3 + side, minlength=3 * len(keys))
+        count = np.bincount(sid * 3 + side, minlength=3 * len(lo))
         count = count.reshape(-1, 3)
         splits.append(np.column_stack([lo, count]))
         sep = side == 2
         perm[(lo + count[:, 0] + count[:, 1] - np.cumsum(count[:, 2])
               + count[:, 2])[sid[sep]]
              + np.arange(np.count_nonzero(sep))] = order[sep]
-        keys, set_of = np.unique((sid * 2 + side)[~sep], return_inverse=True)
-        lo = lo[keys // 2] + keys % 2 * count[keys // 2, 0]
-        verts = order[~sep]
-        by_set = np.lexsort((verts, set_of))
-        verts, set_of = verts[by_set], set_of[by_set]
+        # the next depth: each side that is not empty is a set
+        kept = count[:, :2].ravel() > 0
+        part = np.full(n, -1)
+        part[order[~sep]] = (np.cumsum(kept) - 1)[(sid * 2 + side)[~sep]]
+        lo = np.column_stack([lo, lo + count[:, 0]]).ravel()[kept]
     return perm, np.concatenate(splits)
 
 
@@ -364,7 +362,8 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
         st, i = stacks[slot_of[s][0]], slot_of[s][1]
         blocks = (st.l_inv[i, :w, :w], st.u_inv[i, :w, :w],
                   st.l21[i, :m - w, :w], st.u12[i, :w, :m - w])
-        for view, block in zip(blocks, (l_inv, np.triu(front[:w, :w]), l21, u12)):
+        for view, block in zip(blocks, (l_inv, np.triu(front[:w, :w]),
+                                        l21, u12)):
             view[...] = block
         fronts.append(Front(f, rows, *blocks))
         fill += w * (w + 1) + 2 * w * (m - w)

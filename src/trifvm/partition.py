@@ -2,13 +2,16 @@
 
 The dual graph has one vertex per triangle and one edge per interior face
 (degree <= 3).  Partitioning is recursive bisection by Cuthill-McKee
-sweeps, the level routine that also orders the direct solver
-(`direct_solver.rcm_order`).  A sweep from the lowest (degree, id) cell
-ends at a far cell; a second sweep from that cell orders the cells level by
-level, and the first floor(n * floor(k/2) / k) of them take floor(k/2) of
-the k parts, the rest the others, each half split again the same way.
-Part sizes differ by at most one, and a partition depends on (graph, k)
-alone.
+sweeps.  A sweep from the lowest (degree, id) cell ends at a far cell; a
+second sweep from that cell orders the cells level by level, and the first
+floor(n * floor(k/2) / k) of them take floor(k/2) of the k parts, the rest
+the others, each half split again the same way.  Part sizes differ by at
+most one, and a partition depends on (graph, k) alone.
+
+The same sweep orders the direct solver (`direct_solver.dissection`): run
+on the matrix graph, it sweeps the vertex sets of one depth of the nested
+dissection side by side, and a middle level of each set's sweep, thinned,
+is its separator; a leaf takes its sweep reversed.
 
 Subdomains carry the rank's own cells plus a halo of every neighbor cell
 sharing at least one node with an own cell.  That is deliberately wider than

@@ -47,10 +47,10 @@ def test_order_is_a_permutation_cut_by_thin_separators(n, seed):
         in_far = (b >= lo + near) & (b < lo + near + far)
         assert not np.any(in_near & in_far)
         # thin: every separator vertex has a neighbour on the far side
-        in_sep = (a >= lo + near + far) & (a < lo + near + far + sep)
-        touching = np.unique(a[in_sep & in_far])
-        assert np.array_equal(touching,
-                              np.arange(lo + near + far, lo + near + far + sep))
+        start = lo + near + far
+        in_sep = (a >= start) & (a < start + sep)
+        assert np.array_equal(np.unique(a[in_sep & in_far]),
+                              np.arange(start, start + sep))
 
 
 @pytest.mark.parametrize("n, seed", CASES)
