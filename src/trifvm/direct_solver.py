@@ -73,7 +73,7 @@ DEFAULT_THRESHOLD = 0.1
 RELAX_WIDTH = 32     # widest supernode amalgamation builds
 LEAF_SIZE = 64       # largest vertex set nested dissection leaves uncut
 CHECK_BOUND = 1e-8   # largest relative residual the check solve accepts
-STACK_ENTRIES = 4096  # padded block entries worth one more level stack
+STACK_ENTRIES = 2048  # padded block entries worth one more level stack
 
 
 @dataclass(slots=True)
@@ -102,7 +102,7 @@ class LevelStack:
     sweep's spare entry, which padded reads find zero and padded writes
     leave zero."""
     cols: np.ndarray     # (g, wp) each front's columns of B
-    piv: np.ndarray      # (g, wp) the pivot row feeding each column
+    piv: np.ndarray      # (g, wp) the row feeding each column (pivots)
     rest: np.ndarray     # (g, rp) each front's rows past its columns
     targets: np.ndarray  # the distinct entries of rest, ascending
     slot: np.ndarray     # rest, flattened, as positions in targets
@@ -241,34 +241,27 @@ def _supernodes(n: int, b_rows: np.ndarray, b_cols: np.ndarray):
 
 
 def _shape_groups(shapes: list) -> list:
-    """Split one level's fronts, given as (index, width, rows past the
-    columns), into groups that pad to one shape each.  Fronts are bucketed
-    by width on a 1, 2, 3, 4, 6, 8, 12, ... ladder; runs of adjacent buckets
-    merge when the padding they add costs less than the sweep overhead of
-    a stack, STACK_ENTRIES (least total cost by dynamic programming)."""
+    """Split one level's fronts, (index, width, rows past the columns), into
+    groups padded to one shape each: bucketed by width on a 1, 2, 3, 4, 6,
+    8, 12, ... ladder, each bucket joins the group before it while that adds
+    fewer padded entries than a stack costs the sweep, STACK_ENTRIES."""
+    def padded(group):
+        wp = max(w for _, w, _ in group)
+        return len(group) * wp * (wp + max(r for _, _, r in group))
+
     buckets: dict = {}
     for shape in shapes:
-        p = 1 << max(shape[1] - 1, 0).bit_length()
+        p = 1 << (shape[1] - 1).bit_length()
         buckets.setdefault(3 * p // 4 if 2 < shape[1] <= 3 * p // 4 else p,
                            []).append(shape)
-    runs = [buckets[k] for k in sorted(buckets)]
-    best, cut = [0], [0]
-    for j in range(1, len(runs) + 1):
-        wp = rp = g = 0
-        options = []
-        for i in range(j - 1, -1, -1):
-            g += len(runs[i])
-            wp = max(wp, max(w for _, w, _ in runs[i]))
-            rp = max(rp, max(r for _, _, r in runs[i]))
-            options.append((best[i] + STACK_ENTRIES + g * wp * (wp + rp), i))
-        cost, i = min(options)
-        best.append(cost)
-        cut.append(i)
-    groups, j = [], len(runs)
-    while j:
-        groups.append(sorted(sum(runs[cut[j]:j], [])))
-        j = cut[j]
-    return groups[::-1]
+    groups: list = []
+    for _, bucket in sorted(buckets.items()):
+        if groups and padded(groups[-1] + bucket) < \
+                padded(groups[-1]) + padded(bucket) + STACK_ENTRIES:
+            groups[-1] = sorted(groups[-1] + bucket)
+        else:
+            groups.append(bucket)
+    return groups
 
 
 def _level_stacks(n: int, firsts: list, rows: list, kids: list):
@@ -367,7 +360,7 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
             view[...] = block
         fronts.append(Front(f, rows, *blocks))
         fill += w * (w + 1) + 2 * w * (m - w)
-    for st in stacks:
+    for st in stacks:   # the pivots are known now
         st.piv = np.append(pivot_rows, n)[st.cols]
         # U11 in place of its inverse, identity on the padding: invert the
         # whole stack at once, then clear the padding again
