@@ -138,20 +138,22 @@ def adjacency_pattern(mat: CsrMatrix) -> DualGraph:
                             np.concatenate([cols, rows]))
 
 
-def rcm_order(mat: CsrMatrix, leaf_size: int = LEAF_SIZE) -> np.ndarray:
+def rcm_order(mat: CsrMatrix) -> np.ndarray:
     """Nested-dissection order over the symmetrized pattern (module doc).
 
     It keeps the name of the reverse Cuthill-McKee order it replaced, which
-    a matrix of at most `leaf_size` rows still gets, so callers that look
-    the ordering up by name (the benchmark's tracer times it so) find it.
+    a matrix of at most LEAF_SIZE rows still gets, so callers that look the
+    ordering up by name (the benchmark's tracer times it so) find it.
     """
-    return dissection(adjacency_pattern(mat), leaf_size)[0]
+    return dissection(adjacency_pattern(mat))[0]
 
 
-def dissection(graph: DualGraph, leaf_size: int = LEAF_SIZE):
+def dissection(graph: DualGraph):
     """Nested-dissection order of a graph, and its splits: one row per
     separator, (first place, near count, far count, separator count), for
-    the near side, the far side and the separator placed in that order."""
+    the near side, the far side and the separator placed in that order.
+    The ordering needs only the order; the splits let the separators be
+    checked."""
     n = graph.n
     by_degree = np.argsort(np.diff(graph.ptr), kind="stable")
     perm = np.empty(n, dtype=np.int64)
@@ -164,10 +166,10 @@ def dissection(graph: DualGraph, leaf_size: int = LEAF_SIZE):
                                      by_degree[part[by_degree] >= 0])
         sid = part[order]
         size = np.bincount(sid, minlength=len(lo))
-        leaf = size[sid] <= leaf_size
+        leaf = size[sid] <= LEAF_SIZE
         back = (lo + np.cumsum(size) - 1)[sid] - np.arange(len(order))
         perm[back[leaf]] = order[leaf]
-        big = size > leaf_size
+        big = size > LEAF_SIZE
         if not big.any():
             break
         order, depth = order[~leaf], depth[~leaf]
