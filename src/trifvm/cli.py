@@ -101,8 +101,11 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rows = run_case(args.case, sizes)
+    sizes = [s.strip() for s in args.sizes.split(",") if s.strip()]
+    for s in sizes:
+        if not s.isdecimal() or int(s) < 1:
+            raise ConfigError(f"mesh size must be an integer >= 1: '{s}'")
+    rows = run_case(args.case, [int(s) for s in sizes])
     print(f"case = {args.case}")
     print(f"{'n':>6s} {'L_inf':>13s} {'L2':>13s} {'p_inf':>7s} {'p_2':>7s}")
     for r in rows:

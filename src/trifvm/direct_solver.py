@@ -33,8 +33,8 @@ children's contribution blocks (extend-add through index maps); its
 fully-summed columns are eliminated one by one; U12 = L11^-1 F12; and
 F22 - L21 U12, one matrix product, is the block its parent receives.  The
 inverses of L11 and U11, L21 and U12 are written into the front's slot of
-its level stack (the U11 inverses one batched inversion per stack), and a
-Front's blocks are views of that slot: the factor is stored once.
+its level stack (the U11 inverses one batched inversion per stack), the one
+copy of the factor.
 
 Solve: a forward sweep from the leaves and a backward sweep from the root,
 per level stack a gather, batched matrix-vector products (np.matmul) and a
@@ -77,23 +77,6 @@ STACK_ENTRIES = 2048  # padded block entries worth one more level stack
 
 
 @dataclass(slots=True)
-class Front:
-    """One supernode's factor blocks; columns first .. first + width - 1.
-
-    The blocks are views into the slot of its level stack."""
-    first: int
-    rows: np.ndarray    # front index list in B; rows[:width] are its columns
-    l_inv: np.ndarray   # inverse of the unit lower L11 (width x width)
-    u_inv: np.ndarray   # inverse of U11
-    l21: np.ndarray     # (m - width) x width; its rows are rows[width:] of B
-    u12: np.ndarray     # width x (m - width); its columns are rows[width:]
-
-    @property
-    def width(self) -> int:
-        return len(self.l_inv)
-
-
-@dataclass(slots=True)
 class LevelStack:
     """The fronts of one elimination-tree level whose widths and rows past
     the columns pad to the same (wp, rp), stacked in supernode order.
@@ -106,10 +89,10 @@ class LevelStack:
     rest: np.ndarray     # (g, rp) each front's rows past its columns
     targets: np.ndarray  # the distinct entries of rest, ascending
     slot: np.ndarray     # rest, flattened, as positions in targets
-    l_inv: np.ndarray    # (g, wp, wp)
-    u_inv: np.ndarray    # (g, wp, wp)
-    l21: np.ndarray      # (g, rp, wp)
-    u12: np.ndarray      # (g, wp, rp)
+    l_inv: np.ndarray    # (g, wp, wp) inverses of the unit lower L11s
+    u_inv: np.ndarray    # (g, wp, wp) inverses of the U11s
+    l21: np.ndarray      # (g, rp, wp) L21, its rows those of rest
+    u12: np.ndarray      # (g, wp, rp) U12, its columns those of rest
 
 
 @dataclass
@@ -118,7 +101,6 @@ class LuFactors:
     perm_row: np.ndarray    # A-row feeding elimination step t
     perm_col: np.ndarray    # A-column feeding column t (the fill order)
     pivot_rows: np.ndarray  # permuted-space row chosen at each step
-    fronts: list            # Front per supernode, children before parents
     stacks: list            # LevelStack per level and shape, leaves first
     levels: int             # height of the supernode tree
     fill_nnz: int           # entries of L and U, explicit zeros included
@@ -322,7 +304,7 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
     pivot_rows = np.arange(n, dtype=np.int64)
     where = np.empty(n, dtype=np.int64)   # global index -> front position
     contrib: dict = {}   # supernode -> (its rows past the columns, Schur block)
-    fronts, fill = [], 0
+    fill = 0
     for s, rows in enumerate(front_rows):
         f, w, m = firsts[s], firsts[s + 1] - firsts[s], len(rows)
         where[rows] = np.arange(m)
@@ -350,17 +332,15 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
             front[k + 1:, k + 1:w] -= front[k + 1:, k, None] * front[k, None, k + 1:w]
 
         l_inv = np.linalg.inv(np.tril(front[:w, :w], -1) + np.eye(w))
-        l21 = front[w:, :w].copy()
+        l21 = front[w:, :w].copy()   # a view would keep front alive
         u12 = l_inv @ front[:w, w:]
         if m > w:
             contrib[s] = rows[w:], front[w:, w:] - l21 @ u12
         st, i = stacks[slot_of[s][0]], slot_of[s][1]
-        blocks = (st.l_inv[i, :w, :w], st.u_inv[i, :w, :w],
-                  st.l21[i, :m - w, :w], st.u12[i, :w, :m - w])
-        for view, block in zip(blocks, (l_inv, np.triu(front[:w, :w]),
-                                        l21, u12)):
-            view[...] = block
-        fronts.append(Front(f, rows, *blocks))
+        st.l_inv[i, :w, :w] = l_inv
+        st.u_inv[i, :w, :w] = np.triu(front[:w, :w])
+        st.l21[i, :m - w, :w] = l21
+        st.u12[i, :w, :m - w] = u12
         fill += w * (w + 1) + 2 * w * (m - w)
     for st in stacks:   # the pivots are known now
         st.piv = np.append(pivot_rows, n)[st.cols]
@@ -372,7 +352,7 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
         pad[st.cols == n] = 0.0
 
     lu = LuFactors(n=n, perm_row=perm_col[pivot_rows], perm_col=perm_col,
-                   pivot_rows=pivot_rows, fronts=fronts, stacks=stacks,
+                   pivot_rows=pivot_rows, stacks=stacks,
                    levels=levels, fill_nnz=fill)
     lu.check_residual = _check_residual(mat, lu)
     if not lu.check_residual <= CHECK_BOUND:

@@ -12,8 +12,9 @@ Both physics run one step, `_step`: the streamer's coupling (charge source,
 host solve with the run's factors, potential to every rank), the halo
 exchange, the fluxes and CFL bound, the dt reduction, the convective and
 diffusive residuals, the update, and a check that every own value is still
-finite.  The hooks `_Transport` and `_Streamer` hold only what differs;
-`streamer_step` is `_step` on a one-rank context, which sends no messages.
+finite.  The hooks `_Transport` and `_Streamer` hold only what differs.
+`streamer_step` and the transport cases of `verification` run `_step` on
+`_one_rank`'s context, which sends no messages.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class RankContext:
     rank: int
     k: int
     sub: Subdomain
-    fabric: _Fabric | None      # None in streamer_step: k = 1 sends nothing
+    fabric: _Fabric | None      # None in _one_rank: k = 1 sends nothing
     # host-only global knowledge (None elsewhere)
     mesh: Mesh | None = None
     all_own_l2g: list | None = None
@@ -102,6 +103,15 @@ class RankContext:
     @property
     def is_host(self) -> bool:
         return self.rank == 0
+
+
+def _one_rank(sub: Subdomain, problem: PoissonProblem | None = None,
+              factors: LuFactors | None = None) -> RankContext:
+    """The context of a lone rank holding the whole mesh in `sub`."""
+    return RankContext(rank=0, k=1, sub=sub, fabric=None, mesh=sub.local_mesh,
+                       all_own_l2g=[sub.cells_l2g[:sub.n_own]],
+                       all_full_l2g=[sub.cells_l2g], problem=problem,
+                       factors=factors)
 
 
 def halo_exchange(ctx: RankContext, f: Field) -> Field:
@@ -406,12 +416,8 @@ def streamer_step(state: StreamerState, coeffs: StreamerCoefficients,
     """
     if sys.problem is None or sys.factors is None:
         raise ConfigError("streamer_step needs an assembled + factored system")
-    sub = sys.sub
-    ctx = RankContext(rank=0, k=1, sub=sub, fabric=None, mesh=sub.local_mesh,
-                      all_own_l2g=[sub.cells_l2g[:sub.n_own]],
-                      all_full_l2g=[sub.cells_l2g], problem=sys.problem,
-                      factors=sys.factors)
-    return _step(ctx, _Streamer(coeffs, sys), state, dt, _RankResult(timers={}))
+    return _step(_one_rank(sys.sub, sys.problem, sys.factors),
+                 _Streamer(coeffs, sys), state, dt, _RankResult(timers={}))
 
 
 def _build_coefficients(sc) -> StreamerCoefficients:

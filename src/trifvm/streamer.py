@@ -8,7 +8,7 @@ CFL bound of that state, and the update.  The field E = -grad V is the
 diamond gradient of `transport` on the potential's stencil, the one the
 potential matrix expands.  The one step of the coupled cycle, with its solve
 and collectives, is `runtime`'s; `runtime.streamer_step` runs that step on a
-single rank.
+single rank, as the transport cases of `verification` do.
 
 Closed forms for the transport coefficients are not part of the problem
 statement; two config-selected families are supported:

@@ -9,6 +9,8 @@ Three cases, each with a closed-form reference:
   diffuse_gauss  pure diffusion of a Gaussian in a closed box; exact
                  (free-space) solution spreads the variance by 2 D t
 
+The two transport cases run the step of every run, `runtime._step`, on a
+one-rank context, so their errors are those of the code a run executes.
 Errors are reported per mesh size as L-inf and area-weighted L2 at cell
 centroids, with observed order log2(e_h / e_{h/2}) between consecutive
 sizes.
@@ -21,15 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig, TransportConfig
 from .direct_solver import factorize, solve
 from .errors import UnknownCase
 from .mesh import build_diamonds, node_weights, structured_triangulation
 from .partition import single_subdomain
 from .poisson import assemble_rhs, assemble_system
-from .transport import (Field, FaceVelocity, apply_boundary_conditions,
-                        convective_residual, diamond_stencil,
-                        diffusive_residual, dirichlet_data, explicit_step,
-                        stable_dt)
+from .runtime import _one_rank, _RankResult, _step, _Transport
+from .transport import Field, dirichlet_data
 
 CASES = ("poisson_sine", "advect_gauss", "diffuse_gauss")
 
@@ -68,21 +69,17 @@ def _gaussian(c, center, sigma):
     return np.exp(-r2 / (2.0 * sigma ** 2))
 
 
-def _march(sub, vel, dcoef, bc, u, t_end, cfl=0.4, bc_time=None):
-    """Explicit march to exactly t_end; Dirichlet data may depend on time."""
-    lm = sub.local_mesh
-    st = diamond_stencil(lm, bc, sub.diamonds, sub.weights)
-    data = dirichlet_data(lm, bc, st.kind)
-    bound = stable_dt(sub, vel, dcoef, cfl)
-    steps = max(1, int(math.ceil(t_end / bound)))
+def _march(sub, tc: TransportConfig, u, t_end, bc_time=None):
+    """March with the run's step, on one rank, to exactly t_end."""
+    phys = _Transport(sub, RunConfig(transport=tc))
+    ctx, res = _one_rank(sub), _RankResult(timers={})
+    steps = max(1, int(math.ceil(t_end / phys.dt_stable)))
     dt = t_end / steps
     for s in range(steps):
         if bc_time is not None:  # fixed labels: only the data moves
-            data = dirichlet_data(lm, bc_time(s * dt), st.kind)
-        bvals = apply_boundary_conditions(u, st.neumann, data.face)
-        conv = convective_residual(sub, u, vel, bvals)
-        diss = diffusive_residual(sub, u, st, data, bvals, dcoef)
-        u = explicit_step(sub, u, conv, diss, dt)
+            phys.data = dirichlet_data(sub.local_mesh, bc_time(s * dt),
+                                       phys.stencil.kind)
+        u = _step(ctx, phys, u, dt, res)
     return u
 
 
@@ -106,8 +103,8 @@ def _case_advect_gauss(n: int) -> tuple[float, float]:
                                                   "top", "bottom")}
 
     u = Field(_gaussian(mesh.centroids, start, sigma), "u")
-    u = _march(sub, FaceVelocity.uniform(sub, vx, vy), 0.0, bc_time(0.0), u,
-               t_end, bc_time=bc_time)
+    tc = TransportConfig(velocity=(vx, vy), diffusion=0.0, bc=bc_time(0.0))
+    u = _march(sub, tc, u, t_end, bc_time)
     g = exact_at(t_end)
     exact = np.array([g(x, y) for x, y in mesh.centroids])
     return _errors(mesh, u.values, exact)
@@ -120,7 +117,8 @@ def _case_diffuse_gauss(n: int) -> tuple[float, float]:
     sub = single_subdomain(mesh)
     bc = {lab: ("neumann",) for lab in ("left", "right", "top", "bottom")}
     u = Field(_gaussian(mesh.centroids, center, sigma), "u")
-    u = _march(sub, FaceVelocity.zero(sub), dcoef, bc, u, t_end)
+    tc = TransportConfig(velocity=(0.0, 0.0), diffusion=dcoef, bc=bc)
+    u = _march(sub, tc, u, t_end)
     # free-space spreading solution; wall truncation is ~exp(-0.5 (0.5/s)^2)
     s2 = sigma ** 2 + 2.0 * dcoef * t_end
     r2 = ((mesh.centroids[:, 0] - center[0]) ** 2

@@ -165,6 +165,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["scaling", str(nobase), "--out",
                  str(tmp_path / "x.csv")]) == 2
     assert main(["genmesh", "0", str(tmp_path / "m.txt")]) == 2
+    for sizes, bad in (("0", "0"), ("-4", "-4"), ("8,abc", "abc")):
+        assert main(["convergence", "advect_gauss", "--sizes", sizes]) == 2
+        assert f"'{bad}'" in capsys.readouterr().err
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):

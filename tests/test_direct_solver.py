@@ -118,19 +118,20 @@ def test_rcm_matches_the_per_vertex_queue():
         assert np.array_equal(_reverse_sweep(mat), _rcm_reference(mat))
 
 
-def _lu_from_fronts(f):
-    """Dense L and U (step space) rebuilt from the supernodal blocks."""
+def _lu_from_stacks(f):
+    """Dense L and U (step space) rebuilt from the level stacks."""
     n = f.n
     step_of = np.empty(n, dtype=np.int64)
     step_of[f.pivot_rows] = np.arange(n)
     l, u = np.eye(n), np.zeros((n, n))
-    for fr in f.fronts:
-        cols = slice(fr.first, fr.first + fr.width)
-        rest = fr.rows[fr.width:]
-        l[cols, cols] = np.linalg.inv(fr.l_inv)
-        u[cols, cols] = np.linalg.inv(fr.u_inv)
-        l[step_of[rest], cols] = fr.l21
-        u[cols, rest] = fr.u12
+    for st in f.stacks:
+        for i in range(len(st.cols)):
+            cols, rest = st.cols[i][st.cols[i] < n], st.rest[i][st.rest[i] < n]
+            w, r = len(cols), len(rest)
+            l[np.ix_(cols, cols)] = np.linalg.inv(st.l_inv[i, :w, :w])
+            u[np.ix_(cols, cols)] = np.linalg.inv(st.u_inv[i, :w, :w])
+            l[np.ix_(step_of[rest], cols)] = st.l21[i, :r, :w]
+            u[np.ix_(cols, rest)] = st.u12[i, :w, :r]
     return l, u
 
 
@@ -139,7 +140,7 @@ def _assert_reconstructs(mesh):
     mat = assemble_system(mesh, dia, w, dirichlet_bc(0.0)).matrix
     f = factorize(mat)
     a = _csr_to_dense(mat)
-    l, u = _lu_from_fronts(f)
+    l, u = _lu_from_stacks(f)
     assert np.allclose(np.tril(l), l) and np.allclose(np.triu(u), u)
     assert np.array_equal(np.diag(l), np.ones(mat.n))
     perm = a[np.ix_(f.perm_row, f.perm_col)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from trifvm import verification
+from trifvm import runtime, verification
 from trifvm.errors import UnknownCase
 from trifvm.verification import run_case
 
@@ -10,6 +10,12 @@ from conftest import irregular_mesh
 
 # frozen from the dense-oracle route; the production path must reproduce them
 POISSON_LINF = {8: 7.628355e-03, 16: 2.198973e-03, 32: 5.736147e-04}
+# frozen before the transport cases moved onto the run's step, which
+# reproduces them bit for bit
+TRANSPORT_LINF = {
+    "advect_gauss": {8: 0.45321935619496734, 16: 0.30670052116456403},
+    "diffuse_gauss": {8: 0.015437626128622983, 16: 0.005437208872336119},
+}
 
 
 def test_poisson_case_matches_frozen_errors():
@@ -19,6 +25,26 @@ def test_poisson_case_matches_frozen_errors():
     assert rows[1].order_linf == pytest.approx(1.795, abs=0.01)
     assert rows[2].order_linf == pytest.approx(1.939, abs=0.01)
     assert rows[2].order_l2 > 1.9
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPORT_LINF))
+def test_transport_case_matches_frozen_errors(case):
+    for row in run_case(case, [8, 16]):
+        assert row.linf == pytest.approx(TRANSPORT_LINF[case][row.n],
+                                         rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPORT_LINF))
+def test_transport_case_runs_the_run_step(monkeypatch, case):
+    calls = {"convective_residual": 0, "diffusive_residual": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(runtime, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(runtime, name, counted)
+    run_case(case, [4])
+    assert calls["convective_residual"] > 0
+    assert calls["diffusive_residual"] > 0
 
 
 def test_advection_error_decreases():
