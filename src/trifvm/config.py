@@ -85,11 +85,18 @@ class RunConfig:
             raise ConfigError("mesh_n must be >= 1")
         if self.timeout_s <= 0:
             raise ConfigError("timeout_s must be positive")
-        if self.physics == "streamer" and self.streamer.model == "table" \
-                and self.streamer.table_path is None:
-            raise ConfigError("model = table needs table_path")
-        for name, val in (("sigma", self.transport.sigma),
-                          ("seed_sigma", self.streamer.seed_sigma)):
+        tc, sc = self.transport, self.streamer
+        if self.physics == "transport" \
+                and tc.init not in ("gaussian", "constant"):
+            raise ConfigError(f"unknown transport init '{tc.init}'")
+        if self.physics == "streamer":
+            if sc.model not in ("linear", "table"):
+                raise ConfigError(f"unknown coefficient model '{sc.model}'")
+            if sc.model == "table" and sc.table_path is None:
+                raise ConfigError("model = table needs table_path")
+            if sc.model == "linear" and sc.d_e < 0:
+                raise ConfigError("d_e must be >= 0")
+        for name, val in (("sigma", tc.sigma), ("seed_sigma", sc.seed_sigma)):
             if val <= 0:
                 raise ConfigError(f"{name} must be positive")
         return self

@@ -53,9 +53,9 @@ solve of A x = A 1: the residual ||A x - b|| / (||A|| ||x|| + ||b||)
 (infinity norms) is kept as `check_residual`; above CHECK_BOUND it raises
 SingularMatrix.
 
-dense_lu_oracle is an independent reference path (plain partial-pivoting
-elimination on a dense copy, n <= 500) used to cross-check the sparse
-solver in tests; it shares no code with the sparse path on purpose.
+The tests cross-check this solver against an independent dense
+partial-pivoting elimination that shares no code with it
+(`dense_lu_oracle` in tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -398,34 +398,3 @@ def solve(factors: LuFactors, b: np.ndarray) -> np.ndarray:
     if b.shape != (factors.n,):
         raise DimensionMismatch(f"rhs has shape {b.shape}, system is {factors.n}")
     return _sweep(factors, b)
-
-
-def dense_lu_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference solve by dense partial-pivoting elimination (n <= 500).
-
-    Independent of the sparse path; meant for cross-checks in tests.
-    """
-    a = np.array(a, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {a.shape}")
-    if b.shape != (n,):
-        raise DimensionMismatch(f"rhs shape {b.shape}")
-    if n > 500:
-        raise DimensionMismatch("oracle capped at n = 500")
-    tiny = PIVOT_FLOOR * float(np.max(np.abs(a))) if a.size else 0.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) <= tiny:
-            raise SingularMatrix(f"column {col}: pivot {a[piv, col]:.3e}", column=col)
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1:] -= factors * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x

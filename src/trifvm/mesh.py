@@ -39,7 +39,6 @@ import numpy as np
 from .errors import DegenerateDiamond, ParseError, TopologyError
 
 INTERIOR = "interior"
-HALO_FRINGE = "halo"
 
 
 @dataclass
@@ -47,7 +46,8 @@ class Mesh:
     """Triangulation plus derived face/cell geometry.
 
     Arrays are set read-only after construction; build a new mesh instead of
-    mutating one.
+    mutating one.  A subdomain's local mesh holds only the faces its rank
+    reads; its cell_faces and cell_face_signs have rows for own cells only.
     """
 
     points: np.ndarray        # (n_nodes, 2) float64
@@ -241,7 +241,7 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12):
             f = int(inter[np.flatnonzero(dots <= 0)[0]])
             raise TopologyError(f"face {f} normal does not point left->right")
     weighted = mesh.face_normals * mesh.face_lengths[:, None]
-    closure = np.zeros((mesh.n_cells, 2))
+    closure = np.zeros((len(mesh.cell_faces), 2))   # own cells on a local mesh
     for e in range(3):
         closure += weighted[mesh.cell_faces[:, e]] * mesh.cell_face_signs[:, e, None]
     worst = np.max(np.abs(closure)) if mesh.n_cells else 0.0

@@ -17,10 +17,12 @@ Subdomains carry the rank's own cells plus a halo of every neighbor cell
 sharing at least one node with an own cell.  That is deliberately wider than
 face adjacency: node interpolation sums over all cells around a node, so
 every cell of the stencil of a node of an own cell is own or halo.  The
-local mesh keeps the global orientation (left/right, endpoint order) of
-every face of an own cell; faces that lost their second cell at the fringe
-are flipped toward the surviving halo cell and labeled so they are never
-mistaken for domain boundary.
+local mesh holds only the faces a rank reads: the faces of its own cells,
+whose far cell shares a node with an own cell and so is own or halo, and
+the domain-boundary faces of its halo cells, whose Dirichlet nodes pin
+nodes of own cells.  Each keeps its global cells, label and orientation
+(left/right, endpoint order), so the local cell face signs are the global
+ones and no face is flipped.
 
 A subdomain carries its slice of the run's geometry, built once on the
 global mesh: the diamonds of its local faces and the weights of the nodes
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidK
-from .mesh import (HALO_FRINGE, DiamondCells, Mesh, NodeWeights,
-                   _finalize_geometry, build_diamonds, node_weights)
+from .mesh import (DiamondCells, Mesh, NodeWeights, _finalize_geometry,
+                   build_diamonds, node_weights)
 
 
 @dataclass
@@ -187,6 +189,9 @@ def partition_metrics(graph: DualGraph, pm: PartitionMap) -> dict:
 class Subdomain:
     """One rank's slice of the mesh: own cells first, halo cells after.
 
+    local_mesh has every local cell but only the faces its rank reads
+    (module docstring): its cell_faces and cell_face_signs cover own cells.
+
     neighbor_links[r] = (send_own_local, recv_halo_local): local indices of
     own cells whose values rank r needs, and of the halo slots filled by
     rank r's values.  Both sides enumerate the same global cells in the same
@@ -240,31 +245,23 @@ def build_subdomains(mesh: Mesh, pm: PartitionMap, diamonds: DiamondCells,
         g2l[l2g] = np.arange(len(l2g))
         nodes_l2g = np.unique(tri[l2g])
 
-        # local faces = every global face touching a local cell, one copy
-        # each, in order of first appearance over the local cells
+        # local faces: those of the own cells, then the domain-boundary
+        # faces of the halo cells, in order of first appearance over the
+        # local cells; each keeps its global cells and orientation
         seen = mesh.cell_faces[l2g].ravel()
-        face_l2g = seen[np.sort(np.unique(seen, return_index=True)[1])]
+        first = np.sort(np.unique(seen, return_index=True)[1])
+        face_l2g = seen[first[(first < 3 * len(own))
+                              | (mesh.face_cells[seen[first], 1] < 0)]]
         face_g2l = np.empty(mesh.n_faces, dtype=np.int64)
         face_g2l[face_l2g] = np.arange(len(face_l2g))
-        ends = mesh.face_nodes[face_l2g]
-        left, right = g2l[mesh.face_cells[face_l2g]].T
-        # left side missing: flip toward the surviving halo cell
-        kept = left >= 0
-        f_nodes = np.searchsorted(nodes_l2g,
-                                  np.where(kept[:, None], ends, ends[:, ::-1]))
-        f_cells = np.where(kept[:, None], np.column_stack([left, right]),
-                           np.column_stack([right, np.full_like(right, -1)]))
-        cell_faces = face_g2l[mesh.cell_faces[l2g]]
         lm = Mesh(points=mesh.points[nodes_l2g],
                   triangles=np.searchsorted(nodes_l2g, tri[l2g]),
-                  face_nodes=f_nodes,
-                  face_cells=f_cells,
-                  face_labels=np.where(kept, labels[face_l2g],
-                                       HALO_FRINGE).tolist(),
-                  cell_faces=cell_faces,
-                  cell_face_signs=np.where(
-                      f_cells[cell_faces, 0] == np.arange(len(l2g))[:, None],
-                      1, -1).astype(np.int8))
+                  face_nodes=np.searchsorted(nodes_l2g,
+                                             mesh.face_nodes[face_l2g]),
+                  face_cells=g2l[mesh.face_cells[face_l2g]],
+                  face_labels=labels[face_l2g].tolist(),
+                  cell_faces=face_g2l[mesh.cell_faces[own]],
+                  cell_face_signs=mesh.cell_face_signs[own])
         _finalize_geometry(lm)
 
         links = {}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem, TopologyError
-from .mesh import HALO_FRINGE, DiamondCells, Mesh, NodeWeights
+from .mesh import DiamondCells, Mesh, NodeWeights
 from .partition import graph_from_pairs
 from .transport import (BC_DIRICHLET, BC_NEUMANN, diamond_stencil,
                         dirichlet_data)
@@ -77,7 +77,7 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     interpolation weights.  With S the signed cell-face incidence, the
     explicit residual is S F, so A = -S Phi and lift = S phi0.
     """
-    if any(lbl == HALO_FRINGE for lbl in mesh.face_labels):
+    if len(mesh.cell_faces) != mesh.n_cells:
         raise TopologyError("Poisson assembly needs the global mesh, not a halo view")
 
     st = diamond_stencil(mesh, bc, diamonds, weights)

@@ -209,10 +209,8 @@ def _initial_transport_field(cfg: RunConfig, sub: Subdomain) -> Field:
     tc = cfg.transport
     if tc.init == "constant":
         vals = np.full(sub.n_local, float(tc.constant))
-    elif tc.init == "gaussian":
-        vals = discharge.gaussian_seed(sub, tc.center, tc.sigma, tc.amplitude)
     else:
-        raise ConfigError(f"unknown transport init '{tc.init}'")
+        vals = discharge.gaussian_seed(sub, tc.center, tc.sigma, tc.amplitude)
     return Field(values=vals, quantity="u", time=0.0, halo_stale=False)
 
 
@@ -366,13 +364,13 @@ def _step(ctx: RankContext, phys, state, dt_fixed: float | None,
     return state
 
 
-def _physics(ctx: RankContext, cfg: RunConfig):
+def _physics(ctx: RankContext, cfg: RunConfig,
+             coeffs: StreamerCoefficients | None):
     """This rank's physics hook and its initial state."""
     sub = ctx.sub
     if cfg.physics != "streamer":
         return _Transport(sub, cfg), _initial_transport_field(cfg, sub)
     sc = cfg.streamer
-    coeffs = _build_coefficients(sc)
     sysctx = discharge.build_system(sub, sc.species_bc, sc.potential_bc,
                                     cfl=cfg.cfl)
     ion_amp = sc.seed_amplitude if sc.ion_amplitude is None else sc.ion_amplitude
@@ -385,9 +383,10 @@ def _physics(ctx: RankContext, cfg: RunConfig):
     return _Streamer(coeffs, sysctx), state
 
 
-def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult) -> None:
+def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
+               coeffs: StreamerCoefficients | None) -> None:
     res.phase = "setup"
-    phys, state = _physics(ctx, cfg)
+    phys, state = _physics(ctx, cfg, coeffs)
     if cfg.out_dir:
         _emit_output(ctx, cfg, phys.fields(state), 0, res)
 
@@ -429,9 +428,10 @@ def _build_coefficients(sc) -> StreamerCoefficients:
         alpha=sc.alpha, table=table)
 
 
-def _worker_shell(ctx: RankContext, cfg: RunConfig, res: _RankResult) -> None:
+def _worker_shell(ctx: RankContext, cfg: RunConfig, res: _RankResult,
+                  coeffs: StreamerCoefficients | None) -> None:
     try:
-        _rank_loop(ctx, cfg, res)
+        _rank_loop(ctx, cfg, res, coeffs)
     except BaseException as exc:  # noqa: BLE001 - must reach the driver
         ctx.fabric.failures.append((ctx.rank, res.step, res.phase, exc))
         ctx.fabric.abort.set()
@@ -468,6 +468,9 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
     fixed config gives bit-identical fields and output files for a fixed k.
     """
     cfg.validate()
+    # read once, before the mesh, so a bad table is a config error
+    coeffs = (_build_coefficients(cfg.streamer)
+              if cfg.physics == "streamer" else None)
     mesh = _load_global_mesh(cfg)
     _check_bc_labels(mesh, cfg)
     if cfg.out_dir:
@@ -516,7 +519,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
             for s in subs]
 
     threads = [threading.Thread(target=_worker_shell,
-                                args=(ctx, cfg, results[ctx.rank]),
+                                args=(ctx, cfg, results[ctx.rank], coeffs),
                                 name=f"rank-{ctx.rank}") for ctx in ctxs]
     for t in threads:
         t.start()

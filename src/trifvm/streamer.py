@@ -174,7 +174,7 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
     speed_f = np.asarray(mu_f) * e_mag
     d_f = coeffs.diffusion(e_mag)
 
-    cf = lm.cell_faces[:sub.n_own]
+    cf = lm.cell_faces
     speed_cell = (speed_f[cf[:, 0]] + speed_f[cf[:, 1]]
                   + speed_f[cf[:, 2]]) / 3.0
     if coeffs.model == "linear":

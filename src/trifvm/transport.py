@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroDt
-from .mesh import HALO_FRINGE, INTERIOR, DiamondCells, Mesh, NodeWeights
+from .mesh import INTERIOR, DiamondCells, Mesh, NodeWeights
 from .partition import Subdomain
 
 BC_INTERIOR = 0
@@ -101,10 +101,6 @@ class FaceVelocity:
         v[:, 0], v[:, 1] = vx, vy
         return cls.from_vectors(sub, v)
 
-    @classmethod
-    def zero(cls, sub: Subdomain) -> "FaceVelocity":
-        return cls.from_vectors(sub, np.zeros((sub.local_mesh.n_faces, 2)))
-
 
 @dataclass
 class Fluxes:
@@ -120,15 +116,13 @@ class Fluxes:
 def classify_faces(lm: Mesh, bc: dict) -> np.ndarray:
     """Map face labels to BC codes. bc: {label: ('dirichlet', g) | ('neumann',)}."""
     kind = np.full(lm.n_faces, BC_INTERIOR, dtype=np.int8)
-    for f, label in enumerate(lm.face_labels):
-        if label == INTERIOR or lm.face_cells[f, 1] >= 0:
+    for f in lm.boundary_faces():
+        label = lm.face_labels[f]
+        if label == INTERIOR:
             continue
-        spec = bc.get(label)
-        if spec is None:
-            if label == HALO_FRINGE:
-                continue  # fringe face, owned by another rank
+        if label not in bc:
             raise KeyError(f"no boundary condition for label '{label}'")
-        kind[f] = BC_DIRICHLET if spec[0] == "dirichlet" else BC_NEUMANN
+        kind[f] = BC_DIRICHLET if bc[label][0] == "dirichlet" else BC_NEUMANN
     return kind
 
 
@@ -175,8 +169,9 @@ def neumann_faces(lm: Mesh, kind: np.ndarray) -> NeumannFaces:
 def apply_boundary_conditions(u: Field, neumann: NeumannFaces,
                               dirichlet: np.ndarray) -> np.ndarray:
     """Ghost value of every face for the current state: the Dirichlet datum
-    at the midpoint, or the copied inner value on Neumann faces.  Fringe
-    faces of a halo region are interior: they never feed an own-cell flux.
+    at the midpoint, or the copied inner value on Neumann faces.  A
+    subdomain's boundary faces are all domain boundary: its local mesh holds
+    no face that lost its far cell (`partition.build_subdomains`).
     """
     value = dirichlet.copy()
     value[neumann.faces] = u.values[neumann.cells]
@@ -266,8 +261,7 @@ def upwind_face_values(sub: Subdomain, u: Field, vel: FaceVelocity,
 def _per_cell_sum(sub: Subdomain, face_contrib: np.ndarray) -> np.ndarray:
     """Signed sum of face contributions per own cell, canonical edge order."""
     lm = sub.local_mesh
-    cf = lm.cell_faces[:sub.n_own]
-    sg = lm.cell_face_signs[:sub.n_own]
+    cf, sg = lm.cell_faces, lm.cell_face_signs
     out = face_contrib[cf[:, 0]] * sg[:, 0]
     out = out + face_contrib[cf[:, 1]] * sg[:, 1]
     out = out + face_contrib[cf[:, 2]] * sg[:, 2]
@@ -323,7 +317,7 @@ def stable_dt(sub: Subdomain, vel: FaceVelocity, diffusion=0.0,
     conv_f = np.abs(vel.normal) * lm.face_lengths
     diff_f = 2.0 * np.asarray(diffusion) * lm.face_lengths ** 2
 
-    cf = lm.cell_faces[:sub.n_own]
+    cf = lm.cell_faces
     mu = lm.areas[:sub.n_own]
     conv_sum = conv_f[cf[:, 0]] + conv_f[cf[:, 1]] + conv_f[cf[:, 2]]
     diff_sum = (diff_f[cf[:, 0]] + diff_f[cf[:, 1]] + diff_f[cf[:, 2]]) / mu

@@ -1,10 +1,13 @@
-"""Shared fixtures: small meshes, single-rank subdomains, BC dictionaries."""
+"""Shared fixtures: small meshes, single-rank subdomains, BC dictionaries,
+and the dense reference solver the sparse one is checked against."""
 
 import random
 
 import numpy as np
 import pytest
 
+from trifvm.direct_solver import PIVOT_FLOOR
+from trifvm.errors import DimensionMismatch, SingularMatrix
 from trifvm.mesh import (build_diamonds, build_mesh, node_weights, save_mesh,
                          structured_triangulation)
 from trifvm.partition import single_subdomain
@@ -143,3 +146,34 @@ def random_spd_like(rng, n, extra_per_row=3, symmetric=True):
         cols.append(i)
         vals.append(off[i] + rng.uniform(1.0, 2.0))
     return np.asarray(rows), np.asarray(cols), np.asarray(vals)
+
+
+def dense_lu_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference solve by dense partial-pivoting elimination (n <= 500).
+
+    Independent of the sparse path; meant for cross-checks in tests.
+    """
+    a = np.array(a, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"matrix shape {a.shape}")
+    if b.shape != (n,):
+        raise DimensionMismatch(f"rhs shape {b.shape}")
+    if n > 500:
+        raise DimensionMismatch("oracle capped at n = 500")
+    tiny = PIVOT_FLOOR * float(np.max(np.abs(a))) if a.size else 0.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[piv, col]) <= tiny:
+            raise SingularMatrix(f"column {col}: pivot {a[piv, col]:.3e}", column=col)
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            b[[col, piv]] = b[[piv, col]]
+        factors = a[col + 1:, col] / a[col, col]
+        a[col + 1:, col:] -= factors[:, None] * a[col, col:]
+        b[col + 1:] -= factors * b[col]
+    x = np.empty(n)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x

@@ -15,7 +15,7 @@ import pytest
 
 from trifvm.cli import main as cli_main
 from trifvm.config import RunConfig, StreamerConfig, TransportConfig
-from trifvm.direct_solver import dense_lu_oracle, factorize, solve
+from trifvm.direct_solver import factorize, solve
 from trifvm.errors import SingularMatrix
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import (build_dual_graph, edge_cut, partition,
@@ -30,8 +30,8 @@ from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               dirichlet_data, explicit_step,
                               face_gradients, neumann_faces, stable_dt)
 
-from conftest import (ALL_NEUMANN, TIMING_ROWS, dirichlet_bc, irregular_mesh,
-                      random_spd_like, write_timing_table)
+from conftest import (ALL_NEUMANN, TIMING_ROWS, dense_lu_oracle, dirichlet_bc,
+                      irregular_mesh, random_spd_like, write_timing_table)
 
 PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
           "top": ("neumann",), "bottom": ("neumann",)}
@@ -184,7 +184,7 @@ def _closed_box_mass_drift(sub, dia, w):
     data_n = dirichlet_data(lm, ALL_NEUMANN, sten_n.kind)
     d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
     u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
-    dt = stable_dt(sub, FaceVelocity.zero(sub), 0.1)
+    dt = stable_dt(sub, FaceVelocity.uniform(sub, 0.0, 0.0), 0.1)
     mass = float(lm.areas @ u.values)
     step_drift = 0.0
     for _ in range(50):

@@ -160,6 +160,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
     for key in ("bogus", "seed"):   # the partitioner takes no seed
         bad.write_text(f"[run]\nmesh_n = 8\n{key} = 1\n")
         assert main(["run", "--config", str(bad)]) == 2
+    # physics settings are config errors too, caught before any rank starts
+    for physics, section in (
+            ("streamer", "[streamer]\nmodel = bogus\n"),
+            ("streamer", "[streamer]\nd_e = -1\n"),
+            ("streamer", "[streamer]\nmodel = table\n"
+                         f"table_path = {tmp_path / 'no_table.txt'}\n"),
+            ("transport", "[transport]\ninit = bogus\n")):
+        bad.write_text(f"[run]\nmesh_n = 8\nk = 2\nsteps = 1\n"
+                       f"physics = {physics}\n\n{section}")
+        assert main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     nobase = tmp_path / "nb.csv"
     nobase.write_text("cores,total\n2,100\n")
     assert main(["scaling", str(nobase), "--out",

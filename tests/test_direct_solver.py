@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifvm.direct_solver import (adjacency_pattern, dense_lu_oracle,
-                                  factorize, rcm_order, solve)
+from trifvm.direct_solver import adjacency_pattern, factorize, rcm_order, solve
 from trifvm.errors import SingularMatrix
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import cuthill_mckee
 from trifvm.poisson import assemble_system, csr_from_coo
 
-from conftest import dirichlet_bc, irregular_mesh, random_spd_like
+from conftest import (dense_lu_oracle, dirichlet_bc, irregular_mesh,
+                      random_spd_like)
 
 
 def _csr_to_dense(mat):

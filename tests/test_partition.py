@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from trifvm.errors import InvalidK
-from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
+from trifvm.mesh import (build_diamonds, node_weights, structured_triangulation,
+                         validate_mesh)
 from trifvm.partition import (DualGraph, build_dual_graph, build_subdomains,
                               edge_cut, partition, partition_metrics,
                               single_subdomain)
@@ -152,7 +153,6 @@ def test_halo_is_node_adjacent_closure():
 def test_local_geometry_matches_global():
     # subdomain meshes keep the global orientation and measure on every face
     # an own cell touches, the property the rank-count invariance rests on
-    # (fringe faces at the halo rim may flip; no own-cell flux reads them)
     for m, subs in _split_cases():
         for s in subs:
             lm = s.local_mesh
@@ -162,6 +162,36 @@ def test_local_geometry_matches_global():
             assert np.array_equal(lm.face_lengths[own_faces], m.face_lengths[g])
             assert np.array_equal(lm.areas, m.areas[s.cells_l2g])
             assert np.array_equal(lm.centroids, m.centroids[s.cells_l2g])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("mesh", [structured_triangulation(12),
+                                  irregular_mesh(12, 3)],
+                         ids=["structured", "irregular"])
+def test_local_faces_are_own_or_boundary_faces_as_in_the_global_mesh(mesh, k):
+    # a local mesh holds the faces of its own cells, then the domain-boundary
+    # faces of its halo cells, each with its global nodes, cells and label;
+    # its cell face rows are the own cells' global ones, signs included
+    pm = partition(build_dual_graph(mesh), k)
+    for s in build_subdomains(mesh, pm, build_diamonds(mesh),
+                              node_weights(mesh)):
+        lm, g = s.local_mesh, s.face_l2g
+        own_faces = np.unique(mesh.cell_faces[s.own_cells])
+        halo_faces = mesh.cell_faces[s.halo_cells].ravel()
+        rim = halo_faces[mesh.face_cells[halo_faces, 1] < 0]
+        assert np.array_equal(np.sort(g[:len(own_faces)]), own_faces)
+        assert np.array_equal(np.sort(g[len(own_faces):]),
+                              np.setdiff1d(rim, own_faces))
+        assert np.array_equal(lm.points[lm.face_nodes],
+                              mesh.points[mesh.face_nodes[g]])
+        assert np.array_equal(
+            np.where(lm.face_cells >= 0, s.cells_l2g[lm.face_cells], -1),
+            mesh.face_cells[g])
+        assert lm.face_labels == [mesh.face_labels[f] for f in g]
+        assert np.array_equal(g[lm.cell_faces], mesh.cell_faces[s.own_cells])
+        assert np.array_equal(lm.cell_face_signs,
+                              mesh.cell_face_signs[s.own_cells])
+        validate_mesh(lm)
 
 
 def test_neighbor_links_are_mirrored():

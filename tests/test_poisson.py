@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from trifvm.direct_solver import dense_lu_oracle, factorize, solve
+from trifvm.direct_solver import factorize, solve
 from trifvm.errors import SingularSystem
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
@@ -19,7 +19,7 @@ from trifvm.transport import (Field, apply_boundary_conditions,
                               diamond_stencil, diffusive_residual,
                               dirichlet_data)
 
-from conftest import ALL_NEUMANN, dirichlet_bc, irregular_mesh
+from conftest import ALL_NEUMANN, dense_lu_oracle, dirichlet_bc, irregular_mesh
 
 # n -> max |u_h - u| for -lap u = 2 pi^2 sin(pi x) sin(pi y), u = 0 on the sides
 MMS_LINF = {8: 7.628355e-03, 16: 2.198973e-03, 32: 5.736147e-04}

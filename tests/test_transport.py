@@ -100,7 +100,7 @@ def test_diffusion_conserves_mass(sub16, geom16):
     dia, w = geom16
     lm = sub16.local_mesh
     u = _gaussian_field(lm)
-    vel = FaceVelocity.zero(sub16)
+    vel = FaceVelocity.uniform(sub16, 0.0, 0.0)
     dt = stable_dt(sub16, vel, 0.1)
     mass0 = float(lm.areas @ u.values)
     for _ in range(40):
@@ -123,7 +123,7 @@ def test_diffusion_step_conserves_any_field(seed):
     u = Field(rng.uniform(-5.0, 5.0, mesh.triangles.shape[0]))
     diss = diffusive_residual(sub, u, *_neumann_stencil(sub, dia, w),
                               _neumann_bvals(sub, u), 1.0)
-    dt = stable_dt(sub, FaceVelocity.zero(sub), 1.0)
+    dt = stable_dt(sub, FaceVelocity.uniform(sub, 0.0, 0.0), 1.0)
     u1 = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
     assert abs(float(mesh.areas @ (u1.values - u.values))) < 1e-12
 
@@ -173,11 +173,11 @@ def test_stable_dt_scaling(sub8):
     v1 = stable_dt(sub8, FaceVelocity.uniform(sub8, 1.0, 0.0), 0.0)
     v2 = stable_dt(sub8, FaceVelocity.uniform(sub8, 2.0, 0.0), 0.0)
     assert v2 == pytest.approx(v1 / 2)
-    d1 = stable_dt(sub8, FaceVelocity.zero(sub8), 0.1)
-    d2 = stable_dt(sub8, FaceVelocity.zero(sub8), 0.4)
+    d1 = stable_dt(sub8, FaceVelocity.uniform(sub8, 0.0, 0.0), 0.1)
+    d2 = stable_dt(sub8, FaceVelocity.uniform(sub8, 0.0, 0.0), 0.4)
     assert d2 == pytest.approx(d1 / 4)
     # nothing moves: no finite bound; the runtime reduction raises instead
-    assert stable_dt(sub8, FaceVelocity.zero(sub8), 0.0) == float("inf")
+    assert stable_dt(sub8, FaceVelocity.uniform(sub8, 0.0, 0.0), 0.0) == float("inf")
 
 
 def test_dirichlet_node_data_evaluates_at_nodes(sub8, geom8):
