@@ -4,9 +4,10 @@ Runs the same coupled problem at 1, 2, 4 and 8 ranks, writes the measured
 phase times as a timings CSV, then feeds that file back through the
 scaling pipeline exactly the way an external campaign table would go in.
 
-Ranks here are in-process threads sharing one interpreter, so the curve
-mostly exercises the harness plumbing rather than the hardware; expect
-the efficiency column to say so.
+Ranks 1..k-1 are forked processes, so the step kernels do run in
+parallel; but at this size the host's serial solve, the message cost
+(tens of microseconds each) and ranks beyond the machine's cores bound
+the curve, and the efficiency column says so.
 """
 
 import os

@@ -9,6 +9,7 @@ fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.k > 1 and not hasattr(os, "fork"):
+            raise ConfigError("k > 1 runs ranks as forked processes, and "
+                              "this platform has no os.fork")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if not 0.0 < self.cfl <= 1.0:

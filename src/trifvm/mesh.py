@@ -26,7 +26,8 @@ The text format is line oriented::
     boundary <B>
     <a> <b> <label>    (B lines)
 
-Boundary edges not listed get the label ``default``.
+Boundary edges not listed get the label ``default``; none may be labelled
+``interior``.
 """
 
 from __future__ import annotations
@@ -201,12 +202,15 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
         pos = np.minimum(np.searchsorted(unique_key, decl_key), len(start) - 1)
         found = ((decl >= 0) & (decl < n)).all(axis=1) & (unique_key[pos] == decl_key)
         f = face_of_group[pos]
-        bad = ~found | (right[f] >= 0)
+        named = np.array([lab == INTERIOR for lab in boundary_edges.values()])
+        bad = ~found | (right[f] >= 0) | named
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            raise TopologyError(f"boundary declaration {list(boundary_edges)[i]} "
-                                + ("names an interior edge" if found[i]
-                                   else "matches no edge"))
+            raise TopologyError(
+                f"boundary declaration {list(boundary_edges)[i]} " + (
+                    "matches no edge" if not found[i] else
+                    "names an interior edge" if right[f[i]] >= 0 else
+                    f"is labelled '{INTERIOR}'"))
         labels[f] = list(boundary_edges.values())
 
     mesh = Mesh(points=points,

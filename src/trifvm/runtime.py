@@ -1,12 +1,12 @@
 """Multi-rank execution: rank lifecycle, deterministic halo exchange, host
 gather / solve / scatter, and the one explicit step loop of every run.
 
-Ranks are in-process workers (one thread each) with fully private state;
-every cross-rank interaction flows through ordered message links keyed by
-(lane, source, destination), so the communication pattern is exactly what a
-message-passing backend would see and no worker ever reads another's memory.
-The host (rank 0) owns the global mesh, the factor-once linear system, and
-all file output.
+Rank 0, the host, runs in the caller's process on a thread named `rank-0`;
+every other rank runs in a process of its own, forked once the subdomains
+exist and named `rank-r`.  Every cross-rank interaction flows through an
+ordered message link, one pipe per (lane, source, destination), so no rank
+reads another's memory.  The host owns the global mesh, the factor-once
+linear system, and all file output.
 
 Both physics run one step, `_step`: the streamer's coupling (charge source,
 host solve with the run's factors, potential to every rank), the halo
@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-import queue
+import pickle
+import select
+import signal
+import struct
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +37,7 @@ import numpy as np
 from . import streamer as discharge
 from .config import RunConfig, load_coefficient_table
 from .direct_solver import LuFactors, factorize, solve
-from .errors import ConfigError, SimulationError, Timeout, ZeroDt
+from .errors import ConfigError, SimulationError, Timeout, TriFvmError, ZeroDt
 from .mesh import (INTERIOR, Mesh, build_diamonds, load_mesh, node_weights,
                    structured_triangulation)
 from .partition import (Subdomain, build_dual_graph, build_subdomains,
@@ -50,41 +54,124 @@ from .transport import (Field, FaceVelocity, Fluxes,
                         explicit_step, stable_dt)
 from .vtk_io import write_vtk
 
-_POLL = 0.02  # seconds between abort checks while blocked on a link
+_HEAD = struct.Struct("<Q")   # a message: its pickle's length, then the pickle
+_SPIN = 0.002                 # seconds a wait polls its link before it sleeps
 
 
 class _Fabric:
-    """Every message link of one run plus the shared failure switchboard."""
+    """Every message link of one run, one non-blocking pipe each, and the
+    failure pipes: a byte in the abort pipe, never read, ends every rank's
+    waits; the lifeline pipe reads EOF in a child once the parent, which
+    holds its write end, is gone.  A send never blocks: what a full pipe
+    cannot take waits in the link's outbox, which every wait writes on."""
 
-    def __init__(self, timeout: float):
+    def __init__(self, timeout: float, links):
         self.timeout = timeout
-        self.links: dict[tuple, queue.SimpleQueue] = {}
-        self.abort = threading.Event()
-        self.failures: list[tuple] = []  # (rank, step, phase, exception)
+        self.pipes = {key: os.pipe() for key in links}
+        self.abort_r, self.abort_w = os.pipe()
+        self.life_r, self.life_w = os.pipe()
+        self.fds = {self.abort_r, self.abort_w, self.life_r, self.life_w}
+        for r, w in self.pipes.values():
+            os.set_blocking(r, False)
+            os.set_blocking(w, False)
+            self.fds |= {r, w}
 
-    def add_link(self, lane: str, src: int, dst: int):
-        self.links[(lane, src, dst)] = queue.SimpleQueue()
+    def keep(self, rank: int) -> None:
+        """Close the pipe ends that `rank`'s process does not use, so that a
+        peer that exits shows up as EOF."""
+        self.rank = rank
+        self.watch = [self.abort_r, self.life_r] if rank else [self.abort_r]
+        self.reader = {k: r for k, (r, _) in self.pipes.items() if k[2] == rank}
+        self.writer = {k: w for k, (_, w) in self.pipes.items() if k[1] == rank}
+        self.inbox = {k: bytearray() for k in self.reader}
+        self.outbox = {k: bytearray() for k in self.writer}
+        self.close(keep={*self.reader.values(), *self.writer.values(),
+                         *self.watch, self.abort_w,
+                         self.life_r if rank else self.life_w})
+
+    def close(self, keep=frozenset()) -> None:
+        for fd in self.fds - keep:
+            os.close(fd)
+        self.fds &= keep
+
+    def fail(self) -> None:
+        os.write(self.abort_w, b"!")
 
     def send(self, lane: str, src: int, dst: int, payload):
-        self.links[(lane, src, dst)].put(payload)
+        body = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        self.outbox[(lane, src, dst)] += _HEAD.pack(len(body)) + body
+        self._flush((lane, src, dst))
 
-    def recv(self, lane: str, src: int, dst: int):
-        q = self.links[(lane, src, dst)]
-        deadline = time.monotonic() + self.timeout
+    def _flush(self, key) -> None:
+        """Write as much of the link's outbox as its pipe takes now."""
+        out = self.outbox[key]
+        try:
+            while out:
+                del out[:os.write(self.writer[key], out)]
+        except BlockingIOError:
+            pass
+        except BrokenPipeError:
+            raise Timeout(f"rank {key[1]}: rank {key[2]} is gone",
+                          rank=key[1]) from None
+
+    def recv(self, lane: str, src: int, dst: int, watch=None, timeout=None):
+        """The next payload on the link.  Raises Timeout after `timeout`
+        seconds (default: the run's), once a `watch` pipe (default: abort,
+        lifeline) turns readable, or when the link's writer is gone."""
+        key = (lane, src, dst)
+        deadline = time.monotonic() + (timeout or self.timeout)
+        fd, buf = self.reader[key], self.inbox[key]
         while True:
+            if len(buf) >= _HEAD.size:
+                end = _HEAD.size + _HEAD.unpack_from(buf)[0]
+                if len(buf) >= end:
+                    payload = pickle.loads(buf[_HEAD.size:end])
+                    del buf[:end]
+                    return payload
             try:
-                return q.get(timeout=_POLL)
-            except queue.Empty:
+                chunk = os.read(fd, 1 << 16)
+            except BlockingIOError:
+                self._wait(fd, deadline, self.watch if watch is None
+                           else watch, f"rank {src}")
+                continue
+            if not chunk:
+                raise Timeout(f"rank {dst}: rank {src} is gone", rank=dst)
+            buf += chunk
+
+    def drain(self) -> None:
+        """Block until every outbox is written: a child's last sends."""
+        self._wait(None, time.monotonic() + self.timeout, self.watch,
+                   "the readers of its sends")
+
+    def _wait(self, fd, deadline: float, watch: list, peer: str) -> None:
+        """Write the outboxes until `fd` can be read (fd None: until they
+        are empty).  The first _SPIN seconds poll and yield the core in
+        between, since an idle core wakes slowly."""
+        spin = time.monotonic() + _SPIN
+        while True:
+            full = {self.writer[k]: k for k, out in self.outbox.items() if out}
+            if fd is None and not full:
+                return
+            now = time.monotonic()
+            if now > deadline:
                 # own deadline first: a peer that gave up later must not
                 # hide that this wait expired earlier
-                if time.monotonic() > deadline:
-                    self.abort.set()
-                    raise Timeout(f"rank {dst}: no message from rank {src} "
-                                  f"within {self.timeout}s", rank=dst,
-                                  deadline=deadline)
-                if self.abort.is_set():
-                    raise Timeout(f"rank {dst}: peer failed while waiting on "
-                                  f"rank {src}", rank=dst)
+                self.fail()
+                raise Timeout(f"rank {self.rank}: no message from {peer} "
+                              f"within {self.timeout}s", rank=self.rank,
+                              deadline=deadline)
+            ready, writable, _ = select.select(
+                [fd] * (fd is not None) + watch, list(full), [],
+                0.0 if now < spin else min(deadline - now, 1.0))
+            for w in writable:
+                self._flush(full[w])
+            if fd in ready:
+                return
+            if ready:
+                raise Timeout(f"rank {self.rank}: peer failed while waiting "
+                              f"on {peer}", rank=self.rank)
+            if now < spin:
+                os.sched_yield()
 
 
 @dataclass
@@ -203,6 +290,7 @@ class _RankResult:
     solves: int = 0
     final_fields: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    failure: tuple | None = None    # (rank, step, phase, exception)
 
 
 def _initial_transport_field(cfg: RunConfig, sub: Subdomain) -> Field:
@@ -387,6 +475,13 @@ def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
                coeffs: StreamerCoefficients | None) -> None:
     res.phase = "setup"
     phys, state = _physics(ctx, cfg, coeffs)
+    # the children set up while the host factorizes; every rank starts the
+    # loop, and the deadlines of its waits, after the host is ready
+    if ctx.is_host:
+        for r in range(1, ctx.k):
+            ctx.fabric.send("go", 0, r, None)
+    else:
+        ctx.fabric.recv("go", 0, ctx.rank, timeout=math.inf)
     if cfg.out_dir:
         _emit_output(ctx, cfg, phys.fields(state), 0, res)
 
@@ -403,6 +498,7 @@ def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
 
     res.phase = "final gather"
     res.final_fields = _gather_fields(ctx, phys.fields(state))
+    ctx.fabric.drain()   # a child must not exit on unsent messages
 
 
 def streamer_step(state: StreamerState, coeffs: StreamerCoefficients,
@@ -433,8 +529,24 @@ def _worker_shell(ctx: RankContext, cfg: RunConfig, res: _RankResult,
     try:
         _rank_loop(ctx, cfg, res, coeffs)
     except BaseException as exc:  # noqa: BLE001 - must reach the driver
-        ctx.fabric.failures.append((ctx.rank, res.step, res.phase, exc))
-        ctx.fabric.abort.set()
+        res.failure = (ctx.rank, res.step, res.phase, exc)
+        ctx.fabric.fail()
+
+
+def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
+           coeffs: StreamerCoefficients | None) -> None:
+    """A forked rank's life: its loop, then its clips and any failure to
+    the parent, then `os._exit` (no atexit handler, no stdio flush)."""
+    threading.current_thread().name = f"rank-{sub.rank}"
+    fabric.keep(sub.rank)
+    res = _RankResult(timers={})
+    _worker_shell(RankContext(rank=sub.rank, k=cfg.k, sub=sub, fabric=fabric),
+                  cfg, res, coeffs)
+    if res.failure and not isinstance(res.failure[3], TriFvmError):
+        # only this package's errors are known to survive a pickle
+        res.failure = res.failure[:3] + (RuntimeError(str(res.failure[3])),)
+    fabric.send("done", sub.rank, 0, (res.clips, res.failure))
+    os._exit(0)
 
 
 def _check_bc_labels(mesh: Mesh, cfg: RunConfig) -> None:
@@ -459,13 +571,14 @@ def _load_global_mesh(cfg: RunConfig) -> Mesh:
 
 
 def run_simulation(cfg: RunConfig) -> SimulationReport:
-    """Execute the full coupled loop over cfg.k in-process ranks.
+    """Execute the full coupled loop over cfg.k ranks.
 
-    The host reads and splits the mesh, builds its diamonds and node
-    weights, and assembles + factorizes the potential matrix, each exactly
-    once (they depend only on the mesh), before the ranks start; each rank
-    reads its slice of the geometry and each step reuses the factors.  A
-    fixed config gives bit-identical fields and output files for a fixed k.
+    The host reads and splits the mesh and builds its diamonds and node
+    weights, each exactly once; then ranks 1..k-1 fork, each with its
+    subdomain's slice of the geometry, while the host assembles and
+    factorizes the potential matrix once (it depends only on the mesh) for
+    every step to reuse.  Returns or raises only once every child is reaped.
+    A fixed config gives bit-identical fields and output files for a fixed k.
     """
     cfg.validate()
     # read once, before the mesh, so a bad table is a config error
@@ -481,65 +594,85 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
     subs = build_subdomains(mesh, partition(build_dual_graph(mesh), cfg.k),
                             diamonds, weights)
 
-    num_assemblies = num_factorizations = 0
-    problem = factors = solver = None
-    if cfg.physics == "streamer":
-        sc = cfg.streamer
-        pin = sc.pin_cell
-        if pin is None and all(v[0] == "neumann"
-                               for v in sc.potential_bc.values()):
-            pin = 0  # all-Neumann potential: fix the gauge once
-        problem = assemble_system(mesh, diamonds, weights, sc.potential_bc,
-                                  pin_cell=pin)
-        num_assemblies += 1
-        factors = factorize(problem.matrix)
-        num_factorizations += 1
-        solver = {"fill": factors.fill_nnz,
-                  "offdiag_pivots": factors.offdiag_pivots,
-                  "levels": factors.levels,
-                  "check_residual": factors.check_residual}
-
-    fabric = _Fabric(timeout=cfg.timeout_s)
-    for sub in subs:
-        for r in sub.neighbors:
-            fabric.add_link("halo", sub.rank, r)
+    links = [("halo", s.rank, r) for s in subs for r in s.neighbors]
     for r in range(1, cfg.k):
-        fabric.add_link("coll", 0, r)
-        fabric.add_link("coll", r, 0)
+        links += [(lane, 0, r) for lane in ("coll", "go")]
+        links += [(lane, r, 0) for lane in ("coll", "done")]
+    fabric = _Fabric(cfg.timeout_s, links)
+    host = _RankResult(timers={p: 0.0 for p in PHASES})
+    children, reports, thread = {}, {}, None
+    try:
+        for sub in subs[1:]:
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _child(fabric, sub, cfg, coeffs)
+                finally:
+                    os._exit(1)
+            children[sub.rank] = pid
+        fabric.keep(0)
 
-    all_own = [s.cells_l2g[:s.n_own] for s in subs]
-    all_full = [s.cells_l2g for s in subs]
-    results = [_RankResult(timers={p: 0.0 for p in PHASES}) for _ in subs]
-    ctxs = [RankContext(rank=s.rank, k=cfg.k, sub=s, fabric=fabric,
-                        mesh=mesh if s.rank == 0 else None,
-                        all_own_l2g=all_own if s.rank == 0 else None,
-                        all_full_l2g=all_full if s.rank == 0 else None,
-                        problem=problem if s.rank == 0 else None,
-                        factors=factors if s.rank == 0 else None)
-            for s in subs]
+        num_assemblies = num_factorizations = 0
+        problem = factors = solver = None
+        if cfg.physics == "streamer":
+            sc = cfg.streamer
+            pin = sc.pin_cell
+            if pin is None and all(v[0] == "neumann"
+                                   for v in sc.potential_bc.values()):
+                pin = 0  # all-Neumann potential: fix the gauge once
+            problem = assemble_system(mesh, diamonds, weights,
+                                      sc.potential_bc, pin_cell=pin)
+            num_assemblies += 1
+            factors = factorize(problem.matrix)
+            num_factorizations += 1
+            solver = {"fill": factors.fill_nnz,
+                      "offdiag_pivots": factors.offdiag_pivots,
+                      "levels": factors.levels,
+                      "check_residual": factors.check_residual}
 
-    threads = [threading.Thread(target=_worker_shell,
-                                args=(ctx, cfg, results[ctx.rank], coeffs),
-                                name=f"rank-{ctx.rank}") for ctx in ctxs]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=cfg.timeout_s + 30.0)
-    if any(t.is_alive() for t in threads):
-        fabric.abort.set()
-        raise SimulationError("a rank is hung; aborting", phase="join")
+        ctx = RankContext(rank=0, k=cfg.k, sub=subs[0], fabric=fabric,
+                          mesh=mesh,
+                          all_own_l2g=[s.cells_l2g[:s.n_own] for s in subs],
+                          all_full_l2g=[s.cells_l2g for s in subs],
+                          problem=problem, factors=factors)
+        thread = threading.Thread(target=_worker_shell,
+                                  args=(ctx, cfg, host, coeffs), name="rank-0")
+        thread.start()
+        thread.join(timeout=cfg.timeout_s + 30.0)
+        if thread.is_alive():
+            raise SimulationError("a rank is hung; aborting", phase="join")
+        for r in children:  # blind to the abort: a failed rank reports too
+            with suppress(Timeout):  # gone or silent: no report
+                reports[r] = fabric.recv("done", r, 0, watch=[])
+    except BaseException:
+        fabric.fail()
+        raise
+    finally:  # SIGKILL the children still running, then reap them all
+        for pid in children.values():
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        codes = {r: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for r, pid in children.items()}
+        if thread is not None:
+            thread.join(cfg.timeout_s)
+        if not (thread and thread.is_alive()):
+            fabric.close()
 
-    if fabric.failures:
+    for r in children.keys() - reports.keys():
+        reports[r] = (0, (r, None, "exit", RuntimeError(
+            f"exited with code {codes[r]} before its report")))
+    failures = [f for f in [host.failure] + [rep[1] for rep in
+                                             reports.values()] if f]
+    if failures:
         # a rank's own error, else the wait whose deadline expired first
-        root = next((f for f in fabric.failures
+        root = next((f for f in failures
                      if not isinstance(f[3], Timeout)), None) or min(
-            fabric.failures, key=lambda f: f[3].deadline or float("inf"))
+            failures, key=lambda f: f[3].deadline or float("inf"))
         rank, step, phase, exc = root
         raise SimulationError(
             f"rank {rank} failed at step {step} in phase '{phase}': {exc}",
             step=step, rank=rank, phase=phase) from exc
 
-    host = results[0]
     return SimulationReport(
         steps=cfg.steps, k=cfg.k, n_cells=mesh.n_cells,
         dt_min=host.dt_min if cfg.steps else 0.0,
@@ -549,7 +682,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         num_assemblies=num_assemblies,
         num_factorizations=num_factorizations,
         num_solves=host.solves,
-        clip_count=sum(r.clips for r in results),
+        clip_count=host.clips + sum(rep[0] for rep in reports.values()),
         final_fields=host.final_fields,
         outputs=host.outputs, solver=solver)
 

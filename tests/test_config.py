@@ -145,6 +145,15 @@ def test_validate_rejects(patch):
         cfg.validate()
 
 
+def test_ranks_beyond_one_need_fork(monkeypatch):
+    # ranks 1..k-1 are forked processes: without os.fork only k = 1 runs
+    import os
+    monkeypatch.delattr(os, "fork")
+    RunConfig(k=1).validate()
+    with pytest.raises(ConfigError, match="os.fork"):
+        RunConfig(k=2).validate()
+
+
 def test_streamer_table_model_needs_table():
     cfg = RunConfig(mesh_n=8, physics="streamer",
                     streamer=StreamerConfig(model="table"))

@@ -112,6 +112,8 @@ EDGE_PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
      "boundary declaration (0, 9) matches no edge"),
     ([[0, 1, 2], [1, 0, 3]], {(1, 2): "a", (0, 1): "b"},
      "boundary declaration (0, 1) names an interior edge"),
+    ([[0, 1, 2], [1, 0, 3]], {(1, 2): "a", (0, 2): "interior"},
+     "boundary declaration (0, 2) is labelled 'interior'"),
 ])
 def test_build_mesh_names_the_bad_edge(tris, boundary, message):
     pts = EDGE_PTS[:int(np.max(tris)) + 1]

@@ -1,9 +1,14 @@
-"""Threaded rank harness: halo exchange, collectives, timers, failure paths."""
+"""Rank harness: the pipe fabric, halo exchange, collectives, timers and
+failure paths.  Ranks 1..k-1 run as forked processes, so what a test counts
+in them reaches it through a file or the report, and every failure-path
+test checks that no child is left."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -75,19 +80,23 @@ def test_factor_once_counters():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("make_cfg", [_diffusion_cfg, _streamer_cfg],
                          ids=["transport", "streamer"])
-def test_geometry_built_once_per_run(monkeypatch, make_cfg, k):
+def test_geometry_built_once_per_run(monkeypatch, tmp_path, make_cfg, k):
     # the host builds the global diamonds and node weights once; every rank
-    # reads its subdomain's slice of them and builds none
+    # reads its subdomain's slice of them and builds none.  The calls go to
+    # a file, so that a forked rank's calls are counted too
     from trifvm import partition, runtime, streamer
 
-    calls = []
+    log = tmp_path / "calls.txt"
+    log.touch()
     for name in ("build_diamonds", "node_weights"):
         def counted(*args, _fn=getattr(runtime, name), _name=name, **kw):
-            calls.append(_name)
+            with open(log, "a") as fh:
+                fh.write(_name + "\n")
             return _fn(*args, **kw)
         for module in (runtime, streamer, partition):
             monkeypatch.setattr(module, name, counted)
     run_simulation(make_cfg(k, steps=2))
+    calls = log.read_text().split()
     assert sorted(calls) == ["build_diamonds", "node_weights"]
 
 
@@ -207,6 +216,11 @@ def test_non_finite_fields_end_the_run(tmp_path):
     assert main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 3
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_rank_failure_names_rank_step_phase_and_joins_every_rank(monkeypatch):
     import threading
 
@@ -228,6 +242,7 @@ def test_rank_failure_names_rank_step_phase_and_joins_every_rank(monkeypatch):
         (1, 3, "convection")
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("rank-") and t.is_alive()]
+    _assert_no_child_left()
 
 
 def test_silent_rank_times_out_and_joins_every_rank(monkeypatch):
@@ -253,6 +268,7 @@ def test_silent_rank_times_out_and_joins_every_rank(monkeypatch):
         assert "no message from rank 1" in str(exc.value)
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("rank-") and t.is_alive()]
+        _assert_no_child_left()
 
 
 def test_runs_never_import_scipy(tmp_path):
@@ -274,3 +290,85 @@ def test_runs_never_import_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_clip_count_sums_every_rank():
+    # the children's clips reach the report through their last message
+    base = run_simulation(_streamer_cfg(1)).clip_count
+    assert base > 0
+    for k in (2, 3):
+        assert run_simulation(_streamer_cfg(k)).clip_count == base
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fabric_moves_mebibyte_arrays_both_ways_in_order(k):
+    # every rank sends three 1 MiB arrays to every other before it receives
+    # any: each link carries 48 times its 64 KiB pipe buffer, and no send
+    # may block on it
+    from trifvm import runtime
+
+    def payload(src, dst, i):
+        return np.arange(1 << 17, dtype=np.float64) + (100 * src + 10 * dst + i)
+
+    def exchange(fabric, rank):
+        peers = [r for r in range(k) if r != rank]
+        for dst in peers:
+            for i in range(3):
+                fabric.send("halo", rank, dst, payload(rank, dst, i))
+        ok = all(fabric.recv("halo", src, rank).tobytes()
+                 == payload(src, rank, i).tobytes()
+                 for src in peers for i in range(3))
+        fabric.drain()
+        return ok
+
+    fabric = runtime._Fabric(20.0, [("halo", s, d) for s in range(k)
+                                    for d in range(k) if s != d])
+    children = {}
+    try:
+        for rank in range(1, k):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    fabric.keep(rank)
+                    os._exit(0 if exchange(fabric, rank) else 2)
+                finally:
+                    os._exit(1)
+            children[rank] = pid
+        fabric.keep(0)
+        assert exchange(fabric, 0)
+        codes = {r: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for r, pid in children.items()}
+        children.clear()
+        assert codes == {r: 0 for r in range(1, k)}
+    finally:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        fabric.close()
+    _assert_no_child_left()
+
+
+def test_dead_rank_ends_the_run_long_before_its_timeout(monkeypatch):
+    # rank 1 leaves without a word at step 2: the host reads EOF on its
+    # link instead of waiting out timeout_s, and the run names rank 1
+    import threading
+
+    from trifvm import runtime
+    real = runtime.convective_residual
+    calls = {"n": 0}
+
+    def dying(*args, **kwargs):
+        if threading.current_thread().name == "rank-1":
+            calls["n"] += 1
+            if calls["n"] == 3:  # the convection phase of step 2
+                os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "convective_residual", dying)
+    t0 = time.monotonic()
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(_diffusion_cfg(2, steps=10, timeout_s=30.0))
+    assert time.monotonic() - t0 < 10.0
+    assert exc.value.rank == 1
+    assert "exited with code 1" in str(exc.value)
+    _assert_no_child_left()
