@@ -1,9 +1,9 @@
 """Multi-rank execution: rank lifecycle, deterministic halo exchange, host
 gather / solve / scatter, and the one explicit step loop of every run.
 
-Rank 0, the host, runs in the caller's process on a thread named `rank-0`;
+Rank 0, the host, runs on the caller's thread, named `rank-0` for the run;
 every other rank runs in a process of its own, forked once the subdomains
-exist and named `rank-r`.  Every cross-rank interaction flows through an
+exist, on a thread named `rank-r`.  Every cross-rank interaction flows through an
 ordered message link, one pipe per (lane, source, destination), so no rank
 reads another's memory.  The host owns the global mesh, the factor-once
 linear system, and all file output.
@@ -27,8 +27,10 @@ import pickle
 import select
 import signal
 import struct
+import sys
 import threading
 import time
+import types
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
@@ -67,14 +69,21 @@ class _Fabric:
 
     def __init__(self, timeout: float, links):
         self.timeout = timeout
-        self.pipes = {key: os.pipe() for key in links}
-        self.abort_r, self.abort_w = os.pipe()
-        self.life_r, self.life_w = os.pipe()
-        self.fds = {self.abort_r, self.abort_w, self.life_r, self.life_w}
+        self.pipes, self.fds = {}, set()
+        try:
+            for key in [*links, "abort", "life"]:
+                self.pipes[key] = os.pipe()
+                self.fds.update(self.pipes[key])
+        except OSError as exc:   # EMFILE: more links than open files
+            self.close()
+            raise ConfigError(f"{len(links)} message links need "
+                              f"{2 * len(links) + 4} open files: "
+                              f"{exc.strerror}") from None
+        self.abort_r, self.abort_w = self.pipes.pop("abort")
+        self.life_r, self.life_w = self.pipes.pop("life")
         for r, w in self.pipes.values():
             os.set_blocking(r, False)
             os.set_blocking(w, False)
-            self.fds |= {r, w}
 
     def keep(self, rank: int) -> None:
         """Close the pipe ends that `rank`'s process does not use, so that a
@@ -160,14 +169,19 @@ class _Fabric:
                 raise Timeout(f"rank {self.rank}: no message from {peer} "
                               f"within {self.timeout}s", rank=self.rank,
                               deadline=deadline)
-            ready, writable, _ = select.select(
-                [fd] * (fd is not None) + watch, list(full), [],
-                0.0 if now < spin else min(deadline - now, 1.0))
-            for w in writable:
+            # poll, not select: no fd number limit
+            poll = select.poll()
+            for r in [fd] * (fd is not None) + watch:
+                poll.register(r, select.POLLIN)
+            for w in full:
+                poll.register(w, select.POLLOUT)
+            ready = dict(poll.poll(0 if now < spin else
+                                   1e3 * min(deadline - now, 1.0)))
+            for w in full.keys() & ready.keys():
                 self._flush(full[w])
             if fd in ready:
                 return
-            if ready:
+            if ready.keys() & set(watch):
                 raise Timeout(f"rank {self.rank}: peer failed while waiting "
                               f"on {peer}", rank=self.rank)
             if now < spin:
@@ -524,28 +538,64 @@ def _build_coefficients(sc) -> StreamerCoefficients:
         alpha=sc.alpha, table=table)
 
 
-def _worker_shell(ctx: RankContext, cfg: RunConfig, res: _RankResult,
-                  coeffs: StreamerCoefficients | None) -> None:
-    try:
-        _rank_loop(ctx, cfg, res, coeffs)
-    except BaseException as exc:  # noqa: BLE001 - must reach the driver
-        res.failure = (ctx.rank, res.step, res.phase, exc)
-        ctx.fabric.fail()
+def _wrapper_lists() -> list:
+    """Each list that a wrapper over a function of this package closes over:
+    (the list, its length, where it is).  A tracer or profiler that replaces
+    a function by a `functools.wraps` wrapper records into such lists; a
+    forked rank sends what it appended to them, and the host appends that
+    to its own, so instrumentation in the caller's process sees every rank.
+    """
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] != __package__:
+            continue
+        for attr, fn in list(vars(mod).items()):
+            if isinstance(fn, types.FunctionType) and \
+                    hasattr(fn, "__wrapped__"):
+                for i, cell in enumerate(fn.__closure__ or ()):
+                    try:
+                        v = cell.cell_contents
+                    except ValueError:   # an empty cell
+                        continue
+                    if type(v) is list and id(v) not in found:
+                        found[id(v)] = (v, len(v), (name, attr, i))
+    return list(found.values())
+
+
+def _wrapper_list(where) -> list:
+    """The host's list at `where` (see `_wrapper_lists`); a new one if the
+    wrapper is gone."""
+    name, attr, i = where
+    with suppress(LookupError, AttributeError, TypeError, ValueError):
+        v = vars(sys.modules[name])[attr].__closure__[i].cell_contents
+        if type(v) is list:
+            return v
+    return []
 
 
 def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
            coeffs: StreamerCoefficients | None) -> None:
-    """A forked rank's life: its loop, then its clips and any failure to
-    the parent, then `os._exit` (no atexit handler, no stdio flush)."""
+    """A forked rank's life: its loop, then its clips, any failure and what
+    it added to the wrapper lists to the parent, then `os._exit` (no atexit
+    handler, no stdio flush)."""
     threading.current_thread().name = f"rank-{sub.rank}"
     fabric.keep(sub.rank)
+    records = _wrapper_lists()
     res = _RankResult(timers={})
-    _worker_shell(RankContext(rank=sub.rank, k=cfg.k, sub=sub, fabric=fabric),
-                  cfg, res, coeffs)
+    try:
+        _rank_loop(RankContext(rank=sub.rank, k=cfg.k, sub=sub, fabric=fabric),
+                   cfg, res, coeffs)
+    except BaseException as exc:  # noqa: BLE001 - must reach the parent
+        res.failure = (sub.rank, res.step, res.phase, exc)
+        fabric.fail()
     if res.failure and not isinstance(res.failure[3], TriFvmError):
         # only this package's errors are known to survive a pickle
-        res.failure = res.failure[:3] + (RuntimeError(str(res.failure[3])),)
-    fabric.send("done", sub.rank, 0, (res.clips, res.failure))
+        exc = res.failure[3]
+        res.failure = res.failure[:3] + (
+            RuntimeError(f"{type(exc).__name__}: {exc}"),)
+    fabric.send("done", sub.rank, 0, (res.clips, res.failure, {
+        where: v[n:] for v, n, where in records if len(v) > n}))
+    fabric.drain()
     os._exit(0)
 
 
@@ -600,7 +650,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         links += [(lane, r, 0) for lane in ("coll", "done")]
     fabric = _Fabric(cfg.timeout_s, links)
     host = _RankResult(timers={p: 0.0 for p in PHASES})
-    children, reports, thread = {}, {}, None
+    children, reports = {}, {}
     try:
         for sub in subs[1:]:
             pid = os.fork()
@@ -635,15 +685,22 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
                           all_own_l2g=[s.cells_l2g[:s.n_own] for s in subs],
                           all_full_l2g=[s.cells_l2g for s in subs],
                           problem=problem, factors=factors)
-        thread = threading.Thread(target=_worker_shell,
-                                  args=(ctx, cfg, host, coeffs), name="rank-0")
-        thread.start()
-        thread.join(timeout=cfg.timeout_s + 30.0)
-        if thread.is_alive():
-            raise SimulationError("a rank is hung; aborting", phase="join")
+        # the caller's thread runs the host under the name `rank-0`
+        me = threading.current_thread()
+        caller, me.name = me.name, "rank-0"
+        try:
+            _rank_loop(ctx, cfg, host, coeffs)
+        except Exception as exc:   # a KeyboardInterrupt ends the run below
+            host.failure = (0, host.step, host.phase, exc)
+            fabric.fail()
+        finally:
+            me.name = caller
         for r in children:  # blind to the abort: a failed rank reports too
             with suppress(Timeout):  # gone or silent: no report
                 reports[r] = fabric.recv("done", r, 0, watch=[])
+        for r in sorted(reports):
+            for where, added in reports[r][2].items():
+                _wrapper_list(where).extend(added)
     except BaseException:
         fabric.fail()
         raise
@@ -653,14 +710,11 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
                 os.kill(pid, signal.SIGKILL)
         codes = {r: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for r, pid in children.items()}
-        if thread is not None:
-            thread.join(cfg.timeout_s)
-        if not (thread and thread.is_alive()):
-            fabric.close()
+        fabric.close()
 
     for r in children.keys() - reports.keys():
         reports[r] = (0, (r, None, "exit", RuntimeError(
-            f"exited with code {codes[r]} before its report")))
+            f"exited with code {codes[r]} before its report")), {})
     failures = [f for f in [host.failure] + [rep[1] for rep in
                                              reports.values()] if f]
     if failures:

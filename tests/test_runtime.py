@@ -372,3 +372,107 @@ def test_dead_rank_ends_the_run_long_before_its_timeout(monkeypatch):
     assert exc.value.rank == 1
     assert "exited with code 1" in str(exc.value)
     _assert_no_child_left()
+
+
+def test_wrapper_records_of_every_rank_reach_the_caller(monkeypatch):
+    # a tracer that wraps a function records into lists in the caller's
+    # process; each child sends what it appended, so every rank shows up
+    import functools
+    import threading
+
+    from trifvm import runtime
+    seen = []
+    real = runtime.halo_exchange
+
+    @functools.wraps(real)
+    def traced(*args, **kwargs):
+        seen.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "halo_exchange", traced)
+    caller = threading.current_thread().name
+    run_simulation(_diffusion_cfg(3, steps=7))
+    assert sorted(seen) == sorted(["rank-0", "rank-1", "rank-2"] * 7)
+    assert threading.current_thread().name == caller
+    _assert_no_child_left()
+
+
+def test_a_childs_foreign_error_keeps_its_type_name(monkeypatch):
+    import threading
+
+    from trifvm import runtime
+    real = runtime.diffusive_residual
+
+    def failing(*args, **kwargs):
+        if threading.current_thread().name == "rank-1":
+            raise KeyError("stencil")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "diffusive_residual", failing)
+    with pytest.raises(SimulationError, match="KeyError: 'stencil'") as exc:
+        run_simulation(_diffusion_cfg(2, steps=3, timeout_s=5.0))
+    assert (exc.value.rank, exc.value.phase) == (1, "diffusion")
+    _assert_no_child_left()
+
+
+def test_interrupt_on_the_host_ends_the_run_and_every_child(monkeypatch):
+    from trifvm import runtime
+    real = runtime.explicit_step
+    calls = {"n": 0}
+
+    def interrupted(*args, **kwargs):
+        calls["n"] += 1  # counted on the host only: its own memory
+        if calls["n"] == 3:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "explicit_step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_simulation(_diffusion_cfg(3, steps=10, timeout_s=30.0))
+    _assert_no_child_left()
+
+
+def test_links_past_fd_1024_still_wait():
+    # select() cannot watch a descriptor of 1024 or more; the waits poll
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < 1200 and (hard != resource.RLIM_INFINITY and hard < 1200):
+        pytest.skip("the open-file limit is below 1200")
+    if soft < 1200:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (1200, hard))
+    filler = []
+    try:
+        while not filler or filler[-1] < 1030:
+            filler.append(os.open(os.devnull, os.O_RDONLY))
+        base = run_simulation(_diffusion_cfg(1, steps=5)).final_fields["u"]
+        rep = run_simulation(_diffusion_cfg(2, steps=5))
+        assert np.array_equal(rep.final_fields["u"], base)
+    finally:
+        for fd in filler:
+            os.close(fd)
+        if soft < 1200:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    _assert_no_child_left()
+
+
+def test_too_many_links_for_the_open_file_limit_is_a_config_error(
+        monkeypatch):
+    import errno
+
+    from trifvm import runtime
+    real, made = os.pipe, []
+
+    def pipe():
+        if len(made) == 5:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        made.append(real())
+        return made[-1]
+
+    monkeypatch.setattr(runtime.os, "pipe", pipe)
+    with pytest.raises(ConfigError, match="open files"):
+        run_simulation(_diffusion_cfg(4, steps=2))
+    for r, w in made:  # every pipe made before the failure is closed
+        for fd in (r, w):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+    _assert_no_child_left()
