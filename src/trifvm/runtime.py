@@ -3,9 +3,9 @@ gather / solve / scatter, and the one explicit step loop of every run.
 
 Rank 0, the host, runs on the caller's thread, named `rank-0` for the run;
 every other rank runs in a process of its own, forked once the subdomains
-exist, on a thread named `rank-r`.  Every cross-rank interaction flows through an
-ordered message link, one pipe per (lane, source, destination), so no rank
-reads another's memory.  The host owns the global mesh, the factor-once
+exist, on a thread named `rank-r`.  Every cross-rank interaction flows
+through an ordered message link, one pipe per (lane, source, destination),
+so no rank reads another's memory.  The host owns the global mesh, the factor-once
 linear system, and all file output.
 
 Both physics run one step, `_step`: the streamer's coupling (charge source,
@@ -107,9 +107,13 @@ class _Fabric:
         os.write(self.abort_w, b"!")
 
     def send(self, lane: str, src: int, dst: int, payload):
+        self.post(lane, src, dst, payload)
+        self._flush((lane, src, dst))
+
+    def post(self, lane: str, src: int, dst: int, payload):
+        """Queue the payload on its link; the sender's next wait writes it."""
         body = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         self.outbox[(lane, src, dst)] += _HEAD.pack(len(body)) + body
-        self._flush((lane, src, dst))
 
     def _flush(self, key) -> None:
         """Write as much of the link's outbox as its pipe takes now."""
@@ -182,6 +186,8 @@ class _Fabric:
             if fd in ready:
                 return
             if ready.keys() & set(watch):
+                if time.monotonic() > deadline:
+                    continue   # this wait expired first: say so above
                 raise Timeout(f"rank {self.rank}: peer failed while waiting "
                               f"on {peer}", rank=self.rank)
             if now < spin:
@@ -486,14 +492,15 @@ def _physics(ctx: RankContext, cfg: RunConfig,
 
 
 def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
-               coeffs: StreamerCoefficients | None) -> None:
+               coeffs: StreamerCoefficients | None, looped=None) -> None:
     res.phase = "setup"
     phys, state = _physics(ctx, cfg, coeffs)
-    # the children set up while the host factorizes; every rank starts the
-    # loop, and the deadlines of its waits, after the host is ready
+    # the children set up while the host factorizes, and start the loop
+    # once the host is in its first wait: every deadline of theirs falls
+    # after the host's first one
     if ctx.is_host:
         for r in range(1, ctx.k):
-            ctx.fabric.send("go", 0, r, None)
+            ctx.fabric.post("go", 0, r, None)
     else:
         ctx.fabric.recv("go", 0, ctx.rank, timeout=math.inf)
     if cfg.out_dir:
@@ -509,6 +516,8 @@ def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
                          (step + 1) // cfg.output_every, res)
     res.timers["total"] = time.perf_counter() - t_loop
     res.solves = phys.solves
+    if looped is not None:   # a child's records, ahead of its last sends
+        looped()
 
     res.phase = "final gather"
     res.final_fields = _gather_fields(ctx, phys.fields(state))
@@ -576,15 +585,26 @@ def _wrapper_list(where) -> list:
 def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
            coeffs: StreamerCoefficients | None) -> None:
     """A forked rank's life: its loop, then its clips, any failure and what
-    it added to the wrapper lists to the parent, then `os._exit` (no atexit
-    handler, no stdio flush)."""
+    it added to the wrapper lists (the loop's part ahead of the final
+    gather) to the parent, then `os._exit` (no atexit handler, no stdio
+    flush)."""
     threading.current_thread().name = f"rank-{sub.rank}"
     fabric.keep(sub.rank)
     records = _wrapper_lists()
+
+    def added() -> dict:
+        """What the wrappers appended since the last call, by place."""
+        out = {where: v[n:] for v, n, where in records if len(v) > n}
+        records[:] = [(v, len(v), where) for v, _, where in records]
+        return out
+
+    # the loop's records leave while the host ends its last step
+    looped = (lambda: fabric.send("done", sub.rank, 0, added())) \
+        if records else None
     res = _RankResult(timers={})
     try:
         _rank_loop(RankContext(rank=sub.rank, k=cfg.k, sub=sub, fabric=fabric),
-                   cfg, res, coeffs)
+                   cfg, res, coeffs, looped)
     except BaseException as exc:  # noqa: BLE001 - must reach the parent
         res.failure = (sub.rank, res.step, res.phase, exc)
         fabric.fail()
@@ -593,8 +613,7 @@ def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
         exc = res.failure[3]
         res.failure = res.failure[:3] + (
             RuntimeError(f"{type(exc).__name__}: {exc}"),)
-    fabric.send("done", sub.rank, 0, (res.clips, res.failure, {
-        where: v[n:] for v, n, where in records if len(v) > n}))
+    fabric.send("done", sub.rank, 0, (res.clips, res.failure, added()))
     fabric.drain()
     os._exit(0)
 
@@ -697,10 +716,13 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
             me.name = caller
         for r in children:  # blind to the abort: a failed rank reports too
             with suppress(Timeout):  # gone or silent: no report
-                reports[r] = fabric.recv("done", r, 0, watch=[])
-        for r in sorted(reports):
-            for where, added in reports[r][2].items():
-                _wrapper_list(where).extend(added)
+                msgs = [fabric.recv("done", r, 0, watch=[])]
+                while isinstance(msgs[-1], dict):   # records, then the report
+                    msgs.append(fabric.recv("done", r, 0, watch=[]))
+                reports[r] = msgs.pop()
+                for added in msgs + [reports[r][2]]:
+                    for where, entries in added.items():
+                        _wrapper_list(where).extend(entries)
     except BaseException:
         fabric.fail()
         raise
