@@ -416,14 +416,17 @@ def test_a_childs_foreign_error_keeps_its_type_name(monkeypatch):
 
 
 def test_interrupt_on_the_host_ends_the_run_and_every_child(monkeypatch):
+    import threading
+
     from trifvm import runtime
     real = runtime.explicit_step
     calls = {"n": 0}
 
     def interrupted(*args, **kwargs):
-        calls["n"] += 1  # counted on the host only: its own memory
-        if calls["n"] == 3:
-            raise KeyboardInterrupt
+        if threading.current_thread().name == "rank-0":
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise KeyboardInterrupt
         return real(*args, **kwargs)
 
     monkeypatch.setattr(runtime, "explicit_step", interrupted)
