@@ -7,7 +7,9 @@ scaling pipeline exactly the way an external campaign table would go in.
 Ranks 1..k-1 are forked processes, so the step kernels do run in
 parallel; but at this size the host's serial solve, the message cost
 (tens of microseconds each) and ranks beyond the machine's cores bound
-the curve, and the efficiency column says so.
+the curve, and the efficiency column says so.  Each run takes 200 steps:
+a forked rank's first step is a warm-up several times slower than the
+rest, and over 20 steps it would decide the k >= 2 rows.
 """
 
 import os
@@ -25,7 +27,7 @@ def main():
     with open(timings, "w") as fh:
         fh.write("cores," + ",".join(PHASES) + "\n")
         for k in (1, 2, 4, 8):
-            cfg = RunConfig(mesh_n=32, k=k, steps=20, physics="streamer",
+            cfg = RunConfig(mesh_n=32, k=k, steps=200, physics="streamer",
                             streamer=StreamerConfig(model="linear"))
             rep = run_simulation(cfg)
             row = ",".join(f"{rep.phase_seconds[ph]!r}" for ph in PHASES)

@@ -5,8 +5,9 @@ Rank 0, the host, runs on the caller's thread, named `rank-0` for the run;
 every other rank runs in a process of its own, forked once the subdomains
 exist, on a thread named `rank-r`.  Every cross-rank interaction flows
 through an ordered message link, one pipe per (lane, source, destination),
-so no rank reads another's memory.  The host owns the global mesh, the factor-once
-linear system, and all file output.
+so no rank reads another's memory, and a rank that fails or dies reaches
+its peers as EOF on these links.  The host owns the global mesh, the
+factor-once linear system, and all file output.
 
 Both physics run one step, `_step`: the streamer's coupling (charge source,
 host solve with the run's factors, potential to every rank), the halo
@@ -61,26 +62,24 @@ _SPIN = 0.002                 # seconds a wait polls its link before it sleeps
 
 
 class _Fabric:
-    """Every message link of one run, one non-blocking pipe each, and the
-    failure pipes: a byte in the abort pipe, never read, ends every rank's
-    waits; the lifeline pipe reads EOF in a child once the parent, which
-    holds its write end, is gone.  A send never blocks: what a full pipe
-    cannot take waits in the link's outbox, which every wait writes on."""
+    """Every message link of one run, one non-blocking pipe each.  A send
+    never blocks: what a full pipe cannot take waits in the link's outbox,
+    which every wait writes on.  A failure travels as EOF or a broken pipe:
+    a failed rank closes every end but its `done` ones (`stop`), and a dead
+    process's ends close with it."""
 
     def __init__(self, timeout: float, links):
         self.timeout = timeout
         self.pipes, self.fds = {}, set()
         try:
-            for key in [*links, "abort", "life"]:
+            for key in links:
                 self.pipes[key] = os.pipe()
                 self.fds.update(self.pipes[key])
         except OSError as exc:   # EMFILE: more links than open files
             self.close()
             raise ConfigError(f"{len(links)} message links need "
-                              f"{2 * len(links) + 4} open files: "
+                              f"{2 * len(links)} open files: "
                               f"{exc.strerror}") from None
-        self.abort_r, self.abort_w = self.pipes.pop("abort")
-        self.life_r, self.life_w = self.pipes.pop("life")
         for r, w in self.pipes.values():
             os.set_blocking(r, False)
             os.set_blocking(w, False)
@@ -89,22 +88,24 @@ class _Fabric:
         """Close the pipe ends that `rank`'s process does not use, so that a
         peer that exits shows up as EOF."""
         self.rank = rank
-        self.watch = [self.abort_r, self.life_r] if rank else [self.abort_r]
         self.reader = {k: r for k, (r, _) in self.pipes.items() if k[2] == rank}
         self.writer = {k: w for k, (_, w) in self.pipes.items() if k[1] == rank}
         self.inbox = {k: bytearray() for k in self.reader}
         self.outbox = {k: bytearray() for k in self.writer}
-        self.close(keep={*self.reader.values(), *self.writer.values(),
-                         *self.watch, self.abort_w,
-                         self.life_r if rank else self.life_w})
+        self.close(keep={*self.reader.values(), *self.writer.values()})
+
+    def stop(self) -> None:
+        """Close every end but the `done` lane's and drop the other outboxes:
+        each peer of a failed rank reads EOF or gets a broken pipe."""
+        self.reader = {k: r for k, r in self.reader.items() if k[0] == "done"}
+        self.writer = {k: w for k, w in self.writer.items() if k[0] == "done"}
+        self.outbox = {k: self.outbox[k] for k in self.writer}
+        self.close(keep={*self.reader.values(), *self.writer.values()})
 
     def close(self, keep=frozenset()) -> None:
         for fd in self.fds - keep:
             os.close(fd)
         self.fds &= keep
-
-    def fail(self) -> None:
-        os.write(self.abort_w, b"!")
 
     def send(self, lane: str, src: int, dst: int, payload):
         self.post(lane, src, dst, payload)
@@ -115,7 +116,7 @@ class _Fabric:
         body = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         self.outbox[(lane, src, dst)] += _HEAD.pack(len(body)) + body
 
-    def _flush(self, key) -> None:
+    def _flush(self, key, deadline=math.inf, peer=None) -> None:
         """Write as much of the link's outbox as its pipe takes now."""
         out = self.outbox[key]
         try:
@@ -124,13 +125,11 @@ class _Fabric:
         except BlockingIOError:
             pass
         except BrokenPipeError:
-            raise Timeout(f"rank {key[1]}: rank {key[2]} is gone",
-                          rank=key[1]) from None
+            raise self._timeout(deadline, peer, gone=key[2]) from None
 
-    def recv(self, lane: str, src: int, dst: int, watch=None, timeout=None):
+    def recv(self, lane: str, src: int, dst: int, timeout=None):
         """The next payload on the link.  Raises Timeout after `timeout`
-        seconds (default: the run's), once a `watch` pipe (default: abort,
-        lifeline) turns readable, or when the link's writer is gone."""
+        seconds (default: the run's), or at EOF: its writer has stopped."""
         key = (lane, src, dst)
         deadline = time.monotonic() + (timeout or self.timeout)
         fd, buf = self.reader[key], self.inbox[key]
@@ -144,19 +143,28 @@ class _Fabric:
             try:
                 chunk = os.read(fd, 1 << 16)
             except BlockingIOError:
-                self._wait(fd, deadline, self.watch if watch is None
-                           else watch, f"rank {src}")
+                self._wait(fd, deadline, f"rank {src}")
                 continue
             if not chunk:
-                raise Timeout(f"rank {dst}: rank {src} is gone", rank=dst)
+                raise self._timeout(deadline, f"rank {src}", gone=src)
             buf += chunk
 
     def drain(self) -> None:
         """Block until every outbox is written: a child's last sends."""
-        self._wait(None, time.monotonic() + self.timeout, self.watch,
+        self._wait(None, time.monotonic() + self.timeout,
                    "the readers of its sends")
 
-    def _wait(self, fd, deadline: float, watch: list, peer: str) -> None:
+    def _timeout(self, deadline: float, peer: str, gone=None) -> Timeout:
+        """A wait's Timeout: its expiry once `deadline` has passed (a peer
+        that gave up later must not hide it), else that rank `gone` left."""
+        if gone is None or time.monotonic() > deadline:
+            return Timeout(f"rank {self.rank}: no message from {peer} "
+                           f"within {self.timeout}s", rank=self.rank,
+                           deadline=deadline)
+        return Timeout(f"rank {self.rank}: rank {gone} is gone",
+                       rank=self.rank)
+
+    def _wait(self, fd, deadline: float, peer: str) -> None:
         """Write the outboxes until `fd` can be read (fd None: until they
         are empty).  The first _SPIN seconds poll and yield the core in
         between, since an idle core wakes slowly."""
@@ -167,29 +175,19 @@ class _Fabric:
                 return
             now = time.monotonic()
             if now > deadline:
-                # own deadline first: a peer that gave up later must not
-                # hide that this wait expired earlier
-                self.fail()
-                raise Timeout(f"rank {self.rank}: no message from {peer} "
-                              f"within {self.timeout}s", rank=self.rank,
-                              deadline=deadline)
+                raise self._timeout(deadline, peer)
             # poll, not select: no fd number limit
             poll = select.poll()
-            for r in [fd] * (fd is not None) + watch:
-                poll.register(r, select.POLLIN)
+            if fd is not None:
+                poll.register(fd, select.POLLIN)
             for w in full:
                 poll.register(w, select.POLLOUT)
             ready = dict(poll.poll(0 if now < spin else
                                    1e3 * min(deadline - now, 1.0)))
             for w in full.keys() & ready.keys():
-                self._flush(full[w])
+                self._flush(full[w], deadline, peer)
             if fd in ready:
                 return
-            if ready.keys() & set(watch):
-                if time.monotonic() > deadline:
-                    continue   # this wait expired first: say so above
-                raise Timeout(f"rank {self.rank}: peer failed while waiting "
-                              f"on {peer}", rank=self.rank)
             if now < spin:
                 os.sched_yield()
 
@@ -547,67 +545,58 @@ def _build_coefficients(sc) -> StreamerCoefficients:
         alpha=sc.alpha, table=table)
 
 
-def _wrapper_lists() -> list:
-    """Each list that a wrapper over a function of this package closes over:
-    (the list, its length, where it is).  A tracer or profiler that replaces
-    a function by a `functools.wraps` wrapper records into such lists; a
-    forked rank sends what it appended to them, and the host appends that
-    to its own, so instrumentation in the caller's process sees every rank.
+def _wrapper_lists() -> dict:
+    """Each list that a wrapper over a function of this package closes over,
+    by its `id`.  A tracer or profiler that replaces a function by a
+    `functools.wraps` wrapper records into such lists.  The host collects
+    them once, before it forks, so a child's lists are the same objects
+    under the same ids: a child sends what it appended by id, and the host
+    appends that to its own, so instrumentation in the caller's process
+    sees every rank.
     """
     found = {}
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] != __package__:
             continue
-        for attr, fn in list(vars(mod).items()):
+        for fn in list(vars(mod).values()):
             if isinstance(fn, types.FunctionType) and \
                     hasattr(fn, "__wrapped__"):
-                for i, cell in enumerate(fn.__closure__ or ()):
+                for cell in fn.__closure__ or ():
                     try:
                         v = cell.cell_contents
                     except ValueError:   # an empty cell
                         continue
-                    if type(v) is list and id(v) not in found:
-                        found[id(v)] = (v, len(v), (name, attr, i))
-    return list(found.values())
-
-
-def _wrapper_list(where) -> list:
-    """The host's list at `where` (see `_wrapper_lists`); a new one if the
-    wrapper is gone."""
-    name, attr, i = where
-    with suppress(LookupError, AttributeError, TypeError, ValueError):
-        v = vars(sys.modules[name])[attr].__closure__[i].cell_contents
-        if type(v) is list:
-            return v
-    return []
+                    if type(v) is list:
+                        found[id(v)] = v
+    return found
 
 
 def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
-           coeffs: StreamerCoefficients | None) -> None:
+           coeffs: StreamerCoefficients | None, lists: dict) -> None:
     """A forked rank's life: its loop, then its clips, any failure and what
-    it added to the wrapper lists (the loop's part ahead of the final
+    it added to the wrapper `lists` (the loop's part ahead of the final
     gather) to the parent, then `os._exit` (no atexit handler, no stdio
     flush)."""
     threading.current_thread().name = f"rank-{sub.rank}"
     fabric.keep(sub.rank)
-    records = _wrapper_lists()
+    marks = {i: len(v) for i, v in lists.items()}
 
     def added() -> dict:
-        """What the wrappers appended since the last call, by place."""
-        out = {where: v[n:] for v, n, where in records if len(v) > n}
-        records[:] = [(v, len(v), where) for v, _, where in records]
+        """What the wrappers appended since the last call, by list id."""
+        out = {i: v[marks[i]:] for i, v in lists.items() if len(v) > marks[i]}
+        marks.update((i, len(v)) for i, v in lists.items())
         return out
 
     # the loop's records leave while the host ends its last step
     looped = (lambda: fabric.send("done", sub.rank, 0, added())) \
-        if records else None
+        if lists else None
     res = _RankResult(timers={})
     try:
         _rank_loop(RankContext(rank=sub.rank, k=cfg.k, sub=sub, fabric=fabric),
                    cfg, res, coeffs, looped)
     except BaseException as exc:  # noqa: BLE001 - must reach the parent
         res.failure = (sub.rank, res.step, res.phase, exc)
-        fabric.fail()
+        fabric.stop()
     if res.failure and not isinstance(res.failure[3], TriFvmError):
         # only this package's errors are known to survive a pickle
         exc = res.failure[3]
@@ -670,12 +659,13 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
     fabric = _Fabric(cfg.timeout_s, links)
     host = _RankResult(timers={p: 0.0 for p in PHASES})
     children, reports = {}, {}
+    lists = _wrapper_lists() if cfg.k > 1 else {}
     try:
         for sub in subs[1:]:
             pid = os.fork()
             if pid == 0:
                 try:
-                    _child(fabric, sub, cfg, coeffs)
+                    _child(fabric, sub, cfg, coeffs, lists)
                 finally:
                     os._exit(1)
             children[sub.rank] = pid
@@ -711,21 +701,18 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
             _rank_loop(ctx, cfg, host, coeffs)
         except Exception as exc:   # a KeyboardInterrupt ends the run below
             host.failure = (0, host.step, host.phase, exc)
-            fabric.fail()
+            fabric.stop()
         finally:
             me.name = caller
-        for r in children:  # blind to the abort: a failed rank reports too
+        for r in children:  # a failed rank reports too
             with suppress(Timeout):  # gone or silent: no report
-                msgs = [fabric.recv("done", r, 0, watch=[])]
+                msgs = [fabric.recv("done", r, 0)]
                 while isinstance(msgs[-1], dict):   # records, then the report
-                    msgs.append(fabric.recv("done", r, 0, watch=[]))
+                    msgs.append(fabric.recv("done", r, 0))
                 reports[r] = msgs.pop()
                 for added in msgs + [reports[r][2]]:
-                    for where, entries in added.items():
-                        _wrapper_list(where).extend(entries)
-    except BaseException:
-        fabric.fail()
-        raise
+                    for i, entries in added.items():
+                        lists[i].extend(entries)
     finally:  # SIGKILL the children still running, then reap them all
         for pid in children.values():
             with suppress(ProcessLookupError):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroDt
-from .mesh import INTERIOR, DiamondCells, Mesh, NodeWeights
+from .mesh import DiamondCells, Mesh, NodeWeights
 from .partition import Subdomain
 
 BC_INTERIOR = 0
@@ -118,8 +118,6 @@ def classify_faces(lm: Mesh, bc: dict) -> np.ndarray:
     kind = np.full(lm.n_faces, BC_INTERIOR, dtype=np.int8)
     for f in lm.boundary_faces():
         label = lm.face_labels[f]
-        if label == INTERIOR:
-            continue
         if label not in bc:
             raise KeyError(f"no boundary condition for label '{label}'")
         kind[f] = BC_DIRICHLET if bc[label][0] == "dirichlet" else BC_NEUMANN

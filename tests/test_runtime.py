@@ -5,6 +5,7 @@ test checks that no child is left."""
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -346,6 +347,104 @@ def test_fabric_moves_mebibyte_arrays_both_ways_in_order(k):
             os.waitpid(pid, 0)
         fabric.close()
     _assert_no_child_left()
+
+
+def test_sends_to_an_exited_rank_end_long_before_the_timeout():
+    # rank 1 exits unread once rank 0's first bytes reach it, while 3 MiB
+    # wait for it: rank 0's sends or its drain hit the broken pipe
+    from trifvm import runtime
+    from trifvm.errors import Timeout
+
+    fabric = runtime._Fabric(20.0, [("halo", 0, 1), ("halo", 1, 0)])
+    pid = os.fork()
+    if pid == 0:
+        try:
+            fabric.keep(1)
+            select.select([fabric.reader[("halo", 0, 1)]], [], [], 20.0)
+        finally:
+            os._exit(0)
+    try:
+        fabric.keep(0)
+        t0 = time.monotonic()
+        with pytest.raises(Timeout, match="rank 0: rank 1 is gone"):
+            for _ in range(3):
+                fabric.send("halo", 0, 1, np.zeros(1 << 17))
+            fabric.drain()
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        os.waitpid(pid, 0)
+        fabric.close()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("k, pipes", [(1, 0), (2, 6)])
+def test_a_run_opens_one_pipe_per_link_and_no_other(monkeypatch, k, pipes):
+    # k = 2: a halo link each way, a collective link each way, the start
+    # link to rank 1 and its report link back
+    from trifvm import runtime
+    real, made = os.pipe, []
+
+    def pipe():
+        made.append(real())
+        return made[-1]
+
+    monkeypatch.setattr(runtime.os, "pipe", pipe)
+    run_simulation(_diffusion_cfg(k, steps=2))
+    assert len(made) == pipes
+
+
+def test_no_rank_outlives_its_host(tmp_path):
+    # the host process is killed mid-run: each child reads EOF on its links
+    # from the host, or a broken pipe on its links to it, and exits
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("no /proc to read a process's state from")
+    pids = tmp_path / "pids.txt"
+    code = (
+        "import os\n"
+        "from trifvm.config import RunConfig\n"
+        "from trifvm.runtime import run_simulation\n"
+        "real = os.fork\n"
+        "def fork():\n"
+        "    pid = real()\n"
+        "    if pid:\n"
+        f"        with open({str(pids)!r}, 'a') as fh:\n"
+        "            fh.write(f'{pid}\\n')\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "run_simulation(RunConfig(mesh_n=16, k=3, steps=10**7, "
+        "timeout_s=600.0))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    host = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        t0 = time.monotonic()
+        while not (pids.exists() and len(pids.read_text().split()) == 2):
+            assert host.poll() is None, "the run ended before it forked"
+            assert time.monotonic() - t0 < 60.0, "no children within 60 s"
+            time.sleep(0.01)
+    finally:
+        host.kill()
+        host.wait()
+
+    def alive(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rpartition(")")[2].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    children = [int(p) for p in pids.read_text().split()]
+    t0 = time.monotonic()
+    while any(map(alive, children)) and time.monotonic() - t0 < 5.0:
+        time.sleep(0.01)
+    left = [pid for pid in children if alive(pid)]
+    for pid in left:   # not reparented to this process: kill, not reap
+        os.kill(pid, signal.SIGKILL)
+    assert not left
 
 
 def test_dead_rank_ends_the_run_long_before_its_timeout(monkeypatch):
