@@ -1,9 +1,11 @@
 """Run configuration: dataclasses plus a flat key = value file format.
 
 Sections: [run], [transport], [streamer], [bc], [potential_bc].  Boundary
-entries map a face label to either `neumann` or `dirichlet <value>`; other
-keys left empty keep their defaults.  Any unknown key is an error so typos
-fail loudly instead of silently running defaults.
+entries map any face label of the mesh to either `neumann` or
+`dirichlet <value>`, and a label left out is Neumann; other keys left empty
+keep their defaults.  Any unknown key is an error so typos fail loudly
+instead of silently running defaults; a label the mesh lacks is one too,
+found once the mesh is read (`runtime`).
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-_LABELS = ("left", "right", "top", "bottom")
-
-
-def _all_neumann() -> dict:
-    return {lab: ("neumann",) for lab in _LABELS}
-
 
 @dataclass
 class TransportConfig:
@@ -32,7 +28,7 @@ class TransportConfig:
     sigma: float = 0.1
     amplitude: float = 1.0
     constant: float = 0.0
-    bc: dict = field(default_factory=_all_neumann)
+    bc: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -48,8 +44,8 @@ class StreamerConfig:
     seed_sigma: float = 0.1
     seed_amplitude: float = 1.0
     ion_amplitude: float | None = None   # None = neutral seed (equal to electrons)
-    species_bc: dict = field(default_factory=_all_neumann)
-    potential_bc: dict = field(default_factory=_all_neumann)
+    species_bc: dict = field(default_factory=dict)
+    potential_bc: dict = field(default_factory=dict)
     pin_cell: int | None = None          # auto-pinned when all-Neumann
 
 
@@ -140,13 +136,8 @@ def _bc_entry(section, label, raw):
 def _bc_section(parser, section) -> dict | None:
     if not parser.has_section(section):
         return None
-    out = _all_neumann()  # unnamed sides keep the default
-    for label, raw in parser.items(section):
-        if label not in _LABELS:
-            raise ConfigError(f"[{section}]: unknown boundary label '{label}' "
-                              f"(expected one of {', '.join(_LABELS)})")
-        out[label] = _bc_entry(section, label, raw)
-    return out
+    return {label: _bc_entry(section, label, raw)
+            for label, raw in parser.items(section)}
 
 
 _KEYS = {

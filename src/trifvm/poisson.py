@@ -29,8 +29,7 @@ import numpy as np
 from .errors import DimensionMismatch, SingularSystem, TopologyError
 from .mesh import DiamondCells, Mesh, NodeWeights
 from .partition import graph_from_pairs
-from .transport import (BC_DIRICHLET, BC_NEUMANN, diamond_stencil,
-                        dirichlet_data)
+from .transport import BC_DIRICHLET, BC_NEUMANN, diamond_stencil
 
 
 @dataclass
@@ -81,7 +80,6 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
         raise TopologyError("Poisson assembly needs the global mesh, not a halo view")
 
     st = diamond_stencil(mesh, bc, diamonds, weights)
-    data = dirichlet_data(mesh, bc, st.kind)
 
     # Phi as (face, column, value) triplets: beta (u_right - u_left) ...
     faces = np.flatnonzero(st.kind != BC_NEUMANN)
@@ -90,15 +88,15 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     f, c, v = [faces, faces[inner]], [left, right[inner]], \
         [-st.beta[faces], st.beta[faces[inner]]]
     phi0 = np.zeros(mesh.n_faces)
-    phi0[faces[~inner]] = st.beta[faces[~inner]] * data.face[faces[~inner]]
+    phi0[faces[~inner]] = st.beta[faces[~inner]] * st.face_data[faces[~inner]]
     # ... + tau (u_A - u_B)
-    slot = np.full(mesh.n_nodes, -1)    # index into data.node, -1 if free
+    slot = np.full(mesh.n_nodes, -1)    # index into node_data, -1 if free
     slot[st.pinned] = np.arange(len(st.pinned))
     for end, sign in ((0, 1.0), (1, -1.0)):
         node = mesh.face_nodes[faces, end]
         tau = sign * st.tau[faces]
         known = slot[node] >= 0
-        phi0[faces[known]] += tau[known] * data.node[slot[node[known]]]
+        phi0[faces[known]] += tau[known] * st.node_data[slot[node[known]]]
         free = np.flatnonzero(~known)
         counts = np.diff(weights.ptr)[node[free]]
         start = weights.ptr[node[free]] - np.cumsum(counts) + counts

@@ -14,8 +14,8 @@ host solve with the run's factors, potential to every rank), the halo
 exchange, the fluxes and CFL bound, the dt reduction, the convective and
 diffusive residuals, the update, and a check that every own value is still
 finite.  The hooks `_Transport` and `_Streamer` hold only what differs.
-`streamer_step` and the transport cases of `verification` run `_step` on
-`_one_rank`'s context, which sends no messages.
+The transport cases of `verification` run `_step` on `_one_rank`'s context,
+which sends no messages.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .streamer import (FluxContext, StreamerCoefficients, StreamerState,
                        StreamerSystem)
 from .transport import (Field, FaceVelocity, Fluxes,
                         apply_boundary_conditions, convective_residual,
-                        diamond_stencil, diffusive_residual, dirichlet_data,
-                        explicit_step, stable_dt)
+                        diamond_stencil, diffusive_residual, explicit_step,
+                        stable_dt)
 from .vtk_io import write_vtk
 
 _HEAD = struct.Struct("<Q")   # a message: its pickle's length, then the pickle
@@ -362,10 +362,9 @@ class _Transport:
 
     def __init__(self, sub: Subdomain, cfg: RunConfig):
         tc = cfg.transport
-        lm = sub.local_mesh
         self.sub = sub
-        self.stencil = diamond_stencil(lm, tc.bc, sub.diamonds, sub.weights)
-        self.data = dirichlet_data(lm, tc.bc, self.stencil.kind)
+        self.stencil = diamond_stencil(sub.local_mesh, tc.bc, sub.diamonds,
+                                       sub.weights)
         self.vel = FaceVelocity.uniform(sub, *tc.velocity)
         self.dcoef = tc.diffusion
         # the bound never reads the field: one evaluation serves every step
@@ -376,9 +375,8 @@ class _Transport:
         return {"u": u}
 
     def fluxes(self, u: Field) -> Fluxes:
-        bvals = apply_boundary_conditions(u, self.stencil.neumann,
-                                          self.data.face)
-        return Fluxes(self.vel, bvals, self.dcoef, self.dt_stable)
+        return Fluxes(self.vel, apply_boundary_conditions(u, self.stencil),
+                      self.dcoef, self.dt_stable)
 
     def update(self, u: Field, fl: Fluxes, dt: float, conv, diss):
         return explicit_step(self.sub, u, conv, diss, dt), 0
@@ -395,7 +393,6 @@ class _Streamer:
         self.coeffs = coeffs
         self.sys = sysctx
         self.stencil = sysctx.species
-        self.data = sysctx.species_data
         self.solves = 0
 
     def couple(self, ctx: RankContext, state: StreamerState) -> StreamerState:
@@ -456,7 +453,7 @@ def _step(ctx: RankContext, phys, state, dt_fixed: float | None,
     with _timed(res, "convection"):
         conv = convective_residual(sub, u, fl.vel, fl.bvals)
     with _timed(res, "diffusion"):
-        diss = diffusive_residual(sub, u, phys.stencil, phys.data, fl.bvals,
+        diss = diffusive_residual(sub, u, phys.stencil, fl.bvals,
                                   fl.diffusion)
     res.phase = "update"
     state, clips = phys.update(state, fl, dt, conv, diss)
@@ -520,20 +517,6 @@ def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
     res.phase = "final gather"
     res.final_fields = _gather_fields(ctx, phys.fields(state))
     ctx.fabric.drain()   # a child must not exit on unsent messages
-
-
-def streamer_step(state: StreamerState, coeffs: StreamerCoefficients,
-                  sys: StreamerSystem, dt: float | None = None) -> StreamerState:
-    """One coupled cycle on a single rank: solve V, E, fluxes, update.
-
-    This is `_step`, the step of every run, on a one-rank context whose
-    collectives send no messages.  dt = None takes the CFL bound of the
-    freshly computed drift field.
-    """
-    if sys.problem is None or sys.factors is None:
-        raise ConfigError("streamer_step needs an assembled + factored system")
-    return _step(_one_rank(sys.sub, sys.problem, sys.factors),
-                 _Streamer(coeffs, sys), state, dt, _RankResult(timers={}))
 
 
 def _build_coefficients(sc) -> StreamerCoefficients:
@@ -608,14 +591,13 @@ def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
 
 
 def _check_bc_labels(mesh: Mesh, cfg: RunConfig) -> None:
+    """A label a BC section names must be on the mesh's boundary; one that
+    it does not name is Neumann (`transport.classify_faces`)."""
     labels = {lab for lab in mesh.face_labels if lab != INTERIOR}
     dicts = [("bc", cfg.transport.bc)] if cfg.physics == "transport" else \
         [("bc", cfg.streamer.species_bc),
          ("potential_bc", cfg.streamer.potential_bc)]
     for name, bc in dicts:
-        missing = labels - set(bc)
-        if missing:
-            raise ConfigError(f"[{name}] missing labels: {sorted(missing)}")
         extra = set(bc) - labels
         if extra:
             raise ConfigError(f"[{name}] labels not on this mesh: "
@@ -644,6 +626,10 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
               if cfg.physics == "streamer" else None)
     mesh = _load_global_mesh(cfg)
     _check_bc_labels(mesh, cfg)
+    pin = cfg.streamer.pin_cell
+    if pin is not None and not 0 <= pin < mesh.n_cells:
+        raise ConfigError(f"[streamer] pin_cell = {pin} is not a cell of "
+                          f"this mesh (0 to {mesh.n_cells - 1})")
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -674,13 +660,10 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         num_assemblies = num_factorizations = 0
         problem = factors = solver = None
         if cfg.physics == "streamer":
-            sc = cfg.streamer
-            pin = sc.pin_cell
-            if pin is None and all(v[0] == "neumann"
-                                   for v in sc.potential_bc.values()):
-                pin = 0  # all-Neumann potential: fix the gauge once
+            # read only when no face is Dirichlet: it fixes the gauge
             problem = assemble_system(mesh, diamonds, weights,
-                                      sc.potential_bc, pin_cell=pin)
+                                      cfg.streamer.potential_bc,
+                                      pin_cell=0 if pin is None else pin)
             num_assemblies += 1
             factors = factorize(problem.matrix)
             num_factorizations += 1

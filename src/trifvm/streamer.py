@@ -7,8 +7,7 @@ current (post-solve, post-exchange) state: the charge source, the fluxes and
 CFL bound of that state, and the update.  The field E = -grad V is the
 diamond gradient of `transport` on the potential's stencil, the one the
 potential matrix expands.  The one step of the coupled cycle, with its solve
-and collectives, is `runtime`'s; `runtime.streamer_step` runs that step on a
-single rank, as the transport cases of `verification` do.
+and collectives, is `runtime`'s, at every rank count.
 
 Closed forms for the transport coefficients are not part of the problem
 statement; two config-selected families are supported:
@@ -25,16 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct_solver import LuFactors
 from .errors import ConfigError
 # not called here: bound so that perfbench's tracer can patch them by name
 from .mesh import build_diamonds, node_weights  # noqa: F401
 from .partition import Subdomain
-from .poisson import PoissonProblem
-from .transport import (DiamondStencil, DirichletData, FaceVelocity, Field,
-                        Fluxes, apply_boundary_conditions, diamond_stencil,
-                        dirichlet_data, explicit_step, face_gradients,
-                        stable_dt)
+from .transport import (DiamondStencil, FaceVelocity, Field, Fluxes,
+                        apply_boundary_conditions, diamond_stencil,
+                        explicit_step, face_gradients, stable_dt)
 
 
 @dataclass
@@ -95,38 +91,26 @@ class StreamerState:
 
 @dataclass
 class StreamerSystem:
-    """Per-rank geometry + boundary context for the coupled cycle.
-
-    One diamond stencil and its data for each BC layout, species and field.
-    problem/factors are the assembled and factored potential system that
-    `runtime.streamer_step` solves with; a multi-rank run keeps them on the
-    host's rank context instead.  The flux pieces never touch them.
-    """
+    """Per-rank geometry + boundary context for the coupled cycle: one
+    diamond stencil for each BC layout, species and field.  The assembled
+    and factored potential system stays on the host's rank context."""
 
     sub: Subdomain
     species: DiamondStencil
-    species_data: DirichletData
     potential: DiamondStencil
-    potential_data: DirichletData
     potential_bc: dict
     cfl: float = 0.4
-    problem: PoissonProblem | None = None
-    factors: LuFactors | None = None
 
 
 def build_system(sub: Subdomain, species_bc: dict, potential_bc: dict,
-                 cfl: float = 0.4, problem: PoissonProblem | None = None,
-                 factors: LuFactors | None = None) -> StreamerSystem:
+                 cfl: float = 0.4) -> StreamerSystem:
     """Both stencils on the subdomain's slice of the run's geometry."""
     lm = sub.local_mesh
-    species = diamond_stencil(lm, species_bc, sub.diamonds, sub.weights)
-    potential = diamond_stencil(lm, potential_bc, sub.diamonds, sub.weights)
     return StreamerSystem(
-        sub=sub, species=species,
-        species_data=dirichlet_data(lm, species_bc, species.kind),
-        potential=potential,
-        potential_data=dirichlet_data(lm, potential_bc, potential.kind),
-        potential_bc=potential_bc, cfl=cfl, problem=problem, factors=factors)
+        sub=sub,
+        species=diamond_stencil(lm, species_bc, sub.diamonds, sub.weights),
+        potential=diamond_stencil(lm, potential_bc, sub.diamonds, sub.weights),
+        potential_bc=potential_bc, cfl=cfl)
 
 
 def gaussian_seed(sub: Subdomain, center=(0.5, 0.5), sigma=0.1,
@@ -165,8 +149,7 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
     """
     sub = sys.sub
     lm = sub.local_mesh
-    e_faces = -face_gradients(sub, sys.potential, state.v_pot,
-                              sys.potential_data)
+    e_faces = -face_gradients(sub, sys.potential, state.v_pot)
     e_mag = np.hypot(e_faces[:, 0], e_faces[:, 1])
     mu_f = coeffs.mobility(e_mag)
     vel = FaceVelocity.from_vectors(sub,
@@ -184,8 +167,7 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
         alpha_cell = coeffs.ionization(e_cell)
     s_e = alpha_cell * speed_cell * state.n_e.values[:sub.n_own]
 
-    bvals_ne = apply_boundary_conditions(state.n_e, sys.species.neumann,
-                                         sys.species_data.face)
+    bvals_ne = apply_boundary_conditions(state.n_e, sys.species)
     dt = stable_dt(sub, vel, diffusion=d_f, cfl=sys.cfl)
     return FluxContext(vel=vel, bvals=bvals_ne, diffusion=d_f, dt_stable=dt,
                        s_e=s_e)

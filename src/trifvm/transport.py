@@ -35,9 +35,10 @@ only gathers, multiplies and sums:
 * per velocity (`FaceVelocity.from_vectors`): V.n, the donor cell of every
   face and the boundary inflow faces.  A uniform velocity is sampled once
   per run; the streamer's drift once per step, for all three of its uses;
-* per BC layout (`diamond_stencil`, `dirichlet_data`): face kinds, flux
-  weights, pinned nodes, the Neumann faces with their inner cells, and the
-  Dirichlet data;
+* per BC layout (`diamond_stencil`, the one place that reads a layout):
+  face kinds, where a label the layout does not name is Neumann, flux
+  weights, the Neumann faces with their inner cells, and the Dirichlet data
+  at face midpoints and pinned nodes;
 * per step: the ghost array of `apply_boundary_conditions`, computed once
   and read by both residuals, then the residuals and the update.
 """
@@ -114,80 +115,31 @@ class Fluxes:
 
 
 def classify_faces(lm: Mesh, bc: dict) -> np.ndarray:
-    """Map face labels to BC codes. bc: {label: ('dirichlet', g) | ('neumann',)}."""
+    """Map face labels to BC codes.  bc: {label: ('dirichlet', g) |
+    ('neumann',)}; a label that bc does not name is homogeneous Neumann."""
     kind = np.full(lm.n_faces, BC_INTERIOR, dtype=np.int8)
     for f in lm.boundary_faces():
-        label = lm.face_labels[f]
-        if label not in bc:
-            raise KeyError(f"no boundary condition for label '{label}'")
-        kind[f] = BC_DIRICHLET if bc[label][0] == "dirichlet" else BC_NEUMANN
+        dirichlet = bc.get(lm.face_labels[f], ("neumann",))[0] == "dirichlet"
+        kind[f] = BC_DIRICHLET if dirichlet else BC_NEUMANN
     return kind
-
-
-@dataclass
-class DirichletData:
-    """The data of one BC layout: the datum at every Dirichlet face midpoint
-    (0 on other faces) and at every pinned node (see DiamondStencil)."""
-
-    face: np.ndarray
-    node: np.ndarray
-
-
-def dirichlet_data(lm: Mesh, bc: dict, kind: np.ndarray) -> DirichletData:
-    """Evaluate bc at the Dirichlet face midpoints and at their nodes, each
-    node at its own coordinates (averaged where faces with different data
-    meet), nodes ascending."""
-    face = np.zeros(lm.n_faces)
-    sums = np.zeros(lm.n_nodes)
-    counts = np.zeros(lm.n_nodes, dtype=np.int64)
-    for f in np.flatnonzero(kind == BC_DIRICHLET):
-        g = bc[lm.face_labels[f]][1]
-        at = g if callable(g) else (lambda x, y, c=float(g): c)
-        face[f] = at(*lm.face_midpoints[f])
-        for node in lm.face_nodes[f]:
-            sums[node] += at(*lm.points[node])
-            counts[node] += 1
-    idx = np.flatnonzero(counts)
-    return DirichletData(face=face, node=sums[idx] / counts[idx])
-
-
-@dataclass
-class NeumannFaces:
-    """The homogeneous-Neumann faces of one BC layout and their inner cells."""
-
-    faces: np.ndarray
-    cells: np.ndarray
-
-
-def neumann_faces(lm: Mesh, kind: np.ndarray) -> NeumannFaces:
-    faces = np.flatnonzero(kind == BC_NEUMANN)
-    return NeumannFaces(faces=faces, cells=lm.face_cells[faces, 0])
-
-
-def apply_boundary_conditions(u: Field, neumann: NeumannFaces,
-                              dirichlet: np.ndarray) -> np.ndarray:
-    """Ghost value of every face for the current state: the Dirichlet datum
-    at the midpoint, or the copied inner value on Neumann faces.  A
-    subdomain's boundary faces are all domain boundary: its local mesh holds
-    no face that lost its far cell (`partition.build_subdomains`).
-    """
-    value = dirichlet.copy()
-    value[neumann.faces] = u.values[neumann.cells]
-    return value
 
 
 @dataclass
 class DiamondStencil:
     """The diamond flux of every face of one mesh under one BC layout,
-    D (grad u . n) |s| = D (beta d_n + tau d_t).  pinned: the nodes of
-    Dirichlet faces, ascending; they take their datum, not the interpolant.
+    D (grad u . n) |s| = D (beta d_n + tau d_t), and that layout's data.
+    pinned: the nodes of Dirichlet faces, ascending; they take their datum
+    node_data, not the interpolant.
     """
 
     kind: np.ndarray            # BC_* code per face
-    neumann: NeumannFaces       # ghosts copy their inner cell; zero flux
+    neumann: np.ndarray         # Neumann faces: zero flux; their ghost
+    neumann_cells: np.ndarray   # copies this inner cell
+    face_data: np.ndarray       # Dirichlet datum at the midpoint, else 0
     beta: np.ndarray
     tau: np.ndarray
     pinned: np.ndarray
+    node_data: np.ndarray
     diamonds: DiamondCells
     weights: NodeWeights
 
@@ -201,14 +153,39 @@ def _gradient_weights(lm: Mesh, diamonds: DiamondCells):
 
 def diamond_stencil(lm: Mesh, bc: dict, diamonds: DiamondCells,
                     weights: NodeWeights) -> DiamondStencil:
-    """The diamond stencil of a mesh under the boundary conditions bc."""
+    """The diamond stencil of a mesh under the boundary conditions bc: bc
+    evaluated at the Dirichlet face midpoints and at their nodes, each node
+    at its own coordinates (averaged where faces with different data meet)."""
     kind = classify_faces(lm, bc)
     n_sigma = lm.face_normals * lm.face_lengths[:, None]
     beta, tau = (np.einsum("ij,ij->i", g, n_sigma)
                  for g in _gradient_weights(lm, diamonds))
-    return DiamondStencil(kind, neumann_faces(lm, kind), beta, tau,
-                          np.unique(lm.face_nodes[kind == BC_DIRICHLET]),
+    face = np.zeros(lm.n_faces)
+    sums = np.zeros(lm.n_nodes)
+    counts = np.zeros(lm.n_nodes, dtype=np.int64)
+    for f in np.flatnonzero(kind == BC_DIRICHLET):
+        g = bc[lm.face_labels[f]][1]
+        at = g if callable(g) else (lambda x, y, c=float(g): c)
+        face[f] = at(*lm.face_midpoints[f])
+        for node in lm.face_nodes[f]:
+            sums[node] += at(*lm.points[node])
+            counts[node] += 1
+    pinned = np.flatnonzero(counts)
+    neumann = np.flatnonzero(kind == BC_NEUMANN)
+    return DiamondStencil(kind, neumann, lm.face_cells[neumann, 0], face,
+                          beta, tau, pinned, sums[pinned] / counts[pinned],
                           diamonds, weights)
+
+
+def apply_boundary_conditions(u: Field, st: DiamondStencil) -> np.ndarray:
+    """Ghost value of every face for the current state: the Dirichlet datum
+    at the midpoint, or the copied inner value on Neumann faces.  A
+    subdomain's boundary faces are all domain boundary: its local mesh holds
+    no face that lost its far cell (`partition.build_subdomains`).
+    """
+    value = st.face_data.copy()
+    value[st.neumann] = u.values[st.neumann_cells]
+    return value
 
 
 def node_values(sub: Subdomain, u: Field, weights: NodeWeights) -> np.ndarray:
@@ -220,7 +197,7 @@ def node_values(sub: Subdomain, u: Field, weights: NodeWeights) -> np.ndarray:
 
 
 def face_differences(sub: Subdomain, st: DiamondStencil, u: Field,
-                     data: DirichletData, bvals: np.ndarray):
+                     bvals: np.ndarray):
     """(d_n, d_t) = (u_right - u_left, u_A - u_B) on every face.
 
     On a boundary face u_right is the ghost value bvals of
@@ -232,16 +209,16 @@ def face_differences(sub: Subdomain, st: DiamondStencil, u: Field,
     u_right[bnd] = bvals[bnd]
     d_n = u_right - u.values[lm.face_cells[:, 0]]
     u_node = node_values(sub, u, st.weights)
-    u_node[st.pinned] = data.node
+    u_node[st.pinned] = st.node_data
     d_t = u_node[lm.face_nodes[:, 0]] - u_node[lm.face_nodes[:, 1]]
     return d_n, d_t
 
 
-def face_gradients(sub: Subdomain, st: DiamondStencil, u: Field,
-                   data: DirichletData) -> np.ndarray:
+def face_gradients(sub: Subdomain, st: DiamondStencil,
+                   u: Field) -> np.ndarray:
     """Diamond-cell gradient on every face, (n_faces, 2)."""
-    bvals = apply_boundary_conditions(u, st.neumann, data.face)
-    d_n, d_t = face_differences(sub, st, u, data, bvals)
+    bvals = apply_boundary_conditions(u, st)
+    d_n, d_t = face_differences(sub, st, u, bvals)
     g_n, g_t = _gradient_weights(sub.local_mesh, st.diamonds)
     return d_n[:, None] * g_n + d_t[:, None] * g_t
 
@@ -274,8 +251,7 @@ def convective_residual(sub: Subdomain, u: Field, vel: FaceVelocity,
 
 
 def diffusive_residual(sub: Subdomain, u: Field, st: DiamondStencil,
-                       data: DirichletData, bvals: np.ndarray,
-                       diffusion=1.0) -> np.ndarray:
+                       bvals: np.ndarray, diffusion=1.0) -> np.ndarray:
     """Sum of D (grad u . n) |s| over each own cell's faces.
 
     bvals is the ghost array of apply_boundary_conditions for u.  diffusion
@@ -283,9 +259,9 @@ def diffusive_residual(sub: Subdomain, u: Field, st: DiamondStencil,
     exactly zero (the literal zero-gradient condition), which is what makes
     the closed-box invariant sum(mu u) exact.
     """
-    d_n, d_t = face_differences(sub, st, u, data, bvals)
+    d_n, d_t = face_differences(sub, st, u, bvals)
     flux = (st.beta * d_n + st.tau * d_t) * diffusion
-    flux[st.neumann.faces] = 0.0
+    flux[st.neumann] = 0.0
     return _per_cell_sum(sub, flux)
 
 

@@ -30,7 +30,7 @@ from .mesh import build_diamonds, node_weights, structured_triangulation
 from .partition import single_subdomain
 from .poisson import assemble_rhs, assemble_system
 from .runtime import _one_rank, _RankResult, _step, _Transport
-from .transport import Field, dirichlet_data
+from .transport import Field, diamond_stencil
 
 CASES = ("poisson_sine", "advect_gauss", "diffuse_gauss")
 
@@ -76,9 +76,9 @@ def _march(sub, tc: TransportConfig, u, t_end, bc_time=None):
     steps = max(1, int(math.ceil(t_end / phys.dt_stable)))
     dt = t_end / steps
     for s in range(steps):
-        if bc_time is not None:  # fixed labels: only the data moves
-            phys.data = dirichlet_data(sub.local_mesh, bc_time(s * dt),
-                                       phys.stencil.kind)
+        if bc_time is not None:  # the boundary data moves
+            phys.stencil = diamond_stencil(sub.local_mesh, bc_time(s * dt),
+                                           sub.diamonds, sub.weights)
         u = _step(ctx, phys, u, dt, res)
     return u
 
@@ -115,9 +115,8 @@ def _case_diffuse_gauss(n: int) -> tuple[float, float]:
     t_end = 0.02
     mesh = structured_triangulation(n)
     sub = single_subdomain(mesh)
-    bc = {lab: ("neumann",) for lab in ("left", "right", "top", "bottom")}
     u = Field(_gaussian(mesh.centroids, center, sigma), "u")
-    tc = TransportConfig(velocity=(0.0, 0.0), diffusion=dcoef, bc=bc)
+    tc = TransportConfig(velocity=(0.0, 0.0), diffusion=dcoef)  # closed box
     u = _march(sub, tc, u, t_end)
     # free-space spreading solution; wall truncation is ~exp(-0.5 (0.5/s)^2)
     s2 = sigma ** 2 + 2.0 * dcoef * t_end

@@ -1,5 +1,6 @@
 """Shared fixtures: small meshes, single-rank subdomains, BC dictionaries,
-and the dense reference solver the sparse one is checked against."""
+the one-rank coupled step, and the dense reference solver the sparse one is
+checked against."""
 
 import random
 
@@ -11,6 +12,7 @@ from trifvm.errors import DimensionMismatch, SingularMatrix
 from trifvm.mesh import (build_diamonds, build_mesh, node_weights, save_mesh,
                          structured_triangulation)
 from trifvm.partition import single_subdomain
+from trifvm.runtime import _one_rank, _RankResult, _step, _Streamer
 
 ALL_NEUMANN = {lab: ("neumann",) for lab in ("left", "right", "top", "bottom")}
 
@@ -54,6 +56,33 @@ def irregular_mesh(n, seed, jitter=0.2):
     mesh = build_mesh(points, np.array(tris), boundary)
     assert (mesh.areas > 0).all()
     return mesh
+
+
+def holed_mesh(n):
+    """structured_triangulation(n) with the square [0.375, 0.625]^2 cut out
+    (4 x 4 squares at n = 16); the hole's edges are labelled `electrode`,
+    the outer ones keep theirs."""
+    m = structured_triangulation(n)
+    keep = ~((m.centroids > 0.375) & (m.centroids < 0.625)).all(axis=1)
+    used = np.unique(m.triangles[keep])
+    renumber = np.full(m.n_nodes, -1)
+    renumber[used] = np.arange(len(used))
+    tris = renumber[m.triangles[keep]]
+    outer = {tuple(sorted(m.face_nodes[f])): m.face_labels[f]
+             for f in m.boundary_faces()}
+    cut = build_mesh(m.points[used], tris)
+    ends = np.sort(cut.face_nodes[cut.boundary_faces()], axis=1).tolist()
+    boundary = {(a, b): outer.get((int(used[a]), int(used[b])), "electrode")
+                for a, b in ends}
+    return build_mesh(m.points[used], tris, boundary)
+
+
+def coupled_step(state, coeffs, sys, problem, factors, dt=None):
+    """One coupled cycle on a single rank: the step of every run, on a
+    context whose collectives send no messages.  dt = None takes the CFL
+    bound of the freshly computed drift field."""
+    return _step(_one_rank(sys.sub, problem, factors), _Streamer(coeffs, sys),
+                 state, dt, _RankResult(timers={}))
 
 
 def irregular_mesh_file(path, n, seed):

@@ -21,17 +21,17 @@ from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import (build_dual_graph, edge_cut, partition,
                               partition_metrics, single_subdomain)
 from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
-from trifvm.runtime import run_simulation, streamer_step
+from trifvm.runtime import run_simulation
 from trifvm.streamer import (StreamerCoefficients, StreamerState, build_system,
                              gaussian_seed, total_charge)
 from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
-                              classify_faces, convective_residual,
-                              diamond_stencil, diffusive_residual,
-                              dirichlet_data, explicit_step,
-                              face_gradients, neumann_faces, stable_dt)
+                              convective_residual, diamond_stencil,
+                              diffusive_residual, explicit_step,
+                              face_gradients, stable_dt)
 
-from conftest import (ALL_NEUMANN, TIMING_ROWS, dense_lu_oracle, dirichlet_bc,
-                      irregular_mesh, random_spd_like, write_timing_table)
+from conftest import (ALL_NEUMANN, TIMING_ROWS, coupled_step, dense_lu_oracle,
+                      dirichlet_bc, irregular_mesh, random_spd_like,
+                      write_timing_table)
 
 PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
           "top": ("neumann",), "bottom": ("neumann",)}
@@ -181,16 +181,14 @@ def _closed_box_mass_drift(sub, dia, w):
     pure-diffusion steps in a closed (all-Neumann) box."""
     lm = sub.local_mesh
     sten_n = diamond_stencil(lm, ALL_NEUMANN, dia, w)
-    data_n = dirichlet_data(lm, ALL_NEUMANN, sten_n.kind)
     d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
     u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
     dt = stable_dt(sub, FaceVelocity.uniform(sub, 0.0, 0.0), 0.1)
     mass = float(lm.areas @ u.values)
     step_drift = 0.0
     for _ in range(50):
-        diss = diffusive_residual(sub, u, sten_n, data_n,
-                                  apply_boundary_conditions(u, sten_n.neumann,
-                                                            data_n.face), 0.1)
+        diss = diffusive_residual(sub, u, sten_n,
+                                  apply_boundary_conditions(u, sten_n), 0.1)
         u = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
         now = float(lm.areas @ u.values)
         step_drift = max(step_drift, abs(now - mass))
@@ -201,8 +199,7 @@ def _closed_box_mass_drift(sub, dia, w):
 def _upwind_overshoot(sub):
     """How far 200 pure upwind convection steps leave the initial bounds."""
     lm = sub.local_mesh
-    kind_n = classify_faces(lm, ALL_NEUMANN)
-    dirich_n = dirichlet_data(lm, ALL_NEUMANN, kind_n).face
+    sten_n = diamond_stencil(lm, ALL_NEUMANN, sub.diamonds, sub.weights)
     d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
     u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
     lo, hi = float(u.values.min()), float(u.values.max())
@@ -210,7 +207,7 @@ def _upwind_overshoot(sub):
     dt = stable_dt(sub, vel, 0.0)
     overshoot = 0.0
     for _ in range(200):
-        bvals = apply_boundary_conditions(u, neumann_faces(lm, kind_n), dirich_n)
+        bvals = apply_boundary_conditions(u, sten_n)
         conv = convective_residual(sub, u, vel, bvals)
         u = explicit_step(sub, u, conv, np.zeros_like(conv), dt)
         overshoot = max(overshoot, lo - float(u.values.min()),
@@ -233,7 +230,7 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
         ulin = Field(lin(lm.centroids[:, 0], lm.centroids[:, 1]))
         bc = dirichlet_bc(lin)
         sten = diamond_stencil(lm, bc, dia, w)
-        grad = face_gradients(sub16, sten, ulin, dirichlet_data(lm, bc, sten.kind))
+        grad = face_gradients(sub16, sten, ulin)
         grad_err = max(float(np.abs(grad[:, 0] - b).max()),
                        float(np.abs(grad[:, 1] - c).max()))
 
@@ -308,8 +305,8 @@ def test_charge_conservation_and_vacuum_potential():
         sub = single_subdomain(mesh)
         problem = assemble_system(mesh, sub.diamonds, sub.weights, ALL_NEUMANN,
                                   pin_cell=0)
-        sys = build_system(sub, ALL_NEUMANN, ALL_NEUMANN,
-                           problem=problem, factors=factorize(problem.matrix))
+        sys = build_system(sub, ALL_NEUMANN, ALL_NEUMANN)
+        factors = factorize(problem.matrix)
         ne = gaussian_seed(sub, (0.5, 0.5), 0.06, 1.0)
         state = StreamerState(n_e=Field(ne.copy(), "n_e"),
                               n_i=Field(1.02 * ne, "n_i"),
@@ -317,7 +314,7 @@ def test_charge_conservation_and_vacuum_potential():
         coeffs = StreamerCoefficients(mu_e=1.0, d_e=0.05, alpha=2.0)
         q0 = total_charge(sub, state)
         for _ in range(100):
-            state = streamer_step(state, coeffs, sys)
+            state = coupled_step(state, coeffs, sys, problem, factors)
         drift = abs(total_charge(sub, state) - q0)
         print(f"  measured: charge drift {drift:.3e}, clips {state.clips}")
         assert drift <= 1e-10
@@ -327,15 +324,15 @@ def test_charge_conservation_and_vacuum_potential():
         mesh = structured_triangulation(16)
         sub = single_subdomain(mesh)
         problem = assemble_system(mesh, sub.diamonds, sub.weights, PLATES)
-        sys = build_system(sub, ALL_NEUMANN, PLATES,
-                           problem=problem, factors=factorize(problem.matrix))
+        sys = build_system(sub, ALL_NEUMANN, PLATES)
+        factors = factorize(problem.matrix)
         ne = gaussian_seed(sub, (0.5, 0.5), 0.1, 1.0)
         neutral = StreamerState(n_e=Field(ne.copy(), "n_e"),
                                 n_i=Field(ne.copy(), "n_i"),
                                 v_pot=Field(np.zeros_like(ne), "potential"))
-        after = streamer_step(neutral, coeffs, sys, dt=1e-6)
-        vac = solve(sys.factors,
+        after = coupled_step(neutral, coeffs, sys, problem, factors, dt=1e-6)
+        vac = solve(factors,
                     assemble_rhs(sub.local_mesh, np.zeros(sub.n_own), PLATES,
-                                 problem=sys.problem))
+                                 problem=problem))
         assert float(np.abs(vac).max()) > 0.5  # the lift actually did work
         assert np.array_equal(after.v_pot.values[:sub.n_own], vac)

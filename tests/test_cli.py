@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from trifvm.cli import main
+from trifvm.mesh import load_mesh, save_mesh
+from trifvm.vtk_io import read_vtk_cell_data
 
-from conftest import write_timing_table
+from conftest import holed_mesh, write_timing_table
 
 TRANSPORT_INI = """\
 [run]
@@ -180,6 +182,113 @@ def test_exit_code_config_errors(tmp_path, capsys):
     for sizes, bad in (("0", "0"), ("-4", "-4"), ("8,abc", "abc")):
         assert main(["convergence", "advect_gauss", "--sizes", sizes]) == 2
         assert f"'{bad}'" in capsys.readouterr().err
+
+
+def test_bc_label_not_on_the_mesh_exits_2(tmp_path, capsys):
+    # any label may be named, so a typo is caught where the mesh is known
+    bad = tmp_path / "typo.ini"
+    bad.write_text("[run]\nmesh_n = 8\nsteps = 1\n\n[bc]\nmiddle = neumann\n")
+    assert main(["run", "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "middle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pin", [128, -1])
+def test_pin_cell_off_the_mesh_exits_2(tmp_path, capsys, pin):
+    bad = tmp_path / "pin.ini"
+    bad.write_text("[run]\nmesh_n = 8\nk = 2\nsteps = 1\nphysics = streamer"
+                   f"\n\n[streamer]\npin_cell = {pin}\n")
+    assert main(["run", "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "pin_cell" in capsys.readouterr().err
+
+
+def _frames_at_every_k(tmp_path, ini):
+    """Run the config at k = 1..4; the frames, by name, that all four wrote
+    byte for byte."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    runs = []
+    for k in (1, 2, 3, 4):
+        out = tmp_path / f"k{k}"
+        assert main(["run", "--config", str(cfg), "--ranks", str(k),
+                     "--out", str(out)]) == 0
+        runs.append({p.name: p for p in sorted(out.glob("*.vtk"))})
+    assert len(runs[0]) == 3
+    for run in runs[1:]:
+        assert list(run) == list(runs[0])
+        for name, path in run.items():
+            assert path.read_bytes() == runs[0][name].read_bytes(), name
+    return runs[0]
+
+
+def test_electrode_on_a_holed_mesh_runs_at_every_rank_count(tmp_path, capsys):
+    # the hole's edges carry `electrode`; the unnamed outer sides are Neumann
+    mesh = tmp_path / "holed.txt"
+    save_mesh(holed_mesh(16), mesh)
+    frames = _frames_at_every_k(tmp_path, f"""\
+[run]
+mesh_path = {mesh}
+steps = 40
+output_every = 20
+name = hole
+[transport]
+velocity = 0.3 0.1
+diffusion = 0.01
+init = constant
+[bc]
+electrode = dirichlet 1.0
+""")
+    u = read_vtk_cell_data(frames["hole_0002.vtk"])["u"]
+    assert np.isfinite(u).all() and u.max() > 0.1
+
+
+def test_streamer_between_an_electrode_and_a_plate(tmp_path, capsys):
+    mesh = tmp_path / "holed.txt"
+    save_mesh(holed_mesh(16), mesh)
+    frames = _frames_at_every_k(tmp_path, f"""\
+[run]
+mesh_path = {mesh}
+physics = streamer
+steps = 10
+output_every = 5
+name = spark
+[streamer]
+seed_center = 0.2 0.5
+[potential_bc]
+electrode = dirichlet 1.0
+right = dirichlet 0.0
+""")
+    data = read_vtk_cell_data(frames["spark_0002.vtk"])
+    assert all(np.isfinite(v).all() for v in data.values())
+    v = data["potential"]
+    assert 0.5 < v.max() <= 1.0 and 0.0 <= v.min() < 0.1
+
+
+def test_a_mesh_file_with_default_labels_runs_without_a_bc_section(tmp_path,
+                                                                   capsys):
+    # edges a mesh file does not list read `default`: Neumann, as every
+    # label no section names
+    mesh = tmp_path / "partial.txt"
+    save_mesh(holed_mesh(16), mesh)
+    lines = mesh.read_text().splitlines()
+    cut = lines.index(next(ln for ln in lines if ln.startswith("boundary")))
+    kept = [ln for ln in lines[cut + 1:] if not ln.endswith(" left")]
+    mesh.write_text("\n".join(lines[:cut] + [f"boundary {len(kept)}"] + kept)
+                    + "\n")
+    labels = set(load_mesh(mesh).face_labels)
+    assert {"default", "electrode"} <= labels and "left" not in labels
+    _frames_at_every_k(tmp_path, f"""\
+[run]
+mesh_path = {mesh}
+steps = 20
+output_every = 10
+name = blob
+[transport]
+velocity = 0.3 0.1
+diffusion = 0.01
+center = 0.2 0.5
+""")
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):

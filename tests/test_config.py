@@ -11,6 +11,7 @@ from trifvm.config import (RunConfig, StreamerConfig, TransportConfig,
                            load_coefficient_table, load_config)
 from trifvm.errors import ConfigError
 from trifvm.mesh import structured_triangulation
+from trifvm.transport import BC_NEUMANN, classify_faces
 from trifvm.vtk_io import read_vtk_cell_data, write_vtk
 
 TRANSPORT_INI = """\
@@ -68,6 +69,13 @@ def _load(tmp_path, text):
     return load_config(p)
 
 
+def _kinds(bc, label):
+    """The BC codes that bc gives the faces labelled `label`."""
+    mesh = structured_triangulation(4)
+    faces = [f for f, lab in enumerate(mesh.face_labels) if lab == label]
+    return classify_faces(mesh, bc)[faces]
+
+
 def test_transport_round_trip(tmp_path):
     cfg = _load(tmp_path, TRANSPORT_INI)
     assert cfg.mesh_n == 24 and cfg.k == 4
@@ -78,7 +86,8 @@ def test_transport_round_trip(tmp_path):
     assert t.center == (0.3, 0.4) and t.sigma == 0.08 and t.amplitude == 2.0
     assert t.bc["left"] == ("dirichlet", 0.0)
     assert t.bc["right"] == ("neumann",)
-    assert t.bc["top"] == ("neumann",)  # unnamed side keeps the default
+    assert "top" not in t.bc  # an unnamed label is Neumann
+    assert (_kinds(t.bc, "top") == BC_NEUMANN).all()
     assert t.bc["bottom"] == ("dirichlet", 1.5)
     cfg.validate()
 
@@ -89,8 +98,10 @@ def test_streamer_round_trip(tmp_path):
     assert cfg.physics == "streamer"
     assert s.ion_amplitude == 1.02 and s.seed_sigma == 0.06
     assert s.potential_bc["left"] == ("dirichlet", 1.0)
-    assert s.potential_bc["top"] == ("neumann",)
-    assert s.species_bc["left"] == ("neumann",)
+    assert "top" not in s.potential_bc  # an unnamed label is Neumann
+    assert (_kinds(s.potential_bc, "top") == BC_NEUMANN).all()
+    assert s.species_bc == {}   # no [bc] section: every side is Neumann
+    assert (_kinds(s.species_bc, "left") == BC_NEUMANN).all()
     cfg.validate()
 
 
@@ -106,8 +117,7 @@ def test_readme_sample_config_runs(tmp_path):
     assert cfg.streamer.table_path is None and cfg.streamer.pin_cell is None
     assert cfg.streamer.ion_amplitude is None
     assert cfg.transport.bc == {"left": ("neumann",),
-                                "right": ("dirichlet", 2.0),
-                                "top": ("neumann",), "bottom": ("neumann",)}
+                                "right": ("dirichlet", 2.0)}
     assert cfg.streamer.species_bc == cfg.transport.bc
     assert cfg.streamer.potential_bc["left"] == ("dirichlet", 1.0)
     assert cfg.streamer.potential_bc["right"] == ("dirichlet", 0.0)
@@ -119,7 +129,6 @@ def test_readme_sample_config_runs(tmp_path):
     "[run]\nmesh_n = 8\nbogus = 1\n",
     "[run]\nmesh_n = 8\n\n[mystery]\nx = 1\n",
     "[run]\nmesh_n = 8\n\n[bc]\nleft = sticky\n",
-    "[run]\nmesh_n = 8\n\n[bc]\nmiddle = neumann\n",
     "[run]\nmesh_n = 8\n\n[bc]\nleft = dirichlet\n",
     "[run]\nmesh_n = 8\nk = zero\n",
 ])

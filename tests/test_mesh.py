@@ -11,8 +11,8 @@ from trifvm.errors import DegenerateDiamond, ParseError, TopologyError
 from trifvm.mesh import (build_diamonds, build_mesh, load_mesh, node_weights,
                          save_mesh, structured_triangulation, validate_mesh)
 from trifvm.partition import single_subdomain
-from trifvm.transport import (Field, diamond_stencil,
-                              dirichlet_data, face_gradients, node_values)
+from trifvm.transport import (Field, diamond_stencil, face_gradients,
+                              node_values)
 
 from conftest import dirichlet_bc, irregular_mesh
 
@@ -171,7 +171,7 @@ def test_diamond_linear_exactness():
         u = Field(lin(m.centroids[:, 0], m.centroids[:, 1]))
         bc = dirichlet_bc(lin)
         sten = diamond_stencil(m, bc, dia, w)
-        grad = face_gradients(sub, sten, u, dirichlet_data(m, bc, sten.kind))
+        grad = face_gradients(sub, sten, u)
         assert np.abs(grad[:, 0] - b).max() < 1e-12
         assert np.abs(grad[:, 1] - c).max() < 1e-12
 

@@ -16,8 +16,7 @@ from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
 from trifvm.transport import (Field, apply_boundary_conditions,
-                              diamond_stencil, diffusive_residual,
-                              dirichlet_data)
+                              diamond_stencil, diffusive_residual)
 
 from conftest import ALL_NEUMANN, dense_lu_oracle, dirichlet_bc, irregular_mesh
 
@@ -166,10 +165,8 @@ def test_matrix_is_the_negated_diffusive_residual_plus_lift(seed):
     problem = assemble_system(mesh, dia, w, MIXED)
     sten = diamond_stencil(mesh, MIXED, dia, w)
     x = np.random.default_rng(11).standard_normal(mesh.n_cells)
-    data = dirichlet_data(mesh, MIXED, sten.kind)
-    res = diffusive_residual(single_subdomain(mesh), Field(x), sten, data,
-                             apply_boundary_conditions(Field(x), sten.neumann,
-                                                       data.face), 1.0)
+    res = diffusive_residual(single_subdomain(mesh), Field(x), sten,
+                             apply_boundary_conditions(Field(x), sten), 1.0)
     ax = _csr_to_dense(problem.matrix) @ x
     want = problem.lift - res
     rows = np.arange(mesh.n_cells) != problem.pinned

@@ -8,35 +8,36 @@ from trifvm.errors import ConfigError
 from trifvm.mesh import structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.poisson import assemble_system
-from trifvm.runtime import streamer_step
 from trifvm.streamer import (StreamerCoefficients, StreamerState, build_system,
                              charge_source, gaussian_seed, prepare_fluxes,
                              total_charge)
 from trifvm.transport import Field, face_gradients
 
-from conftest import ALL_NEUMANN
+from conftest import ALL_NEUMANN, coupled_step
 
 PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
           "top": ("neumann",), "bottom": ("neumann",)}
 
 
-def _closed_system(n=16, pin=0):
+def _system(n, potential_bc, pin=None):
+    """The subdomain, its system, and the one-rank step on the factored
+    potential system: step(state, coeffs, dt=None)."""
     mesh = structured_triangulation(n)
     sub = single_subdomain(mesh)
-    problem = assemble_system(mesh, sub.diamonds, sub.weights, ALL_NEUMANN,
+    problem = assemble_system(mesh, sub.diamonds, sub.weights, potential_bc,
                               pin_cell=pin)
-    return sub, build_system(sub, ALL_NEUMANN, ALL_NEUMANN,
-                             problem=problem,
-                             factors=factorize(problem.matrix))
+    sys = build_system(sub, ALL_NEUMANN, potential_bc)
+    factors = factorize(problem.matrix)
+    return sub, sys, lambda state, coeffs, dt=None: coupled_step(
+        state, coeffs, sys, problem, factors, dt)
+
+
+def _closed_system(n=16, pin=0):
+    return _system(n, ALL_NEUMANN, pin)
 
 
 def _plate_system(n=8):
-    mesh = structured_triangulation(n)
-    sub = single_subdomain(mesh)
-    problem = assemble_system(mesh, sub.diamonds, sub.weights, PLATES)
-    return sub, build_system(sub, ALL_NEUMANN, PLATES,
-                             problem=problem,
-                             factors=factorize(problem.matrix))
+    return _system(n, PLATES)
 
 
 def _seed_state(sub, sigma=0.08, amplitude=1.0, ion_factor=1.0):
@@ -64,7 +65,7 @@ def test_table_lookup_interpolates():
 
 
 def test_neutral_state_has_zero_charge_source():
-    sub, sys = _closed_system(8)
+    sub, sys, _ = _closed_system(8)
     state = _seed_state(sub)
     rho = charge_source(state, StreamerCoefficients(), sub)
     assert np.abs(rho).max() == 0.0
@@ -72,7 +73,7 @@ def test_neutral_state_has_zero_charge_source():
 
 def test_charge_source_sign():
     # surplus ions push the potential up: positive rhs for -lap V = rho/eps
-    sub, sys = _closed_system(8)
+    sub, sys, _ = _closed_system(8)
     state = _seed_state(sub, ion_factor=1.5)
     rho = charge_source(state, StreamerCoefficients(eps=2.0, q_e=3.0), sub)
     expect = (3.0 / 2.0) * (state.n_i.values - state.n_e.values)[:sub.n_own]
@@ -84,10 +85,10 @@ def test_uniform_field_between_plates():
     # interior and Dirichlet face, corners included.
     # (the vector on a Neumann face carries no contract: the diffusive flux
     # is masked to literal zero there and nothing else reads it exactly)
-    sub, sys = _plate_system(8)
+    sub, sys, _ = _plate_system(8)
     lm = sub.local_mesh
     v = Field(1.0 - lm.centroids[:, 0], "potential")
-    e = -face_gradients(sub, sys.potential, v, sys.potential_data)
+    e = -face_gradients(sub, sys.potential, v)
     from trifvm.transport import BC_NEUMANN
     neu = sys.potential.kind == BC_NEUMANN
     assert np.abs(e[~neu, 0] - 1.0).max() < 1e-12
@@ -95,7 +96,7 @@ def test_uniform_field_between_plates():
 
 
 def test_drift_velocity_opposes_field():
-    sub, sys = _plate_system(8)
+    sub, sys, _ = _plate_system(8)
     state = _seed_state(sub)
     state.v_pot = Field(1.0 - sub.local_mesh.centroids[:, 0], "potential")
     fc = prepare_fluxes(state, StreamerCoefficients(mu_e=2.0, d_e=0.0,
@@ -109,11 +110,11 @@ def test_drift_velocity_opposes_field():
 
 
 def test_step_counts_clips_and_keeps_densities_nonnegative():
-    sub, sys = _plate_system(8)
+    sub, sys, step = _plate_system(8)
     state = _seed_state(sub, sigma=0.05)
     coeffs = StreamerCoefficients(mu_e=1.0, d_e=0.02, alpha=0.3)
     for _ in range(20):
-        state = streamer_step(state, coeffs, sys)
+        state = step(state, coeffs)
     assert state.n_e.values.min() >= 0.0
     assert state.n_i.values.min() >= 0.0
     assert state.clips >= 0
@@ -122,13 +123,13 @@ def test_step_counts_clips_and_keeps_densities_nonnegative():
 def test_ionization_feeds_both_species_identically():
     # one step, fixed dt: the ion increment is exactly dt * S_e, and the
     # electron update received the same source before clipping
-    sub, sys = _closed_system(8)
+    sub, sys, step = _closed_system(8)
     coeffs = StreamerCoefficients(mu_e=1.0, d_e=0.05, alpha=2.0)
     state = _seed_state(sub, ion_factor=1.1)
     ne0 = state.n_e.values.copy()
     ni0 = state.n_i.values.copy()
     dt = 1e-4
-    after = streamer_step(state, coeffs, sys, dt=dt)
+    after = step(state, coeffs, dt=dt)
     # replay the fluxes the step used: densities before, potential after
     replay = StreamerState(n_e=Field(ne0.copy(), "n_e"),
                            n_i=Field(ni0.copy(), "n_i"), v_pot=after.v_pot)
@@ -142,26 +143,17 @@ def test_charge_difference_conserved_when_tail_resolved():
     # closed box, seed far from the walls: the difference n_i - n_e moves
     # only by what leaks through the boundary or gets clipped; with the
     # Gaussian resolved both are tiny (measured 6.1e-11 over 30 steps)
-    sub, sys = _closed_system(24)
+    sub, sys, step = _closed_system(24)
     state = _seed_state(sub, sigma=0.1, amplitude=1.0, ion_factor=1.02)
     coeffs = StreamerCoefficients(mu_e=1.0, d_e=0.05, alpha=2.0)
     q0 = total_charge(sub, state)
     ne0 = float(sub.local_mesh.areas @ state.n_e.values[:sub.n_own])
     for _ in range(30):
-        state = streamer_step(state, coeffs, sys)
+        state = step(state, coeffs)
     ne1 = float(sub.local_mesh.areas @ state.n_e.values[:sub.n_own])
     assert ne1 > ne0  # ionization grew the electron population
     assert state.clips == 0
     assert abs(total_charge(sub, state) - q0) < 1e-9
-
-
-def test_streamer_step_without_factors_raises():
-    mesh = structured_triangulation(4)
-    sub = single_subdomain(mesh)
-    sys = build_system(sub, ALL_NEUMANN, PLATES)
-    state = _seed_state(sub)
-    with pytest.raises(ConfigError):
-        streamer_step(state, StreamerCoefficients(), sys)
 
 
 def test_gaussian_seed_peaks_at_center():
@@ -189,8 +181,8 @@ def test_streamer_step_is_the_run_loop_at_one_rank(potential_bc):
     pin = 0 if potential_bc is ALL_NEUMANN else None
     problem = assemble_system(mesh, build_diamonds(mesh), node_weights(mesh),
                               potential_bc, pin_cell=pin)
-    sys = build_system(sub, sc.species_bc, potential_bc, problem=problem,
-                       factors=factorize(problem.matrix))
+    sys = build_system(sub, sc.species_bc, potential_bc)
+    factors = factorize(problem.matrix)
     coeffs = StreamerCoefficients(mu_e=sc.mu_e, d_e=sc.d_e, alpha=sc.alpha)
     seed = gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
                          sc.seed_amplitude)
@@ -198,7 +190,7 @@ def test_streamer_step_is_the_run_loop_at_one_rank(potential_bc):
                           n_i=Field(seed.copy(), "n_i"),
                           v_pot=Field(np.zeros_like(seed), "potential"))
     for _ in range(6):
-        state = streamer_step(state, coeffs, sys)
+        state = coupled_step(state, coeffs, sys, problem, factors)
 
     for k in (1, 3):
         rep = run_simulation(RunConfig(mesh_n=12, k=k, steps=6,

@@ -9,10 +9,9 @@ from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.transport import (BC_NEUMANN, FaceVelocity, Field,
                               apply_boundary_conditions,
-                              classify_faces, convective_residual,
-                              diamond_stencil, diffusive_residual,
-                              dirichlet_data, explicit_step, neumann_faces,
-                              stable_dt, upwind_face_values)
+                              convective_residual, diamond_stencil,
+                              diffusive_residual, explicit_step, stable_dt,
+                              upwind_face_values)
 
 from conftest import ALL_NEUMANN, dirichlet_bc, irregular_mesh
 
@@ -21,17 +20,16 @@ MIXED = dict(ALL_NEUMANN, left=("dirichlet", -1.0),
              right=("dirichlet", lambda x, y: -2.0 - y))
 
 
+def _stencil(sub, bc=ALL_NEUMANN):
+    return diamond_stencil(sub.local_mesh, bc, sub.diamonds, sub.weights)
+
+
 def _neumann_bvals(sub, u):
-    kind = classify_faces(sub.local_mesh, ALL_NEUMANN)
-    dirich = dirichlet_data(sub.local_mesh, ALL_NEUMANN, kind).face
-    return apply_boundary_conditions(u, neumann_faces(sub.local_mesh, kind),
-                                     dirich)
+    return apply_boundary_conditions(u, _stencil(sub))
 
 
 def _neumann_stencil(sub, dia, w):
-    lm = sub.local_mesh
-    sten = diamond_stencil(lm, ALL_NEUMANN, dia, w)
-    return sten, dirichlet_data(lm, ALL_NEUMANN, sten.kind)
+    return diamond_stencil(sub.local_mesh, ALL_NEUMANN, dia, w)
 
 
 def _gaussian_field(mesh, center=(0.5, 0.5), sigma=0.1):
@@ -46,7 +44,7 @@ def test_uniform_field_has_zero_residuals(sub8, geom8):
     bvals = _neumann_bvals(sub8, u)
     vel = FaceVelocity.uniform(sub8, 1.0, -0.5)
     conv = convective_residual(sub8, u, vel, bvals)
-    diss = diffusive_residual(sub8, u, *_neumann_stencil(sub8, dia, w), bvals,
+    diss = diffusive_residual(sub8, u, _neumann_stencil(sub8, dia, w), bvals,
                               0.3)
     assert np.abs(conv).max() < 1e-12
     assert np.abs(diss).max() < 1e-12
@@ -64,9 +62,7 @@ def test_upwind_picks_donor_cell(sub8):
         side = vdotn[right < 0]
         assert (side < 0).any() and (side > 0).any() and (side == 0).any()
         for bc in (ALL_NEUMANN, MIXED):
-            kind = classify_faces(lm, bc)
-            bvals = apply_boundary_conditions(
-                u, neumann_faces(lm, kind), dirichlet_data(lm, bc, kind).face)
+            bvals = apply_boundary_conditions(u, _stencil(sub, bc))
             downwind = np.where(right >= 0, u.values[np.maximum(right, 0)],
                                 bvals)
             want = np.where(vdotn >= 0.0, u.values[left], downwind)
@@ -91,8 +87,8 @@ def test_precomputed_maps_equal_their_formulas():
                                       mesh.face_normals))
         st_ = diamond_stencil(mesh, MIXED, build_diamonds(mesh), w)
         neu = np.flatnonzero(st_.kind == BC_NEUMANN)
-        assert np.array_equal(st_.neumann.faces, neu)
-        assert np.array_equal(st_.neumann.cells, left[neu])
+        assert np.array_equal(st_.neumann, neu)
+        assert np.array_equal(st_.neumann_cells, left[neu])
 
 
 def test_diffusion_conserves_mass(sub16, geom16):
@@ -106,7 +102,7 @@ def test_diffusion_conserves_mass(sub16, geom16):
     for _ in range(40):
         bvals = _neumann_bvals(sub16, u)
         conv = convective_residual(sub16, u, vel, bvals)
-        diss = diffusive_residual(sub16, u, *_neumann_stencil(sub16, dia, w),
+        diss = diffusive_residual(sub16, u, _neumann_stencil(sub16, dia, w),
                                   bvals, diffusion=0.1)
         u = explicit_step(sub16, u, conv, diss, dt)
         assert abs(float(lm.areas @ u.values) - mass0) < 1e-12
@@ -121,7 +117,7 @@ def test_diffusion_step_conserves_any_field(seed):
     dia, w = build_diamonds(mesh), node_weights(mesh)
     rng = np.random.default_rng(seed)
     u = Field(rng.uniform(-5.0, 5.0, mesh.triangles.shape[0]))
-    diss = diffusive_residual(sub, u, *_neumann_stencil(sub, dia, w),
+    diss = diffusive_residual(sub, u, _neumann_stencil(sub, dia, w),
                               _neumann_bvals(sub, u), 1.0)
     dt = stable_dt(sub, FaceVelocity.uniform(sub, 0.0, 0.0), 1.0)
     u1 = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
@@ -145,14 +141,12 @@ def test_upwind_max_principle(sub16, geom16):
 def test_dirichlet_inflow_enters_domain(sub8, geom8):
     bc = dict(ALL_NEUMANN)
     bc["left"] = ("dirichlet", 2.0)
-    kind = classify_faces(sub8.local_mesh, bc)
-    dirich = dirichlet_data(sub8.local_mesh, bc, kind).face
+    sten = _stencil(sub8, bc)
     u = Field(np.zeros(sub8.local_mesh.n_cells))
     vel = FaceVelocity.uniform(sub8, 1.0, 0.0)
     dt = stable_dt(sub8, vel, 0.0)
     for _ in range(5):
-        bvals = apply_boundary_conditions(u, neumann_faces(sub8.local_mesh, kind),
-                                          dirich)
+        bvals = apply_boundary_conditions(u, sten)
         conv = convective_residual(sub8, u, vel, bvals)
         u = explicit_step(sub8, u, conv, np.zeros_like(conv), dt)
     left_cells = sub8.local_mesh.centroids[:, 0] < 0.1
@@ -183,9 +177,8 @@ def test_stable_dt_scaling(sub8):
 def test_dirichlet_node_data_evaluates_at_nodes(sub8, geom8):
     g = lambda x, y: 1.0 + 2.0 * x - y
     bc = dirichlet_bc(g)
-    kind = classify_faces(sub8.local_mesh, bc)
-    idx = diamond_stencil(sub8.local_mesh, bc, *geom8).pinned
-    vals = dirichlet_data(sub8.local_mesh, bc, kind).node
+    sten = diamond_stencil(sub8.local_mesh, bc, *geom8)
+    idx, vals = sten.pinned, sten.node_data
     pts = sub8.local_mesh.points[idx]
     assert np.allclose(vals, g(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-15)
     on_boundary = (pts[:, 0] == 0) | (pts[:, 0] == 1) \
