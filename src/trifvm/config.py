@@ -1,11 +1,11 @@
 """Run configuration: dataclasses plus a flat key = value file format.
 
 Sections: [run], [transport], [streamer], [bc], [potential_bc].  Boundary
-entries map any face label of the mesh to either `neumann` or
-`dirichlet <value>`, and a label left out is Neumann; other keys left empty
-keep their defaults.  Any unknown key is an error so typos fail loudly
-instead of silently running defaults; a label the mesh lacks is one too,
-found once the mesh is read (`runtime`).
+entries map any face label of the mesh, case-sensitive, to `neumann` or
+`dirichlet <value>`, and a label left out is Neumann; other keys match in
+any case, and left empty keep their defaults.  Any unknown key is an error
+so typos fail loudly instead of silently running defaults; a label the mesh
+lacks is one too, found once the mesh is read (`runtime`).
 """
 
 from __future__ import annotations
@@ -163,6 +163,7 @@ _KEYS = {
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str    # mesh labels keep their case
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
@@ -177,6 +178,7 @@ def load_config(path) -> RunConfig:
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
+            key = key.lower()
             conv = _KEYS[section].get(key)
             if conv is None:
                 raise ConfigError(f"[{section}] unknown key '{key}'")

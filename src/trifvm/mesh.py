@@ -12,8 +12,8 @@ treated as immutable afterwards:
   together with outward-flux signs,
 * the boundary faces, and each face's right cell (its left cell on the
   boundary), the index arrays the explicit kernels gather through,
-* diamond cells (the quadrilateral spanned by the two adjacent centroids and
-  the face endpoints) used by the gradient reconstruction,
+* the diamond gradient's weights per face, from the diamond cell spanned by
+  the two adjacent centroids and the face endpoints,
 * node interpolation weights from a first-order least-squares fit.
 
 The text format is line oriented::
@@ -383,16 +383,18 @@ def structured_triangulation(n: int) -> Mesh:
 
 @dataclass
 class DiamondCells:
-    """Per-face gradient-support geometry.
-
-    area: quadrilateral (G_left, A, G_right, B) for interior faces, triangle
-    (G_left, A, B) for boundary faces.  lr_vec: the segment joining the left
-    centroid to the right centroid (to the face midpoint on the boundary),
-    rotated -90 degrees: its unit normal times its length.
+    """The diamond gradient's weights per face, from geometry alone:
+    grad u = d_n g_n + d_t g_t with d_n = u_right - u_left, d_t = u_A - u_B,
+    g_n = n |s| / (2 area) and g_t = lr / (2 area).  area is the diamond
+    (G_left, A, G_right, B), or (G_left, A, B) on the boundary; lr is the
+    segment G_left -> G_right (the face midpoint on the boundary) rotated -90
+    degrees.  The flux (grad u . n) |s| is beta d_n + tau d_t.
     """
 
-    area: np.ndarray       # (n_faces,)
-    lr_vec: np.ndarray     # (n_faces, 2)
+    g_n: np.ndarray        # (n_faces, 2)
+    g_t: np.ndarray        # (n_faces, 2)
+    beta: np.ndarray       # (n_faces,)
+    tau: np.ndarray        # (n_faces,)
 
 
 def build_diamonds(mesh: Mesh) -> DiamondCells:
@@ -424,7 +426,11 @@ def build_diamonds(mesh: Mesh) -> DiamondCells:
     if np.any(lr_length <= 0.0):
         f = int(np.flatnonzero(lr_length <= 0.0)[0])
         raise DegenerateDiamond(f"face {f}: coincident diamond centroids")
-    return DiamondCells(area=area, lr_vec=lr)
+    two_area = 2.0 * area[:, None]
+    n_sigma = mesh.face_normals * mesh.face_lengths[:, None]
+    g_n, g_t = n_sigma / two_area, lr / two_area
+    return DiamondCells(g_n, g_t, *(np.einsum("ij,ij->i", g, n_sigma)
+                                    for g in (g_n, g_t)))
 
 
 # --------------------------------------------------------------------------

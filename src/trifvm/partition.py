@@ -275,8 +275,8 @@ def build_subdomains(mesh: Mesh, pm: PartitionMap, diamonds: DiamondCells,
                               halo_cells=halo, local_mesh=lm, cells_l2g=l2g,
                               face_l2g=face_l2g, neighbor_links=links,
                               diamonds=DiamondCells(
-                                  area=diamonds.area[face_l2g],
-                                  lr_vec=diamonds.lr_vec[face_l2g]),
+                                  *(a[face_l2g]
+                                    for a in vars(diamonds).values())),
                               weights=_slice_weights(weights, touch[r],
                                                      nodes_l2g, g2l)))
     return subs

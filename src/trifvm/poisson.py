@@ -5,9 +5,9 @@ The discrete equation per cell i is
     - sum_f s_f (grad P . n)_f |s_f|  =  mu_i * source_i + lift_i
 
 so A P = b solves  -lap P = source  with the diamond stencil of the
-transport module: the matrix is that stencil's flux weights, expanded through
-the node interpolation weights and scattered with the cell signs, so A x
-equals the negated explicit diffusive residual (D = 1) plus the lift.
+transport module: the flux weights beta and tau of `DiamondCells`, expanded
+through the node interpolation weights and scattered with the cell signs, so
+A x equals the negated explicit diffusive residual (D = 1) plus the lift.
 Dirichlet data is eliminated at assembly time: boundary face values and
 boundary node values are known, and their contributions move into the lift
 vector, keeping the matrix symmetric where the scheme is.  Homogeneous
@@ -15,7 +15,7 @@ Neumann faces contribute nothing.  An all-Neumann operator has the constant
 nullspace and is rejected unless a cell is pinned to zero.
 
 The matrix is stored CSR with its pattern as assembled (the solver works on
-A + A^T).  It depends only on mesh, weights, and boundary layout, so a
+A + A^T).  It depends only on the geometry and the boundary layout, so a
 simulation assembles it exactly once; the right-hand side is cheap and
 rebuilt every step.
 """
@@ -68,7 +68,7 @@ class PoissonProblem:
 
 def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
                     bc: dict, pin_cell: int | None = None) -> PoissonProblem:
-    """Expand the diamond stencil of bc into the matrix and its lift.
+    """Expand the diamond stencil under bc into the matrix and its lift.
 
     The stencil's flux across each non-Neumann face is affine in the cell
     values, F = Phi u + phi0: known values (the Dirichlet datum at the
@@ -79,22 +79,22 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     if len(mesh.cell_faces) != mesh.n_cells:
         raise TopologyError("Poisson assembly needs the global mesh, not a halo view")
 
-    st = diamond_stencil(mesh, bc, diamonds, weights)
+    st, beta = diamond_stencil(mesh, bc), diamonds.beta
 
     # Phi as (face, column, value) triplets: beta (u_right - u_left) ...
     faces = np.flatnonzero(st.kind != BC_NEUMANN)
     left, right = mesh.face_cells[faces].T
     inner = right >= 0
     f, c, v = [faces, faces[inner]], [left, right[inner]], \
-        [-st.beta[faces], st.beta[faces[inner]]]
+        [-beta[faces], beta[faces[inner]]]
     phi0 = np.zeros(mesh.n_faces)
-    phi0[faces[~inner]] = st.beta[faces[~inner]] * st.face_data[faces[~inner]]
+    phi0[faces[~inner]] = beta[faces[~inner]] * st.face_data[faces[~inner]]
     # ... + tau (u_A - u_B)
     slot = np.full(mesh.n_nodes, -1)    # index into node_data, -1 if free
     slot[st.pinned] = np.arange(len(st.pinned))
     for end, sign in ((0, 1.0), (1, -1.0)):
         node = mesh.face_nodes[faces, end]
-        tau = sign * st.tau[faces]
+        tau = sign * diamonds.tau[faces]
         known = slot[node] >= 0
         phi0[faces[known]] += tau[known] * st.node_data[slot[node[known]]]
         free = np.flatnonzero(~known)

@@ -363,8 +363,7 @@ class _Transport:
     def __init__(self, sub: Subdomain, cfg: RunConfig):
         tc = cfg.transport
         self.sub = sub
-        self.stencil = diamond_stencil(sub.local_mesh, tc.bc, sub.diamonds,
-                                       sub.weights)
+        self.stencil = diamond_stencil(sub.local_mesh, tc.bc)
         self.vel = FaceVelocity.uniform(sub, *tc.velocity)
         self.dcoef = tc.diffusion
         # the bound never reads the field: one evaluation serves every step

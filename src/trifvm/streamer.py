@@ -104,12 +104,12 @@ class StreamerSystem:
 
 def build_system(sub: Subdomain, species_bc: dict, potential_bc: dict,
                  cfl: float = 0.4) -> StreamerSystem:
-    """Both stencils on the subdomain's slice of the run's geometry."""
+    """Both BC layouts on the subdomain, whose slice of the run's geometry
+    the kernels read."""
     lm = sub.local_mesh
     return StreamerSystem(
-        sub=sub,
-        species=diamond_stencil(lm, species_bc, sub.diamonds, sub.weights),
-        potential=diamond_stencil(lm, potential_bc, sub.diamonds, sub.weights),
+        sub=sub, species=diamond_stencil(lm, species_bc),
+        potential=diamond_stencil(lm, potential_bc),
         potential_bc=potential_bc, cfl=cfl)
 
 
@@ -178,8 +178,8 @@ def apply_update(state: StreamerState, sys: StreamerSystem, fc: FluxContext,
     """Advance n_e (transport + source) and n_i (source only) by dt.
 
     Returns (n_e, n_i, clip_count).  Negative electron densities are clipped
-    to zero and counted; under a CFL-respecting dt on smooth data the count
-    stays zero.
+    to zero and counted; a CFL-respecting dt does not rule them out (the
+    default model clips on the plates' structured n = 16 mesh).
     """
     sub = sys.sub
     n_e = explicit_step(sub, state.n_e, conv, diss, dt, source=fc.s_e)

@@ -15,10 +15,11 @@ weights.  All per-cell sums run in the cell's canonical 3-edge order and all
 node stencils in ascending global id, so a partitioned run reproduces the
 sequential arithmetic exactly.
 
-The stencil is defined once, in `DiamondStencil`: with the face differences
-d_n = u_right - u_left and d_t = u_A - u_B, the flux is D (beta d_n + tau d_t).
-The explicit diffusion, the field of `streamer` and the matrix of `poisson`
-all read it.
+The stencil is defined once: with the face differences d_n = u_right - u_left
+and d_t = u_A - u_B, the gradient is d_n g_n + d_t g_t and the flux
+D (beta d_n + tau d_t), with the weights of `mesh.DiamondCells` and the
+boundary layout of `DiamondStencil`.  The explicit diffusion, the field of
+`streamer` and the matrix of `poisson` all read it.
 
 Boundary handling: a Dirichlet face carries the prescribed value at its
 midpoint (used both as the upwind inflow value and as the gradient's
@@ -29,16 +30,17 @@ inner value for convection and contributes exactly zero diffusive flux.
 What does not change between steps is built when its inputs are, so a step
 only gathers, multiplies and sums:
 
-* per mesh (`mesh._finalize_geometry`, `node_weights`): each face's right
-  cell (its left cell on the boundary), the boundary faces, and the node of
-  every interpolation-stencil entry;
+* per mesh (`mesh._finalize_geometry`, `build_diamonds`, `node_weights`,
+  built once per run and sliced per subdomain): each face's right cell (its
+  left cell on the boundary), the boundary faces, the diamond-gradient
+  weights, and the node of every interpolation-stencil entry;
 * per velocity (`FaceVelocity.from_vectors`): V.n, the donor cell of every
   face and the boundary inflow faces.  A uniform velocity is sampled once
   per run; the streamer's drift once per step, for all three of its uses;
 * per BC layout (`diamond_stencil`, the one place that reads a layout):
-  face kinds, where a label the layout does not name is Neumann, flux
-  weights, the Neumann faces with their inner cells, and the Dirichlet data
-  at face midpoints and pinned nodes;
+  face kinds, where a label the layout does not name is Neumann, the
+  Neumann faces with their inner cells, and the Dirichlet data at face
+  midpoints and pinned nodes;
 * per step: the ghost array of `apply_boundary_conditions`, computed once
   and read by both residuals, then the residuals and the update.
 """
@@ -50,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroDt
-from .mesh import DiamondCells, Mesh, NodeWeights
+from .mesh import Mesh, NodeWeights
 from .partition import Subdomain
 
 BC_INTERIOR = 0
@@ -126,40 +128,25 @@ def classify_faces(lm: Mesh, bc: dict) -> np.ndarray:
 
 @dataclass
 class DiamondStencil:
-    """The diamond flux of every face of one mesh under one BC layout,
-    D (grad u . n) |s| = D (beta d_n + tau d_t), and that layout's data.
-    pinned: the nodes of Dirichlet faces, ascending; they take their datum
-    node_data, not the interpolant.
+    """One BC layout on the faces of one mesh: what the diamond stencil
+    reads besides the geometry of `mesh.DiamondCells`.  pinned: the nodes of
+    Dirichlet faces, ascending; they take their datum node_data, not the
+    interpolant.
     """
 
     kind: np.ndarray            # BC_* code per face
     neumann: np.ndarray         # Neumann faces: zero flux; their ghost
     neumann_cells: np.ndarray   # copies this inner cell
     face_data: np.ndarray       # Dirichlet datum at the midpoint, else 0
-    beta: np.ndarray
-    tau: np.ndarray
     pinned: np.ndarray
     node_data: np.ndarray
-    diamonds: DiamondCells
-    weights: NodeWeights
 
 
-def _gradient_weights(lm: Mesh, diamonds: DiamondCells):
-    """Weights of d_n and d_t in the diamond gradient, (n_faces, 2) each."""
-    two_area = 2.0 * diamonds.area[:, None]
-    return (lm.face_normals * lm.face_lengths[:, None] / two_area,
-            diamonds.lr_vec / two_area)
-
-
-def diamond_stencil(lm: Mesh, bc: dict, diamonds: DiamondCells,
-                    weights: NodeWeights) -> DiamondStencil:
-    """The diamond stencil of a mesh under the boundary conditions bc: bc
-    evaluated at the Dirichlet face midpoints and at their nodes, each node
-    at its own coordinates (averaged where faces with different data meet)."""
+def diamond_stencil(lm: Mesh, bc: dict) -> DiamondStencil:
+    """The layout of the boundary conditions bc on a mesh: bc evaluated at
+    the Dirichlet face midpoints and at their nodes, each node at its own
+    coordinates (averaged where faces with different data meet)."""
     kind = classify_faces(lm, bc)
-    n_sigma = lm.face_normals * lm.face_lengths[:, None]
-    beta, tau = (np.einsum("ij,ij->i", g, n_sigma)
-                 for g in _gradient_weights(lm, diamonds))
     face = np.zeros(lm.n_faces)
     sums = np.zeros(lm.n_nodes)
     counts = np.zeros(lm.n_nodes, dtype=np.int64)
@@ -173,8 +160,7 @@ def diamond_stencil(lm: Mesh, bc: dict, diamonds: DiamondCells,
     pinned = np.flatnonzero(counts)
     neumann = np.flatnonzero(kind == BC_NEUMANN)
     return DiamondStencil(kind, neumann, lm.face_cells[neumann, 0], face,
-                          beta, tau, pinned, sums[pinned] / counts[pinned],
-                          diamonds, weights)
+                          pinned, sums[pinned] / counts[pinned])
 
 
 def apply_boundary_conditions(u: Field, st: DiamondStencil) -> np.ndarray:
@@ -208,7 +194,7 @@ def face_differences(sub: Subdomain, st: DiamondStencil, u: Field,
     bnd = lm.boundary_faces()
     u_right[bnd] = bvals[bnd]
     d_n = u_right - u.values[lm.face_cells[:, 0]]
-    u_node = node_values(sub, u, st.weights)
+    u_node = node_values(sub, u, sub.weights)
     u_node[st.pinned] = st.node_data
     d_t = u_node[lm.face_nodes[:, 0]] - u_node[lm.face_nodes[:, 1]]
     return d_n, d_t
@@ -219,8 +205,7 @@ def face_gradients(sub: Subdomain, st: DiamondStencil,
     """Diamond-cell gradient on every face, (n_faces, 2)."""
     bvals = apply_boundary_conditions(u, st)
     d_n, d_t = face_differences(sub, st, u, bvals)
-    g_n, g_t = _gradient_weights(sub.local_mesh, st.diamonds)
-    return d_n[:, None] * g_n + d_t[:, None] * g_t
+    return d_n[:, None] * sub.diamonds.g_n + d_t[:, None] * sub.diamonds.g_t
 
 
 def upwind_face_values(sub: Subdomain, u: Field, vel: FaceVelocity,
@@ -260,7 +245,7 @@ def diffusive_residual(sub: Subdomain, u: Field, st: DiamondStencil,
     the closed-box invariant sum(mu u) exact.
     """
     d_n, d_t = face_differences(sub, st, u, bvals)
-    flux = (st.beta * d_n + st.tau * d_t) * diffusion
+    flux = (sub.diamonds.beta * d_n + sub.diamonds.tau * d_t) * diffusion
     flux[st.neumann] = 0.0
     return _per_cell_sum(sub, flux)
 

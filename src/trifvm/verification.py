@@ -77,8 +77,7 @@ def _march(sub, tc: TransportConfig, u, t_end, bc_time=None):
     dt = t_end / steps
     for s in range(steps):
         if bc_time is not None:  # the boundary data moves
-            phys.stencil = diamond_stencil(sub.local_mesh, bc_time(s * dt),
-                                           sub.diamonds, sub.weights)
+            phys.stencil = diamond_stencil(sub.local_mesh, bc_time(s * dt))
         u = _step(ctx, phys, u, dt, res)
     return u
 

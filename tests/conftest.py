@@ -9,8 +9,7 @@ import pytest
 
 from trifvm.direct_solver import PIVOT_FLOOR
 from trifvm.errors import DimensionMismatch, SingularMatrix
-from trifvm.mesh import (build_diamonds, build_mesh, node_weights, save_mesh,
-                         structured_triangulation)
+from trifvm.mesh import build_mesh, save_mesh, structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.runtime import _one_rank, _RankResult, _step, _Streamer
 
@@ -134,18 +133,6 @@ def sub8(mesh8):
 @pytest.fixture(scope="session")
 def sub16(mesh16):
     return single_subdomain(mesh16)
-
-
-@pytest.fixture(scope="session")
-def geom8(sub8):
-    lm = sub8.local_mesh
-    return build_diamonds(lm), node_weights(lm)
-
-
-@pytest.fixture(scope="session")
-def geom16(sub16):
-    lm = sub16.local_mesh
-    return build_diamonds(lm), node_weights(lm)
 
 
 def random_spd_like(rng, n, extra_per_row=3, symmetric=True):

@@ -176,11 +176,11 @@ def test_sparse_solver_matches_dense_oracle_on_seeded_systems():
             factorize(singular)
 
 
-def _closed_box_mass_drift(sub, dia, w):
+def _closed_box_mass_drift(sub):
     """Largest per-step change of the cell-measure-weighted sum over 50
     pure-diffusion steps in a closed (all-Neumann) box."""
     lm = sub.local_mesh
-    sten_n = diamond_stencil(lm, ALL_NEUMANN, dia, w)
+    sten_n = diamond_stencil(lm, ALL_NEUMANN)
     d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
     u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
     dt = stable_dt(sub, FaceVelocity.uniform(sub, 0.0, 0.0), 0.1)
@@ -199,7 +199,7 @@ def _closed_box_mass_drift(sub, dia, w):
 def _upwind_overshoot(sub):
     """How far 200 pure upwind convection steps leave the initial bounds."""
     lm = sub.local_mesh
-    sten_n = diamond_stencil(lm, ALL_NEUMANN, sub.diamonds, sub.weights)
+    sten_n = diamond_stencil(lm, ALL_NEUMANN)
     d2 = (lm.centroids[:, 0] - 0.5) ** 2 + (lm.centroids[:, 1] - 0.5) ** 2
     u = Field(np.exp(-d2 / (2.0 * 0.1 ** 2)))
     lo, hi = float(u.values.min()), float(u.values.max())
@@ -215,13 +215,11 @@ def _upwind_overshoot(sub):
     return overshoot
 
 
-def test_transport_conservation_max_principle_and_exact_gradients(sub16,
-                                                                  geom16):
+def test_transport_conservation_max_principle_and_exact_gradients(sub16):
     """Zero-flux mass conservation, upwind bounds, affine-field gradients."""
     with _budget(30.0):
-        dia, w = geom16
         lm = sub16.local_mesh
-        step_drift = _closed_box_mass_drift(sub16, dia, w)
+        step_drift = _closed_box_mass_drift(sub16)
         overshoot = _upwind_overshoot(sub16)
 
         # diamond gradient reproduces an affine field on every face
@@ -229,7 +227,7 @@ def test_transport_conservation_max_principle_and_exact_gradients(sub16,
         lin = lambda x, y: a + b * x + c * y
         ulin = Field(lin(lm.centroids[:, 0], lm.centroids[:, 1]))
         bc = dirichlet_bc(lin)
-        sten = diamond_stencil(lm, bc, dia, w)
+        sten = diamond_stencil(lm, bc)
         grad = face_gradients(sub16, sten, ulin)
         grad_err = max(float(np.abs(grad[:, 0] - b).max()),
                        float(np.abs(grad[:, 1] - c).max()))
@@ -246,9 +244,7 @@ def test_transport_conservation_and_upwind_bounds_on_irregular_meshes():
     with _budget(30.0):
         for n, seed in ((16, 1), (16, 2), (32, 1)):
             sub = single_subdomain(irregular_mesh(n, seed))
-            lm = sub.local_mesh
-            w = node_weights(lm)
-            step_drift = _closed_box_mass_drift(sub, build_diamonds(lm), w)
+            step_drift = _closed_box_mass_drift(sub)
             overshoot = _upwind_overshoot(sub)
             print(f"  measured: n={n} seed={seed} mass drift/step "
                   f"{step_drift:.3e}, bound overshoot {overshoot:.3e}")

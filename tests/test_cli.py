@@ -203,13 +203,13 @@ def test_pin_cell_off_the_mesh_exits_2(tmp_path, capsys, pin):
     assert "pin_cell" in capsys.readouterr().err
 
 
-def _frames_at_every_k(tmp_path, ini):
-    """Run the config at k = 1..4; the frames, by name, that all four wrote
-    byte for byte."""
+def _frames_at_every_k(tmp_path, ini, ks=(1, 2, 3, 4)):
+    """Run the config at each k of ks; the frames, by name, that all of
+    them wrote byte for byte."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini)
     runs = []
-    for k in (1, 2, 3, 4):
+    for k in ks:
         out = tmp_path / f"k{k}"
         assert main(["run", "--config", str(cfg), "--ranks", str(k),
                      "--out", str(out)]) == 0
@@ -263,6 +263,36 @@ right = dirichlet 0.0
     assert all(np.isfinite(v).all() for v in data.values())
     v = data["potential"]
     assert 0.5 < v.max() <= 1.0 and 0.0 <= v.min() < 0.1
+
+
+def test_bc_labels_keep_their_case(tmp_path, capsys):
+    # a label is named as the mesh spells it; the other keys match in any
+    # case
+    mesh = tmp_path / "holed.txt"
+    save_mesh(holed_mesh(16), mesh)
+    mesh.write_text(mesh.read_text().replace(" electrode\n", " Electrode\n"))
+    assert "Electrode" in load_mesh(mesh).face_labels
+    run = f"""\
+[run]
+mesh_path = {mesh}
+Steps = 20
+output_every = 10
+name = hole
+[transport]
+velocity = 0.3 0.1
+Diffusion = 0.01
+init = constant
+"""
+    frames = _frames_at_every_k(
+        tmp_path, run + "[bc]\nElectrode = dirichlet 1.0\n", ks=(1, 2))
+    u = read_vtk_cell_data(frames["hole_0002.vtk"])["u"]
+    assert np.isfinite(u).all() and u.max() > 0.1
+    bad = tmp_path / "lower.ini"
+    bad.write_text(run + "[bc]\nelectrode = dirichlet 1.0\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "'electrode'" in capsys.readouterr().err
 
 
 def test_a_mesh_file_with_default_labels_runs_without_a_bc_section(tmp_path,

@@ -164,13 +164,11 @@ def test_diamond_linear_exactness():
     # the two-cell-plus-two-node gradient is exact for affine fields
     for m in (structured_triangulation(6), irregular_mesh(8, seed=3)):
         sub = single_subdomain(m)
-        dia = build_diamonds(m)
-        w = node_weights(m)
         a, b, c = 0.7, -1.3, 2.1
         lin = lambda x, y: a + b * x + c * y
         u = Field(lin(m.centroids[:, 0], m.centroids[:, 1]))
         bc = dirichlet_bc(lin)
-        sten = diamond_stencil(m, bc, dia, w)
+        sten = diamond_stencil(m, bc)
         grad = face_gradients(sub, sten, u)
         assert np.abs(grad[:, 0] - b).max() < 1e-12
         assert np.abs(grad[:, 1] - c).max() < 1e-12

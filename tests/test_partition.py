@@ -9,7 +9,8 @@ from trifvm.mesh import (build_diamonds, node_weights, structured_triangulation,
 from trifvm.partition import (DualGraph, build_dual_graph, build_subdomains,
                               edge_cut, partition, partition_metrics,
                               single_subdomain)
-from trifvm.transport import Field, node_values
+from trifvm.transport import (Field, diamond_stencil, face_gradients,
+                              node_values)
 
 from conftest import irregular_mesh
 
@@ -122,17 +123,26 @@ def _split_cases():
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_subdomains_slice_the_global_geometry(seed, k):
-    # own-cell faces carry the global diamonds, and own-cell nodes
-    # interpolate any field to the global node values, bit for bit
+    # own-cell faces carry the global diamonds and face gradients, and
+    # own-cell nodes interpolate any field to the global node values, bit
+    # for bit
     m = irregular_mesh(16, seed)
     dia, w = build_diamonds(m), node_weights(m)
     u = np.random.default_rng(10 * seed + k).standard_normal(m.n_cells)
-    ref = node_values(single_subdomain(m), Field(u), w)
+    one = single_subdomain(m)
+    ref = node_values(one, Field(u), w)
+    bc = {"left": ("dirichlet", 1.0), "top": ("dirichlet", lambda x, y: x)}
+    grad = np.empty((m.n_faces, 2))
+    grad[one.face_l2g] = face_gradients(
+        one, diamond_stencil(one.local_mesh, bc), Field(u))
     for s in build_subdomains(m, partition(build_dual_graph(m), k), dia, w):
         faces = np.unique(s.local_mesh.cell_faces[:s.n_own])
         g = s.face_l2g[faces]
-        assert np.array_equal(s.diamonds.area[faces], dia.area[g])
-        assert np.array_equal(s.diamonds.lr_vec[faces], dia.lr_vec[g])
+        for name, field in vars(s.diamonds).items():
+            assert np.array_equal(field[faces], getattr(dia, name)[g]), name
+        sub_grad = face_gradients(s, diamond_stencil(s.local_mesh, bc),
+                                  Field(u[s.cells_l2g]))
+        assert np.array_equal(sub_grad[faces], grad[g])
         vals = node_values(s, Field(u[s.cells_l2g]), s.weights)
         assert np.array_equal(vals[s.local_mesh.triangles[:s.n_own]],
                               ref[m.triangles[s.own_cells]])

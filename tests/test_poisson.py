@@ -163,7 +163,7 @@ def test_matrix_is_the_negated_diffusive_residual_plus_lift(seed):
         else irregular_mesh(8, seed)
     dia, w = build_diamonds(mesh), node_weights(mesh)
     problem = assemble_system(mesh, dia, w, MIXED)
-    sten = diamond_stencil(mesh, MIXED, dia, w)
+    sten = diamond_stencil(mesh, MIXED)
     x = np.random.default_rng(11).standard_normal(mesh.n_cells)
     res = diffusive_residual(single_subdomain(mesh), Field(x), sten,
                              apply_boundary_conditions(Field(x), sten), 1.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
+from trifvm.mesh import node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.transport import (BC_NEUMANN, FaceVelocity, Field,
                               apply_boundary_conditions,
@@ -21,15 +21,11 @@ MIXED = dict(ALL_NEUMANN, left=("dirichlet", -1.0),
 
 
 def _stencil(sub, bc=ALL_NEUMANN):
-    return diamond_stencil(sub.local_mesh, bc, sub.diamonds, sub.weights)
+    return diamond_stencil(sub.local_mesh, bc)
 
 
 def _neumann_bvals(sub, u):
     return apply_boundary_conditions(u, _stencil(sub))
-
-
-def _neumann_stencil(sub, dia, w):
-    return diamond_stencil(sub.local_mesh, ALL_NEUMANN, dia, w)
 
 
 def _gaussian_field(mesh, center=(0.5, 0.5), sigma=0.1):
@@ -38,14 +34,12 @@ def _gaussian_field(mesh, center=(0.5, 0.5), sigma=0.1):
     return Field(np.exp(-d2 / (2.0 * sigma ** 2)))
 
 
-def test_uniform_field_has_zero_residuals(sub8, geom8):
-    dia, w = geom8
+def test_uniform_field_has_zero_residuals(sub8):
     u = Field(np.full(sub8.local_mesh.n_cells, 3.7))
     bvals = _neumann_bvals(sub8, u)
     vel = FaceVelocity.uniform(sub8, 1.0, -0.5)
     conv = convective_residual(sub8, u, vel, bvals)
-    diss = diffusive_residual(sub8, u, _neumann_stencil(sub8, dia, w), bvals,
-                              0.3)
+    diss = diffusive_residual(sub8, u, _stencil(sub8), bvals, 0.3)
     assert np.abs(conv).max() < 1e-12
     assert np.abs(diss).max() < 1e-12
 
@@ -85,15 +79,14 @@ def test_precomputed_maps_equal_their_formulas():
             assert np.array_equal(
                 vel.normal, np.einsum("ij,ij->i", vel.vectors,
                                       mesh.face_normals))
-        st_ = diamond_stencil(mesh, MIXED, build_diamonds(mesh), w)
+        st_ = diamond_stencil(mesh, MIXED)
         neu = np.flatnonzero(st_.kind == BC_NEUMANN)
         assert np.array_equal(st_.neumann, neu)
         assert np.array_equal(st_.neumann_cells, left[neu])
 
 
-def test_diffusion_conserves_mass(sub16, geom16):
+def test_diffusion_conserves_mass(sub16):
     # Neumann sides make the diffusive flux telescope to exactly zero
-    dia, w = geom16
     lm = sub16.local_mesh
     u = _gaussian_field(lm)
     vel = FaceVelocity.uniform(sub16, 0.0, 0.0)
@@ -102,8 +95,8 @@ def test_diffusion_conserves_mass(sub16, geom16):
     for _ in range(40):
         bvals = _neumann_bvals(sub16, u)
         conv = convective_residual(sub16, u, vel, bvals)
-        diss = diffusive_residual(sub16, u, _neumann_stencil(sub16, dia, w),
-                                  bvals, diffusion=0.1)
+        diss = diffusive_residual(sub16, u, _stencil(sub16), bvals,
+                                  diffusion=0.1)
         u = explicit_step(sub16, u, conv, diss, dt)
         assert abs(float(lm.areas @ u.values) - mass0) < 1e-12
 
@@ -113,19 +106,16 @@ def test_diffusion_conserves_mass(sub16, geom16):
 def test_diffusion_step_conserves_any_field(seed):
     mesh = structured_triangulation(6)
     sub = single_subdomain(mesh)
-    from trifvm.mesh import build_diamonds, node_weights
-    dia, w = build_diamonds(mesh), node_weights(mesh)
     rng = np.random.default_rng(seed)
     u = Field(rng.uniform(-5.0, 5.0, mesh.triangles.shape[0]))
-    diss = diffusive_residual(sub, u, _neumann_stencil(sub, dia, w),
-                              _neumann_bvals(sub, u), 1.0)
+    diss = diffusive_residual(sub, u, _stencil(sub), _neumann_bvals(sub, u),
+                              1.0)
     dt = stable_dt(sub, FaceVelocity.uniform(sub, 0.0, 0.0), 1.0)
     u1 = explicit_step(sub, u, np.zeros_like(diss), diss, dt)
     assert abs(float(mesh.areas @ (u1.values - u.values))) < 1e-12
 
 
-def test_upwind_max_principle(sub16, geom16):
-    dia, w = geom16
+def test_upwind_max_principle(sub16):
     u = _gaussian_field(sub16.local_mesh)
     lo, hi = float(u.values.min()), float(u.values.max())
     vel = FaceVelocity.uniform(sub16, 1.0, 0.4)
@@ -138,7 +128,7 @@ def test_upwind_max_principle(sub16, geom16):
         assert u.values.max() <= hi + 1e-12
 
 
-def test_dirichlet_inflow_enters_domain(sub8, geom8):
+def test_dirichlet_inflow_enters_domain(sub8):
     bc = dict(ALL_NEUMANN)
     bc["left"] = ("dirichlet", 2.0)
     sten = _stencil(sub8, bc)
@@ -174,10 +164,10 @@ def test_stable_dt_scaling(sub8):
     assert stable_dt(sub8, FaceVelocity.uniform(sub8, 0.0, 0.0), 0.0) == float("inf")
 
 
-def test_dirichlet_node_data_evaluates_at_nodes(sub8, geom8):
+def test_dirichlet_node_data_evaluates_at_nodes(sub8):
     g = lambda x, y: 1.0 + 2.0 * x - y
     bc = dirichlet_bc(g)
-    sten = diamond_stencil(sub8.local_mesh, bc, *geom8)
+    sten = diamond_stencil(sub8.local_mesh, bc)
     idx, vals = sten.pinned, sten.node_data
     pts = sub8.local_mesh.points[idx]
     assert np.allclose(vals, g(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-15)
