@@ -2,10 +2,12 @@
 
 Sections: [run], [transport], [streamer], [bc], [potential_bc].  Boundary
 entries map any face label of the mesh, case-sensitive, to `neumann` or
-`dirichlet <value>`, and a label left out is Neumann; other keys match in
-any case, and left empty keep their defaults.  Any unknown key is an error
-so typos fail loudly instead of silently running defaults; a label the mesh
-lacks is one too, found once the mesh is read (`runtime`).
+`dirichlet <value>`, and a label left out is Neumann; section names and
+other keys match in any case, and left empty keep their defaults.  Any
+unknown key is an error so typos fail loudly instead of silently running
+defaults, and so is a section or key given twice; a label the mesh lacks is
+one too, found once the mesh is read (`runtime`).  A file configparser
+cannot parse, or that is not UTF-8 text, is a ConfigError as well.
 """
 
 from __future__ import annotations
@@ -133,11 +135,10 @@ def _bc_entry(section, label, raw):
                       f"'dirichlet <value>', got '{raw}'")
 
 
-def _bc_section(parser, section) -> dict | None:
-    if not parser.has_section(section):
-        return None
+def _bc_section(sections, section) -> dict:
+    """Entries by label; an absent section names none, so all are Neumann."""
     return {label: _bc_entry(section, label, raw)
-            for label, raw in parser.items(section)}
+            for label, raw in sections.get(section, ())}
 
 
 _KEYS = {
@@ -164,21 +165,27 @@ _KEYS = {
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str    # mesh labels keep their case
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file: {path}")
-
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file: {path}")
+        sections = {name.lower(): parser.items(name)
+                    for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if len(sections) < len(parser.sections()):
+        raise ConfigError(f"a section appears twice: {parser.sections()}")
     cfg = RunConfig()
-    extra = set(parser.sections()) - set(_KEYS) - {"bc", "potential_bc"}
+    extra = set(sections) - set(_KEYS) - {"bc", "potential_bc"}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
 
     for section, target in (("run", cfg), ("transport", cfg.transport),
                             ("streamer", cfg.streamer)):
-        if not parser.has_section(section):
-            continue
-        for key, raw in parser.items(section):
-            key = key.lower()
+        items = [(key.lower(), raw) for key, raw in sections.get(section, ())]
+        if len(dict(items)) < len(items):
+            raise ConfigError(f"[{section}] a key appears twice: "
+                              f"{[key for key, _ in items]}")
+        for key, raw in items:
             conv = _KEYS[section].get(key)
             if conv is None:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
@@ -186,13 +193,8 @@ def load_config(path) -> RunConfig:
                 setattr(target, key,
                         raw if conv is str else conv(section, key, raw))
 
-    bc = _bc_section(parser, "bc")
-    if bc is not None:
-        cfg.transport.bc = bc
-        cfg.streamer.species_bc = bc
-    pot = _bc_section(parser, "potential_bc")
-    if pot is not None:
-        cfg.streamer.potential_bc = pot
+    cfg.transport.bc = cfg.streamer.species_bc = _bc_section(sections, "bc")
+    cfg.streamer.potential_bc = _bc_section(sections, "potential_bc")
     return cfg.validate()
 
 

@@ -13,8 +13,10 @@ Both physics run one step, `_step`: the streamer's coupling (charge source,
 host solve with the run's factors, potential to every rank), the halo
 exchange, the fluxes and CFL bound, the dt reduction, the convective and
 diffusive residuals, the update, and a check that every own value is still
-finite.  The hooks `_Transport` and `_Streamer` hold only what differs.
-The transport cases of `verification` run `_step` on `_one_rank`'s context,
+finite.  The hooks `_Transport` and `_Streamer` hold only what differs,
+and each is its rank's one record of its physics: built from the subdomain
+and the config, it holds the BC layouts and builds the initial state.  The
+transport cases of `verification` run `_step` on `_one_rank`'s context,
 which sends no messages.
 """
 
@@ -49,8 +51,7 @@ from .partition import (Subdomain, build_dual_graph, build_subdomains,
 from .partition import single_subdomain  # noqa: F401
 from .poisson import PoissonProblem, assemble_rhs, assemble_system
 from .scaling import PHASES
-from .streamer import (FluxContext, StreamerCoefficients, StreamerState,
-                       StreamerSystem)
+from .streamer import FluxContext, StreamerCoefficients, StreamerState
 from .transport import (Field, FaceVelocity, Fluxes,
                         apply_boundary_conditions, convective_residual,
                         diamond_stencil, diffusive_residual, explicit_step,
@@ -249,8 +250,7 @@ def gather_rhs(ctx: RankContext, own_values: np.ndarray):
     return out
 
 
-def broadcast_solution(ctx: RankContext, x, quantity: str = "potential",
-                       t: float = 0.0) -> Field:
+def broadcast_solution(ctx: RankContext, x) -> Field:
     """Scatter own + halo slices of a host vector to every rank.
 
     Only each rank's own and halo entries travel (not the full vector);
@@ -262,7 +262,7 @@ def broadcast_solution(ctx: RankContext, x, quantity: str = "potential",
         local = x[ctx.sub.cells_l2g]
     else:
         local = ctx.fabric.recv("coll", 0, ctx.rank)
-    return Field(values=local, quantity=quantity, time=t, halo_stale=False)
+    return Field(local)
 
 
 def allreduce_min(ctx: RankContext, value: float) -> float:
@@ -309,15 +309,6 @@ class _RankResult:
     final_fields: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     failure: tuple | None = None    # (rank, step, phase, exception)
-
-
-def _initial_transport_field(cfg: RunConfig, sub: Subdomain) -> Field:
-    tc = cfg.transport
-    if tc.init == "constant":
-        vals = np.full(sub.n_local, float(tc.constant))
-    else:
-        vals = discharge.gaussian_seed(sub, tc.center, tc.sigma, tc.amplitude)
-    return Field(values=vals, quantity="u", time=0.0, halo_stale=False)
 
 
 def _gather_fields(ctx: RankContext, fields: dict) -> dict:
@@ -369,6 +360,13 @@ class _Transport:
         # the bound never reads the field: one evaluation serves every step
         self.dt_stable = stable_dt(sub, self.vel, self.dcoef, cfg.cfl)
 
+    def initial(self, cfg: RunConfig) -> Field:
+        tc = cfg.transport
+        if tc.init == "constant":
+            return Field(np.full(self.sub.n_local, float(tc.constant)))
+        return Field(discharge.gaussian_seed(self.sub, tc.center, tc.sigma,
+                                             tc.amplitude))
+
     @staticmethod
     def fields(u: Field) -> dict:
         return {"u": u}
@@ -388,11 +386,24 @@ class _Streamer:
     transported = "n_e"         # ion halos are never read (no stencil)
     flux_phase = "diffusion"    # the field's diamond gradient counts there
 
-    def __init__(self, coeffs: StreamerCoefficients, sysctx: StreamerSystem):
-        self.coeffs = coeffs
-        self.sys = sysctx
-        self.stencil = sysctx.species
+    def __init__(self, sub: Subdomain, cfg: RunConfig,
+                 coeffs: StreamerCoefficients):
+        sc = cfg.streamer
+        self.sub, self.coeffs, self.cfl = sub, coeffs, cfg.cfl
+        self.stencil = diamond_stencil(sub.local_mesh, sc.species_bc)
+        self.potential = diamond_stencil(sub.local_mesh, sc.potential_bc)
         self.solves = 0
+
+    def initial(self, cfg: RunConfig) -> StreamerState:
+        """Both species from one Gaussian, the ions at `ion_amplitude` when
+        it is set; the potential is zero until the first solve."""
+        sc = cfg.streamer
+        ions = sc.seed_amplitude if sc.ion_amplitude is None \
+            else sc.ion_amplitude
+        n_e, n_i = (Field(discharge.gaussian_seed(
+            self.sub, sc.seed_center, sc.seed_sigma, amp))
+            for amp in (sc.seed_amplitude, ions))
+        return StreamerState(n_e, n_i, Field(np.zeros(self.sub.n_local)))
 
     def couple(self, ctx: RankContext, state: StreamerState) -> StreamerState:
         """Charge source -> host RHS and solve -> potential on every rank."""
@@ -400,26 +411,24 @@ class _Streamer:
                                                     ctx.sub))
         x = None
         if ctx.is_host:
-            b = assemble_rhs(ctx.mesh, g, self.sys.potential_bc,
-                             problem=ctx.problem)
-            x = solve(ctx.factors, b)
+            x = solve(ctx.factors,
+                      assemble_rhs(ctx.mesh, g, None, problem=ctx.problem))
             self.solves += 1
-        return replace(state, v_pot=broadcast_solution(ctx, x, "potential",
-                                                       state.time))
+        return replace(state, v_pot=broadcast_solution(ctx, x))
 
     @staticmethod
     def fields(state: StreamerState) -> dict:
         return {"n_e": state.n_e, "n_i": state.n_i, "potential": state.v_pot}
 
     def fluxes(self, state: StreamerState) -> FluxContext:
-        return discharge.prepare_fluxes(state, self.coeffs, self.sys)
+        return discharge.prepare_fluxes(self.sub, state, self.coeffs,
+                                        self.potential, self.stencil, self.cfl)
 
     def update(self, state: StreamerState, fc: FluxContext, dt: float, conv,
                diss):
-        n_e, n_i, clip = discharge.apply_update(state, self.sys, fc, dt, conv,
+        n_e, n_i, clip = discharge.apply_update(self.sub, state, fc, dt, conv,
                                                 diss)
-        return replace(state, n_e=n_e, n_i=n_i,
-                       clips=state.clips + clip), clip
+        return replace(state, n_e=n_e, n_i=n_i), clip
 
 
 @contextmanager
@@ -466,29 +475,12 @@ def _step(ctx: RankContext, phys, state, dt_fixed: float | None,
     return state
 
 
-def _physics(ctx: RankContext, cfg: RunConfig,
-             coeffs: StreamerCoefficients | None):
-    """This rank's physics hook and its initial state."""
-    sub = ctx.sub
-    if cfg.physics != "streamer":
-        return _Transport(sub, cfg), _initial_transport_field(cfg, sub)
-    sc = cfg.streamer
-    sysctx = discharge.build_system(sub, sc.species_bc, sc.potential_bc,
-                                    cfl=cfg.cfl)
-    ion_amp = sc.seed_amplitude if sc.ion_amplitude is None else sc.ion_amplitude
-    state = StreamerState(
-        n_e=Field(discharge.gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
-                                          sc.seed_amplitude), "n_e"),
-        n_i=Field(discharge.gaussian_seed(sub, sc.seed_center, sc.seed_sigma,
-                                          ion_amp), "n_i"),
-        v_pot=Field(np.zeros(sub.n_local), "potential"))
-    return _Streamer(coeffs, sysctx), state
-
-
 def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
                coeffs: StreamerCoefficients | None, looped=None) -> None:
     res.phase = "setup"
-    phys, state = _physics(ctx, cfg, coeffs)
+    phys = _Streamer(ctx.sub, cfg, coeffs) if cfg.physics == "streamer" \
+        else _Transport(ctx.sub, cfg)
+    state = phys.initial(cfg)
     # the children set up while the host factorizes, and start the loop
     # once the host is in its first wait: every deadline of theirs falls
     # after the host's first one

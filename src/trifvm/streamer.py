@@ -4,10 +4,12 @@ Electrons drift-diffuse in the electric field, ions sit still and grow by
 ionization, and the potential comes from a factor-once direct solve of the
 charge-driven Poisson equation.  Everything here is per-rank local given a
 current (post-solve, post-exchange) state: the charge source, the fluxes and
-CFL bound of that state, and the update.  The field E = -grad V is the
-diamond gradient of `transport` on the potential's stencil, the one the
-potential matrix expands.  The one step of the coupled cycle, with its solve
-and collectives, is `runtime`'s, at every rank count.
+CFL bound of that state, and the update.  Each kernel takes the subdomain
+and the BC layouts it reads.  The field E = -grad V is the diamond gradient
+of `transport` on the potential's stencil, the one the potential matrix
+expands.  The one step of the coupled cycle, with its solve and
+collectives, is `runtime`'s, at every rank count; its hook `_Streamer`
+builds the two layouts and the seed once per rank.
 
 Closed forms for the transport coefficients are not part of the problem
 statement; two config-selected families are supported:
@@ -29,8 +31,8 @@ from .errors import ConfigError
 from .mesh import build_diamonds, node_weights  # noqa: F401
 from .partition import Subdomain
 from .transport import (DiamondStencil, FaceVelocity, Field, Fluxes,
-                        apply_boundary_conditions, diamond_stencil,
-                        explicit_step, face_gradients, stable_dt)
+                        apply_boundary_conditions, explicit_step,
+                        face_gradients, stable_dt)
 
 
 @dataclass
@@ -82,35 +84,6 @@ class StreamerState:
     n_e: Field
     n_i: Field
     v_pot: Field
-    clips: int = 0                      # negative-density clip events so far
-
-    @property
-    def time(self) -> float:
-        return self.n_e.time
-
-
-@dataclass
-class StreamerSystem:
-    """Per-rank geometry + boundary context for the coupled cycle: one
-    diamond stencil for each BC layout, species and field.  The assembled
-    and factored potential system stays on the host's rank context."""
-
-    sub: Subdomain
-    species: DiamondStencil
-    potential: DiamondStencil
-    potential_bc: dict
-    cfl: float = 0.4
-
-
-def build_system(sub: Subdomain, species_bc: dict, potential_bc: dict,
-                 cfl: float = 0.4) -> StreamerSystem:
-    """Both BC layouts on the subdomain, whose slice of the run's geometry
-    the kernels read."""
-    lm = sub.local_mesh
-    return StreamerSystem(
-        sub=sub, species=diamond_stencil(lm, species_bc),
-        potential=diamond_stencil(lm, potential_bc),
-        potential_bc=potential_bc, cfl=cfl)
 
 
 def gaussian_seed(sub: Subdomain, center=(0.5, 0.5), sigma=0.1,
@@ -139,17 +112,18 @@ class FluxContext(Fluxes):
     s_e: np.ndarray             # ionization rate per own cell
 
 
-def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
-                   sys: StreamerSystem) -> FluxContext:
+def prepare_fluxes(sub: Subdomain, state: StreamerState,
+                   coeffs: StreamerCoefficients, potential: DiamondStencil,
+                   species: DiamondStencil, cfl: float) -> FluxContext:
     """Field E = -grad V, drift velocity, coefficients, source, and CFL bound.
 
+    potential and species are the two BC layouts on the subdomain.
     Requires v_pot and n_e with fresh halo slots.  The 3-face means below
     use the canonical cell_faces order, so they are identical no matter how
     the mesh was partitioned.
     """
-    sub = sys.sub
     lm = sub.local_mesh
-    e_faces = -face_gradients(sub, sys.potential, state.v_pot)
+    e_faces = -face_gradients(sub, potential, state.v_pot)
     e_mag = np.hypot(e_faces[:, 0], e_faces[:, 1])
     mu_f = coeffs.mobility(e_mag)
     vel = FaceVelocity.from_vectors(sub,
@@ -167,13 +141,13 @@ def prepare_fluxes(state: StreamerState, coeffs: StreamerCoefficients,
         alpha_cell = coeffs.ionization(e_cell)
     s_e = alpha_cell * speed_cell * state.n_e.values[:sub.n_own]
 
-    bvals_ne = apply_boundary_conditions(state.n_e, sys.species)
-    dt = stable_dt(sub, vel, diffusion=d_f, cfl=sys.cfl)
+    bvals_ne = apply_boundary_conditions(state.n_e, species)
+    dt = stable_dt(sub, vel, diffusion=d_f, cfl=cfl)
     return FluxContext(vel=vel, bvals=bvals_ne, diffusion=d_f, dt_stable=dt,
                        s_e=s_e)
 
 
-def apply_update(state: StreamerState, sys: StreamerSystem, fc: FluxContext,
+def apply_update(sub: Subdomain, state: StreamerState, fc: FluxContext,
                  dt: float, conv: np.ndarray, diss: np.ndarray):
     """Advance n_e (transport + source) and n_i (source only) by dt.
 
@@ -181,18 +155,15 @@ def apply_update(state: StreamerState, sys: StreamerSystem, fc: FluxContext,
     to zero and counted; a CFL-respecting dt does not rule them out (the
     default model clips on the plates' structured n = 16 mesh).
     """
-    sub = sys.sub
     n_e = explicit_step(sub, state.n_e, conv, diss, dt, source=fc.s_e)
     own = n_e.values[:sub.n_own]
     clip = int(np.count_nonzero(own < 0.0))
     if clip:
         np.maximum(own, 0.0, out=own)
 
-    n_i = state.n_i.copy()
-    n_i.values[:sub.n_own] += dt * fc.s_e
-    n_i.time += dt
-    n_i.halo_stale = sub.n_own < sub.n_local
-    return n_e, n_i, clip
+    n_i = state.n_i.values.copy()
+    n_i[:sub.n_own] += dt * fc.s_e
+    return n_e, Field(n_i, halo_stale=sub.n_own < sub.n_local), clip
 
 
 def total_charge(sub: Subdomain, state: StreamerState) -> float:

@@ -47,7 +47,7 @@ only gathers, multiplies and sums:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +65,7 @@ class Field:
     """Cell-centered scalar on own + halo slots of a subdomain."""
 
     values: np.ndarray
-    quantity: str = "u"
-    time: float = 0.0
     halo_stale: bool = False
-
-    def copy(self) -> "Field":
-        return replace(self, values=self.values.copy())
 
 
 @dataclass
@@ -82,7 +77,6 @@ class FaceVelocity:
     faces with V.n < 0, which carry the ghost value instead.
     """
 
-    vectors: np.ndarray         # (n_faces, 2)
     normal: np.ndarray
     donor: np.ndarray
     inflow: np.ndarray
@@ -94,7 +88,7 @@ class FaceVelocity:
         normal = np.einsum("ij,ij->i", vectors, lm.face_normals)
         ahead = normal >= 0.0
         bnd = lm.boundary_faces()
-        return cls(vectors=vectors, normal=normal,
+        return cls(normal=normal,
                    donor=np.where(ahead, lm.face_cells[:, 0], lm.face_right),
                    inflow=bnd[~ahead[bnd]])
 
@@ -259,8 +253,7 @@ def explicit_step(sub: Subdomain, u: Field, conv: np.ndarray, diss: np.ndarray,
     if source is not None:
         upd = upd + dt * source
     new[:sub.n_own] = upd
-    return Field(values=new, quantity=u.quantity, time=u.time + dt,
-                 halo_stale=sub.n_own < len(new))
+    return Field(new, halo_stale=sub.n_own < len(new))
 
 
 def stable_dt(sub: Subdomain, vel: FaceVelocity, diffusion=0.0,

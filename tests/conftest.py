@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from trifvm.config import RunConfig, StreamerConfig
 from trifvm.direct_solver import PIVOT_FLOOR
 from trifvm.errors import DimensionMismatch, SingularMatrix
 from trifvm.mesh import build_mesh, save_mesh, structured_triangulation
@@ -76,12 +77,21 @@ def holed_mesh(n):
     return build_mesh(m.points[used], tris, boundary)
 
 
-def coupled_step(state, coeffs, sys, problem, factors, dt=None):
+def streamer_hook(sub, potential_bc, coeffs):
+    """The streamer's per-rank hook on sub, as a run builds it, with
+    Neumann species boundaries."""
+    sc = StreamerConfig(species_bc=ALL_NEUMANN, potential_bc=potential_bc)
+    return _Streamer(sub, RunConfig(physics="streamer", streamer=sc), coeffs)
+
+
+def coupled_step(state, hook, problem, factors, dt=None):
     """One coupled cycle on a single rank: the step of every run, on a
     context whose collectives send no messages.  dt = None takes the CFL
-    bound of the freshly computed drift field."""
-    return _step(_one_rank(sys.sub, problem, factors), _Streamer(coeffs, sys),
-                 state, dt, _RankResult(timers={}))
+    bound of the freshly computed drift field.  Returns the state and the
+    step's clip count, as the rank's record counts it."""
+    res = _RankResult(timers={})
+    state = _step(_one_rank(hook.sub, problem, factors), hook, state, dt, res)
+    return state, res.clips
 
 
 def irregular_mesh_file(path, n, seed):

@@ -184,6 +184,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
         assert f"'{bad}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    b"mesh_n = 8\n", b"[run\nmesh_n = 8\n", b"[run]\nsteps = 5\nsteps = 7\n",
+    b"[run]\nsteps = 5\nSteps = 7\n", b"[run]\nname = \xff\n"])
+def test_unreadable_config_exits_2(tmp_path, capsys, body):
+    # what configparser rejects, or cannot decode, is a config error, not a
+    # traceback
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(body)
+    assert main(["run", "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bc_label_not_on_the_mesh_exits_2(tmp_path, capsys):
     # any label may be named, so a typo is caught where the mesh is known
     bad = tmp_path / "typo.ini"

@@ -131,10 +131,24 @@ def test_readme_sample_config_runs(tmp_path):
     "[run]\nmesh_n = 8\n\n[bc]\nleft = sticky\n",
     "[run]\nmesh_n = 8\n\n[bc]\nleft = dirichlet\n",
     "[run]\nmesh_n = 8\nk = zero\n",
+    "mesh_n = 8\n",                              # no section header
+    "[run\nmesh_n = 8\n",
+    "[run]\nmesh_n = 8\n[transport\n",
+    "[run]\nsteps = 5\nsteps = 7\n",
+    "[run]\nsteps = 5\nSTEPS = 7\n",            # the same key in any case
+    "[run]\nsteps = 5\n\n[RUN]\nk = 2\n",       # the same section
+    "[run]\nname = 50%\n",                      # configparser interpolation
 ])
 def test_rejects_malformed_input(tmp_path, body):
     with pytest.raises(ConfigError):
         _load(tmp_path, body)
+
+
+def test_section_names_match_in_any_case(tmp_path):
+    cfg = _load(tmp_path, "[RUN]\nSteps = 3\n\n[Transport]\ndiffusion = 0.2"
+                          "\n\n[BC]\nLeft = dirichlet 1.0\n")
+    assert cfg.steps == 3 and cfg.transport.diffusion == 0.2
+    assert cfg.transport.bc == {"Left": ("dirichlet", 1.0)}   # label case kept
 
 
 def test_missing_file_raises():

@@ -51,7 +51,8 @@ def test_upwind_picks_donor_cell(sub8):
         lm = sub.local_mesh
         u = Field(np.arange(lm.n_cells, dtype=float))
         vel = FaceVelocity.uniform(sub, 1.0, 0.0)
-        vdotn = np.einsum("ij,ij->i", vel.vectors, lm.face_normals)
+        vdotn = lm.face_normals[:, 0]     # V = (1, 0)
+        assert np.array_equal(vel.normal, vdotn)
         left, right = lm.face_cells.T
         side = vdotn[right < 0]
         assert (side < 0).any() and (side > 0).any() and (side == 0).any()
@@ -76,9 +77,9 @@ def test_precomputed_maps_equal_their_formulas():
             w.node, np.repeat(np.arange(mesh.n_nodes), np.diff(w.ptr)))
         for vx, vy in ((1.0, 0.0), (-0.3, 0.7)):
             vel = FaceVelocity.uniform(sub, vx, vy)
+            v = np.tile((vx, vy), (mesh.n_faces, 1))
             assert np.array_equal(
-                vel.normal, np.einsum("ij,ij->i", vel.vectors,
-                                      mesh.face_normals))
+                vel.normal, np.einsum("ij,ij->i", v, mesh.face_normals))
         st_ = diamond_stencil(mesh, MIXED)
         neu = np.flatnonzero(st_.kind == BC_NEUMANN)
         assert np.array_equal(st_.neumann, neu)
@@ -150,7 +151,6 @@ def test_explicit_step_source_term(sub8):
     src = np.full(sub8.n_own, 2.5)
     u1 = explicit_step(sub8, u, zero, zero, 0.2, source=src)
     assert np.allclose(u1.values[:sub8.n_own], 0.5, rtol=0, atol=1e-15)
-    assert u1.time == pytest.approx(0.2)
 
 
 def test_stable_dt_scaling(sub8):
