@@ -1,13 +1,17 @@
 """Run configuration: dataclasses plus a flat key = value file format.
 
-Sections: [run], [transport], [streamer], [bc], [potential_bc].  Boundary
-entries map any face label of the mesh, case-sensitive, to `neumann` or
-`dirichlet <value>`, and a label left out is Neumann; section names and
-other keys match in any case, and left empty keep their defaults.  Any
-unknown key is an error so typos fail loudly instead of silently running
-defaults, and so is a section or key given twice; a label the mesh lacks is
-one too, found once the mesh is read (`runtime`).  A file configparser
-cannot parse, or that is not UTF-8 text, is a ConfigError as well.
+Sections: [run], [transport], [streamer], [bc], [potential_bc].  [bc] is
+`RunConfig.bc`, the boundaries of the transported field (the scalar or the
+electrons).  Boundary entries map any face label of the mesh,
+case-sensitive, to `neumann` or `dirichlet <value>`, and a label left out
+is Neumann; section names and other keys match in any case, and left empty
+keep their defaults.  Any unknown key or section, [DEFAULT] included, is an
+error so typos fail loudly instead of silently running defaults, and so is
+a section or key given twice; a label the mesh lacks is one too, found once
+the mesh is read (`runtime`).  A file configparser cannot parse, or that is
+not UTF-8 text, is a ConfigError as well.  Each rule is checked once:
+`RunConfig.validate` checks the settings, `load_coefficient_table` the
+streamer's table, and the streamer's kernels read both unchecked.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ class TransportConfig:
     sigma: float = 0.1
     amplitude: float = 1.0
     constant: float = 0.0
-    bc: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -46,7 +49,6 @@ class StreamerConfig:
     seed_sigma: float = 0.1
     seed_amplitude: float = 1.0
     ion_amplitude: float | None = None   # None = neutral seed (equal to electrons)
-    species_bc: dict = field(default_factory=dict)
     potential_bc: dict = field(default_factory=dict)
     pin_cell: int | None = None          # auto-pinned when all-Neumann
 
@@ -64,6 +66,7 @@ class RunConfig:
     out_dir: str | None = None
     name: str = "run"
     timeout_s: float = 60.0
+    bc: dict = field(default_factory=dict)  # of the transported field
     transport: TransportConfig = field(default_factory=TransportConfig)
     streamer: StreamerConfig = field(default_factory=StreamerConfig)
 
@@ -163,7 +166,9 @@ _KEYS = {
 
 
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header can name a section "\n": [DEFAULT] is a section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="\n")
     parser.optionxform = str    # mesh labels keep their case
     try:
         if not parser.read(path):
@@ -193,7 +198,7 @@ def load_config(path) -> RunConfig:
                 setattr(target, key,
                         raw if conv is str else conv(section, key, raw))
 
-    cfg.transport.bc = cfg.streamer.species_bc = _bc_section(sections, "bc")
+    cfg.bc = _bc_section(sections, "bc")
     cfg.streamer.potential_bc = _bc_section(sections, "potential_bc")
     return cfg.validate()
 
@@ -204,4 +209,10 @@ def load_coefficient_table(path) -> np.ndarray:
         t = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read coefficient table {path}: {exc}") from exc
+    if t.shape[1] != 4 or t.shape[0] < 2:
+        raise ConfigError(f"coefficient table {path} must be (rows >= 2) x 4")
+    if not np.all(np.diff(t[:, 0]) > 0):
+        raise ConfigError("table |E| knots must be strictly ascending")
+    if not np.all(np.isfinite(t)) or np.any(t[:, 2] < 0):
+        raise ConfigError("table entries must be finite with D_e >= 0")
     return t

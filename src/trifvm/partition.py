@@ -162,12 +162,6 @@ def partition(graph: DualGraph, k: int) -> PartitionMap:
     return PartitionMap(part=part, k=k)
 
 
-def edge_cut(graph: DualGraph, pm: PartitionMap) -> int:
-    heads = np.repeat(np.arange(graph.n), np.diff(graph.ptr))
-    cut2 = int(np.count_nonzero(pm.part[heads] != pm.part[graph.adj]))
-    return cut2 // 2
-
-
 def partition_metrics(graph: DualGraph, pm: PartitionMap) -> dict:
     """{edge_cut, imbalance, halo_total}; halo counted on the dual graph."""
     sizes = np.bincount(pm.part, minlength=pm.k)

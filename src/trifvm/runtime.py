@@ -15,9 +15,11 @@ exchange, the fluxes and CFL bound, the dt reduction, the convective and
 diffusive residuals, the update, and a check that every own value is still
 finite.  The hooks `_Transport` and `_Streamer` hold only what differs,
 and each is its rank's one record of its physics: built from the subdomain
-and the config, it holds the BC layouts and builds the initial state.  The
-transport cases of `verification` run `_step` on `_one_rank`'s context,
-which sends no messages.
+and the config, it holds the BC layouts (`RunConfig.bc` for the field it
+transports) and builds the initial state; the streamer's also holds its
+coefficient record, `cfg.streamer` and the table the host loaded before
+the mesh.  The transport cases of `verification` run `_step` on
+`_one_rank`'s context, which sends no messages.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .partition import (Subdomain, build_dual_graph, build_subdomains,
 from .partition import single_subdomain  # noqa: F401
 from .poisson import PoissonProblem, assemble_rhs, assemble_system
 from .scaling import PHASES
-from .streamer import FluxContext, StreamerCoefficients, StreamerState
+from .streamer import FluxContext, StreamerState
 from .transport import (Field, FaceVelocity, Fluxes,
                         apply_boundary_conditions, convective_residual,
                         diamond_stencil, diffusive_residual, explicit_step,
@@ -354,7 +356,7 @@ class _Transport:
     def __init__(self, sub: Subdomain, cfg: RunConfig):
         tc = cfg.transport
         self.sub = sub
-        self.stencil = diamond_stencil(sub.local_mesh, tc.bc)
+        self.stencil = diamond_stencil(sub.local_mesh, cfg.bc)
         self.vel = FaceVelocity.uniform(sub, *tc.velocity)
         self.dcoef = tc.diffusion
         # the bound never reads the field: one evaluation serves every step
@@ -387,11 +389,11 @@ class _Streamer:
     flux_phase = "diffusion"    # the field's diamond gradient counts there
 
     def __init__(self, sub: Subdomain, cfg: RunConfig,
-                 coeffs: StreamerCoefficients):
-        sc = cfg.streamer
-        self.sub, self.coeffs, self.cfl = sub, coeffs, cfg.cfl
-        self.stencil = diamond_stencil(sub.local_mesh, sc.species_bc)
-        self.potential = diamond_stencil(sub.local_mesh, sc.potential_bc)
+                 table: np.ndarray | None):
+        self.sub, self.sc, self.table, self.cfl = \
+            sub, cfg.streamer, table, cfg.cfl
+        self.stencil = diamond_stencil(sub.local_mesh, cfg.bc)
+        self.potential = diamond_stencil(sub.local_mesh, self.sc.potential_bc)
         self.solves = 0
 
     def initial(self, cfg: RunConfig) -> StreamerState:
@@ -407,8 +409,7 @@ class _Streamer:
 
     def couple(self, ctx: RankContext, state: StreamerState) -> StreamerState:
         """Charge source -> host RHS and solve -> potential on every rank."""
-        g = gather_rhs(ctx, discharge.charge_source(state, self.coeffs,
-                                                    ctx.sub))
+        g = gather_rhs(ctx, discharge.charge_source(state, self.sc, ctx.sub))
         x = None
         if ctx.is_host:
             x = solve(ctx.factors,
@@ -421,7 +422,7 @@ class _Streamer:
         return {"n_e": state.n_e, "n_i": state.n_i, "potential": state.v_pot}
 
     def fluxes(self, state: StreamerState) -> FluxContext:
-        return discharge.prepare_fluxes(self.sub, state, self.coeffs,
+        return discharge.prepare_fluxes(self.sub, state, self.sc, self.table,
                                         self.potential, self.stencil, self.cfl)
 
     def update(self, state: StreamerState, fc: FluxContext, dt: float, conv,
@@ -476,9 +477,9 @@ def _step(ctx: RankContext, phys, state, dt_fixed: float | None,
 
 
 def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
-               coeffs: StreamerCoefficients | None, looped=None) -> None:
+               table: np.ndarray | None, looped=None) -> None:
     res.phase = "setup"
-    phys = _Streamer(ctx.sub, cfg, coeffs) if cfg.physics == "streamer" \
+    phys = _Streamer(ctx.sub, cfg, table) if cfg.physics == "streamer" \
         else _Transport(ctx.sub, cfg)
     state = phys.initial(cfg)
     # the children set up while the host factorizes, and start the loop
@@ -510,15 +511,6 @@ def _rank_loop(ctx: RankContext, cfg: RunConfig, res: _RankResult,
     ctx.fabric.drain()   # a child must not exit on unsent messages
 
 
-def _build_coefficients(sc) -> StreamerCoefficients:
-    table = None
-    if sc.model == "table":
-        table = load_coefficient_table(sc.table_path)
-    return StreamerCoefficients(
-        eps=sc.eps, q_e=sc.q_e, model=sc.model, mu_e=sc.mu_e, d_e=sc.d_e,
-        alpha=sc.alpha, table=table)
-
-
 def _wrapper_lists() -> dict:
     """Each list that a wrapper over a function of this package closes over,
     by its `id`.  A tracer or profiler that replaces a function by a
@@ -546,7 +538,7 @@ def _wrapper_lists() -> dict:
 
 
 def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
-           coeffs: StreamerCoefficients | None, lists: dict) -> None:
+           table: np.ndarray | None, lists: dict) -> None:
     """A forked rank's life: its loop, then its clips, any failure and what
     it added to the wrapper `lists` (the loop's part ahead of the final
     gather) to the parent, then `os._exit` (no atexit handler, no stdio
@@ -567,7 +559,7 @@ def _child(fabric: _Fabric, sub: Subdomain, cfg: RunConfig,
     res = _RankResult(timers={})
     try:
         _rank_loop(RankContext(rank=sub.rank, k=cfg.k, sub=sub, fabric=fabric),
-                   cfg, res, coeffs, looped)
+                   cfg, res, table, looped)
     except BaseException as exc:  # noqa: BLE001 - must reach the parent
         res.failure = (sub.rank, res.step, res.phase, exc)
         fabric.stop()
@@ -585,9 +577,8 @@ def _check_bc_labels(mesh: Mesh, cfg: RunConfig) -> None:
     """A label a BC section names must be on the mesh's boundary; one that
     it does not name is Neumann (`transport.classify_faces`)."""
     labels = {lab for lab in mesh.face_labels if lab != INTERIOR}
-    dicts = [("bc", cfg.transport.bc)] if cfg.physics == "transport" else \
-        [("bc", cfg.streamer.species_bc),
-         ("potential_bc", cfg.streamer.potential_bc)]
+    dicts = [("bc", cfg.bc)] if cfg.physics == "transport" else \
+        [("bc", cfg.bc), ("potential_bc", cfg.streamer.potential_bc)]
     for name, bc in dicts:
         extra = set(bc) - labels
         if extra:
@@ -613,8 +604,9 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
     """
     cfg.validate()
     # read once, before the mesh, so a bad table is a config error
-    coeffs = (_build_coefficients(cfg.streamer)
-              if cfg.physics == "streamer" else None)
+    table = (load_coefficient_table(cfg.streamer.table_path)
+             if cfg.physics == "streamer" and cfg.streamer.model == "table"
+             else None)
     mesh = _load_global_mesh(cfg)
     _check_bc_labels(mesh, cfg)
     pin = cfg.streamer.pin_cell
@@ -642,7 +634,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
             pid = os.fork()
             if pid == 0:
                 try:
-                    _child(fabric, sub, cfg, coeffs, lists)
+                    _child(fabric, sub, cfg, table, lists)
                 finally:
                     os._exit(1)
             children[sub.rank] = pid
@@ -672,7 +664,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         me = threading.current_thread()
         caller, me.name = me.name, "rank-0"
         try:
-            _rank_loop(ctx, cfg, host, coeffs)
+            _rank_loop(ctx, cfg, host, table)
         except Exception as exc:   # a KeyboardInterrupt ends the run below
             host.failure = (0, host.step, host.phase, exc)
             fabric.stop()

@@ -18,6 +18,8 @@ statement; two config-selected families are supported:
   table   |E| -> (mu_e, D_e, alpha) piecewise-linear lookup
 
 with dimensionless defaults mu_e = 1, D_e = 0.1, alpha = 1, eps = e = 1.
+The kernels read them from `config.StreamerConfig` and from the table
+that `config.load_coefficient_table` read and checked (None for linear).
 """
 
 from __future__ import annotations
@@ -26,57 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import StreamerConfig
 # not called here: bound so that perfbench's tracer can patch them by name
 from .mesh import build_diamonds, node_weights  # noqa: F401
 from .partition import Subdomain
 from .transport import (DiamondStencil, FaceVelocity, Field, Fluxes,
                         apply_boundary_conditions, explicit_step,
                         face_gradients, stable_dt)
-
-
-@dataclass
-class StreamerCoefficients:
-    """Dielectric constant, elementary charge, and the v_e/D_e/S_e family."""
-
-    eps: float = 1.0
-    q_e: float = 1.0
-    model: str = "linear"
-    mu_e: float = 1.0
-    d_e: float = 0.1
-    alpha: float = 1.0
-    # table model: columns |E|, mu_e, D_e, alpha with |E| strictly ascending
-    table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.model not in ("linear", "table"):
-            raise ConfigError(f"unknown coefficient model '{self.model}'")
-        if self.model == "table":
-            t = np.asarray(self.table, dtype=np.float64)
-            if t.ndim != 2 or t.shape[1] != 4 or t.shape[0] < 2:
-                raise ConfigError("coefficient table must be (rows >= 2) x 4")
-            if not np.all(np.diff(t[:, 0]) > 0):
-                raise ConfigError("table |E| knots must be strictly ascending")
-            if not np.all(np.isfinite(t)) or np.any(t[:, 2] < 0):
-                raise ConfigError("table entries must be finite with D_e >= 0")
-            self.table = t
-        elif self.d_e < 0:
-            raise ConfigError("D_e must be >= 0")
-
-    def mobility(self, e_mag):
-        if self.model == "linear":
-            return self.mu_e
-        return np.interp(e_mag, self.table[:, 0], self.table[:, 1])
-
-    def diffusion(self, e_mag):
-        if self.model == "linear":
-            return self.d_e
-        return np.interp(e_mag, self.table[:, 0], self.table[:, 2])
-
-    def ionization(self, e_mag):
-        if self.model == "linear":
-            return self.alpha
-        return np.interp(e_mag, self.table[:, 0], self.table[:, 3])
 
 
 @dataclass
@@ -89,19 +47,27 @@ class StreamerState:
 def gaussian_seed(sub: Subdomain, center=(0.5, 0.5), sigma=0.1,
                   amplitude=1.0) -> np.ndarray:
     """Gaussian bump sampled at every local centroid (own + halo)."""
-    if sigma <= 0:
-        raise ConfigError("seed sigma must be positive")
     c = sub.local_mesh.centroids
     r2 = (c[:, 0] - center[0]) ** 2 + (c[:, 1] - center[1]) ** 2
     return amplitude * np.exp(-r2 / (2.0 * sigma ** 2))
 
 
-def charge_source(state: StreamerState, coeffs: StreamerCoefficients,
+def charge_source(state: StreamerState, sc: StreamerConfig,
                   sub: Subdomain) -> np.ndarray:
     """RHS of -lap V = (e/eps)(n_i - n_e), own cells only."""
     n = sub.n_own
-    return (coeffs.q_e / coeffs.eps) * (state.n_i.values[:n]
-                                        - state.n_e.values[:n])
+    return (sc.q_e / sc.eps) * (state.n_i.values[:n] - state.n_e.values[:n])
+
+
+def coefficient(sc: StreamerConfig, table: np.ndarray | None, name: str,
+                e_mag):
+    """`name` (mu_e, d_e or alpha) at the field strengths e_mag: the linear
+    model's constant when table is None, else the table's column for it,
+    interpolated piecewise-linearly in |E| and clamped at the ends."""
+    if table is None:
+        return getattr(sc, name)
+    column = 1 + ("mu_e", "d_e", "alpha").index(name)
+    return np.interp(e_mag, table[:, 0], table[:, column])
 
 
 @dataclass
@@ -112,11 +78,12 @@ class FluxContext(Fluxes):
     s_e: np.ndarray             # ionization rate per own cell
 
 
-def prepare_fluxes(sub: Subdomain, state: StreamerState,
-                   coeffs: StreamerCoefficients, potential: DiamondStencil,
+def prepare_fluxes(sub: Subdomain, state: StreamerState, sc: StreamerConfig,
+                   table: np.ndarray | None, potential: DiamondStencil,
                    species: DiamondStencil, cfl: float) -> FluxContext:
     """Field E = -grad V, drift velocity, coefficients, source, and CFL bound.
 
+    table is the loaded coefficient table, None for the linear model;
     potential and species are the two BC layouts on the subdomain.
     Requires v_pot and n_e with fresh halo slots.  The 3-face means below
     use the canonical cell_faces order, so they are identical no matter how
@@ -125,21 +92,19 @@ def prepare_fluxes(sub: Subdomain, state: StreamerState,
     lm = sub.local_mesh
     e_faces = -face_gradients(sub, potential, state.v_pot)
     e_mag = np.hypot(e_faces[:, 0], e_faces[:, 1])
-    mu_f = coeffs.mobility(e_mag)
+    mu_f = coefficient(sc, table, "mu_e", e_mag)
     vel = FaceVelocity.from_vectors(sub,
                                     -np.asarray(mu_f)[..., None] * e_faces)
     speed_f = np.asarray(mu_f) * e_mag
-    d_f = coeffs.diffusion(e_mag)
+    d_f = coefficient(sc, table, "d_e", e_mag)
 
     cf = lm.cell_faces
     speed_cell = (speed_f[cf[:, 0]] + speed_f[cf[:, 1]]
                   + speed_f[cf[:, 2]]) / 3.0
-    if coeffs.model == "linear":
-        alpha_cell = coeffs.alpha
-    else:
-        e_cell = (e_mag[cf[:, 0]] + e_mag[cf[:, 1]] + e_mag[cf[:, 2]]) / 3.0
-        alpha_cell = coeffs.ionization(e_cell)
-    s_e = alpha_cell * speed_cell * state.n_e.values[:sub.n_own]
+    e_cell = None if table is None else \
+        (e_mag[cf[:, 0]] + e_mag[cf[:, 1]] + e_mag[cf[:, 2]]) / 3.0
+    s_e = coefficient(sc, table, "alpha", e_cell) * speed_cell \
+        * state.n_e.values[:sub.n_own]
 
     bvals_ne = apply_boundary_conditions(state.n_e, species)
     dt = stable_dt(sub, vel, diffusion=d_f, cfl=cfl)

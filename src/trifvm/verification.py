@@ -30,7 +30,7 @@ from .mesh import build_diamonds, node_weights, structured_triangulation
 from .partition import single_subdomain
 from .poisson import assemble_rhs, assemble_system
 from .runtime import _one_rank, _RankResult, _step, _Transport
-from .transport import Field, diamond_stencil
+from .transport import diamond_stencil
 
 CASES = ("poisson_sine", "advect_gauss", "diffuse_gauss")
 
@@ -64,14 +64,11 @@ def _case_poisson_sine(n: int) -> tuple[float, float]:
     return _errors(mesh, x, np.sin(np.pi * cx) * np.sin(np.pi * cy))
 
 
-def _gaussian(c, center, sigma):
-    r2 = (c[:, 0] - center[0]) ** 2 + (c[:, 1] - center[1]) ** 2
-    return np.exp(-r2 / (2.0 * sigma ** 2))
-
-
-def _march(sub, tc: TransportConfig, u, t_end, bc_time=None):
-    """March with the run's step, on one rank, to exactly t_end."""
-    phys = _Transport(sub, RunConfig(transport=tc))
+def _march(sub, cfg: RunConfig, t_end, bc_time=None):
+    """March the run's initial state with the run's step, on one rank, to
+    exactly t_end."""
+    phys = _Transport(sub, cfg)
+    u = phys.initial(cfg)
     ctx, res = _one_rank(sub), _RankResult(timers={})
     steps = max(1, int(math.ceil(t_end / phys.dt_stable)))
     dt = t_end / steps
@@ -101,9 +98,9 @@ def _case_advect_gauss(n: int) -> tuple[float, float]:
         return {lab: ("dirichlet", g) for lab in ("left", "right",
                                                   "top", "bottom")}
 
-    u = Field(_gaussian(mesh.centroids, start, sigma), "u")
-    tc = TransportConfig(velocity=(vx, vy), diffusion=0.0, bc=bc_time(0.0))
-    u = _march(sub, tc, u, t_end, bc_time)
+    tc = TransportConfig(velocity=(vx, vy), diffusion=0.0, center=start,
+                         sigma=sigma)
+    u = _march(sub, RunConfig(transport=tc, bc=bc_time(0.0)), t_end, bc_time)
     g = exact_at(t_end)
     exact = np.array([g(x, y) for x, y in mesh.centroids])
     return _errors(mesh, u.values, exact)
@@ -114,9 +111,9 @@ def _case_diffuse_gauss(n: int) -> tuple[float, float]:
     t_end = 0.02
     mesh = structured_triangulation(n)
     sub = single_subdomain(mesh)
-    u = Field(_gaussian(mesh.centroids, center, sigma), "u")
-    tc = TransportConfig(velocity=(0.0, 0.0), diffusion=dcoef)  # closed box
-    u = _march(sub, tc, u, t_end)
+    tc = TransportConfig(velocity=(0.0, 0.0), diffusion=dcoef, center=center,
+                         sigma=sigma)
+    u = _march(sub, RunConfig(transport=tc), t_end)  # closed box
     # free-space spreading solution; wall truncation is ~exp(-0.5 (0.5/s)^2)
     s2 = sigma ** 2 + 2.0 * dcoef * t_end
     r2 = ((mesh.centroids[:, 0] - center[0]) ** 2

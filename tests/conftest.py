@@ -77,11 +77,12 @@ def holed_mesh(n):
     return build_mesh(m.points[used], tris, boundary)
 
 
-def streamer_hook(sub, potential_bc, coeffs):
-    """The streamer's per-rank hook on sub, as a run builds it, with
-    Neumann species boundaries."""
-    sc = StreamerConfig(species_bc=ALL_NEUMANN, potential_bc=potential_bc)
-    return _Streamer(sub, RunConfig(physics="streamer", streamer=sc), coeffs)
+def streamer_hook(sub, potential_bc, **coeffs):
+    """The streamer's per-rank hook on sub, as a run builds it, with the
+    linear model's coefficients and Neumann species boundaries."""
+    sc = StreamerConfig(potential_bc=potential_bc, **coeffs)
+    return _Streamer(sub, RunConfig(physics="streamer", streamer=sc,
+                                    bc=ALL_NEUMANN), None)
 
 
 def coupled_step(state, hook, problem, factors, dt=None):

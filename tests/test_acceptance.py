@@ -18,11 +18,11 @@ from trifvm.config import RunConfig, StreamerConfig, TransportConfig
 from trifvm.direct_solver import factorize, solve
 from trifvm.errors import SingularMatrix
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
-from trifvm.partition import (build_dual_graph, edge_cut, partition,
+from trifvm.partition import (build_dual_graph, partition,
                               partition_metrics, single_subdomain)
 from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
 from trifvm.runtime import run_simulation
-from trifvm.streamer import (StreamerCoefficients, StreamerState,
+from trifvm.streamer import (StreamerState,
                              gaussian_seed, total_charge)
 from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               convective_residual, diamond_stencil,
@@ -258,7 +258,8 @@ def _partition_quality(g, k, rng_seed):
     metrics = partition_metrics(g, pm)
     rng = np.random.default_rng(rng_seed)
     best_random = min(
-        edge_cut(g, type(pm)(part=rng.permutation(np.arange(g.n) % k), k=k))
+        partition_metrics(g, type(pm)(part=rng.permutation(
+            np.arange(g.n) % k), k=k))["edge_cut"]
         for _ in range(100))
     return metrics["imbalance"], metrics["edge_cut"], best_random
 
@@ -301,8 +302,8 @@ def test_charge_conservation_and_vacuum_potential():
         sub = single_subdomain(mesh)
         problem = assemble_system(mesh, sub.diamonds, sub.weights, ALL_NEUMANN,
                                   pin_cell=0)
-        coeffs = StreamerCoefficients(mu_e=1.0, d_e=0.05, alpha=2.0)
-        hook = streamer_hook(sub, ALL_NEUMANN, coeffs)
+        coeffs = dict(mu_e=1.0, d_e=0.05, alpha=2.0)
+        hook = streamer_hook(sub, ALL_NEUMANN, **coeffs)
         factors = factorize(problem.matrix)
         ne = gaussian_seed(sub, (0.5, 0.5), 0.06, 1.0)
         state = StreamerState(n_e=Field(ne.copy()), n_i=Field(1.02 * ne),
@@ -321,7 +322,7 @@ def test_charge_conservation_and_vacuum_potential():
         mesh = structured_triangulation(16)
         sub = single_subdomain(mesh)
         problem = assemble_system(mesh, sub.diamonds, sub.weights, PLATES)
-        hook = streamer_hook(sub, PLATES, coeffs)
+        hook = streamer_hook(sub, PLATES, **coeffs)
         factors = factorize(problem.matrix)
         ne = gaussian_seed(sub, (0.5, 0.5), 0.1, 1.0)
         neutral = StreamerState(n_e=Field(ne.copy()), n_i=Field(ne.copy()),

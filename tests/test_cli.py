@@ -162,12 +162,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
     for key in ("bogus", "seed"):   # the partitioner takes no seed
         bad.write_text(f"[run]\nmesh_n = 8\n{key} = 1\n")
         assert main(["run", "--config", str(bad)]) == 2
+    # [DEFAULT] is an unknown section: its keys reach no other section
+    bad.write_text("[DEFAULT]\nsteps = 3\n\n[run]\nmesh_n = 8\n")
+    assert main(["run", "--config", str(bad)]) == 2
     # physics settings are config errors too, caught before any rank starts
+    unsorted = tmp_path / "unsorted.txt"
+    unsorted.write_text("1.0 1.0 0.1 0.2\n0.5 1.0 0.1 0.2\n")
     for physics, section in (
             ("streamer", "[streamer]\nmodel = bogus\n"),
             ("streamer", "[streamer]\nd_e = -1\n"),
             ("streamer", "[streamer]\nmodel = table\n"
                          f"table_path = {tmp_path / 'no_table.txt'}\n"),
+            ("streamer", "[streamer]\nmodel = table\n"
+                         f"table_path = {unsorted}\n"),
             ("transport", "[transport]\ninit = bogus\n")):
         bad.write_text(f"[run]\nmesh_n = 8\nk = 2\nsteps = 1\n"
                        f"physics = {physics}\n\n{section}")

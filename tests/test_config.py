@@ -84,11 +84,11 @@ def test_transport_round_trip(tmp_path):
     t = cfg.transport
     assert t.velocity == (1.0, 0.5) and t.diffusion == 0.02
     assert t.center == (0.3, 0.4) and t.sigma == 0.08 and t.amplitude == 2.0
-    assert t.bc["left"] == ("dirichlet", 0.0)
-    assert t.bc["right"] == ("neumann",)
-    assert "top" not in t.bc  # an unnamed label is Neumann
-    assert (_kinds(t.bc, "top") == BC_NEUMANN).all()
-    assert t.bc["bottom"] == ("dirichlet", 1.5)
+    assert cfg.bc["left"] == ("dirichlet", 0.0)
+    assert cfg.bc["right"] == ("neumann",)
+    assert "top" not in cfg.bc  # an unnamed label is Neumann
+    assert (_kinds(cfg.bc, "top") == BC_NEUMANN).all()
+    assert cfg.bc["bottom"] == ("dirichlet", 1.5)
     cfg.validate()
 
 
@@ -100,8 +100,8 @@ def test_streamer_round_trip(tmp_path):
     assert s.potential_bc["left"] == ("dirichlet", 1.0)
     assert "top" not in s.potential_bc  # an unnamed label is Neumann
     assert (_kinds(s.potential_bc, "top") == BC_NEUMANN).all()
-    assert s.species_bc == {}   # no [bc] section: every side is Neumann
-    assert (_kinds(s.species_bc, "left") == BC_NEUMANN).all()
+    assert cfg.bc == {}   # no [bc] section: every side is Neumann
+    assert (_kinds(cfg.bc, "left") == BC_NEUMANN).all()
     cfg.validate()
 
 
@@ -116,9 +116,7 @@ def test_readme_sample_config_runs(tmp_path):
     assert (cfg.mesh_n, cfg.k, cfg.steps) == (16, 1, 10)
     assert cfg.streamer.table_path is None and cfg.streamer.pin_cell is None
     assert cfg.streamer.ion_amplitude is None
-    assert cfg.transport.bc == {"left": ("neumann",),
-                                "right": ("dirichlet", 2.0)}
-    assert cfg.streamer.species_bc == cfg.transport.bc
+    assert cfg.bc == {"left": ("neumann",), "right": ("dirichlet", 2.0)}
     assert cfg.streamer.potential_bc["left"] == ("dirichlet", 1.0)
     assert cfg.streamer.potential_bc["right"] == ("dirichlet", 0.0)
     assert main(["run", "--config", str(p), "--out",
@@ -138,6 +136,11 @@ def test_readme_sample_config_runs(tmp_path):
     "[run]\nsteps = 5\nSTEPS = 7\n",            # the same key in any case
     "[run]\nsteps = 5\n\n[RUN]\nk = 2\n",       # the same section
     "[run]\nname = 50%\n",                      # configparser interpolation
+    # [DEFAULT] is an unknown section, not keys merged into every section
+    "[DEFAULT]\nsteps = 3\n\n[run]\nmesh_n = 8\n",
+    "[DEFAULT]\nsteps = 3\n\n[run]\nmesh_n = 8\n\n[transport]\n"
+    "diffusion = 0.2\n",
+    "[DEFAULT]\nsteps = 3\n\n[run]\nmesh_n = 8\n\n[bc]\nleft = neumann\n",
 ])
 def test_rejects_malformed_input(tmp_path, body):
     with pytest.raises(ConfigError):
@@ -148,7 +151,7 @@ def test_section_names_match_in_any_case(tmp_path):
     cfg = _load(tmp_path, "[RUN]\nSteps = 3\n\n[Transport]\ndiffusion = 0.2"
                           "\n\n[BC]\nLeft = dirichlet 1.0\n")
     assert cfg.steps == 3 and cfg.transport.diffusion == 0.2
-    assert cfg.transport.bc == {"Left": ("dirichlet", 1.0)}   # label case kept
+    assert cfg.bc == {"Left": ("dirichlet", 1.0)}   # label case kept
 
 
 def test_missing_file_raises():
@@ -190,6 +193,23 @@ def test_load_coefficient_table(tmp_path):
     tab = load_coefficient_table(p)
     assert tab.shape == (2, 4)
     assert tab[1, 3] == 4.0
+
+
+BAD_TABLES = {
+    "one_row": "0.0 1.0 0.1 0.0\n",
+    "three_columns": "0.0 1.0 0.1\n2.0 3.0 0.3\n",
+    "descending": "1.0 1.0 0.1 0.2\n0.5 1.0 0.1 0.2\n",
+    "nan": "0.0 1.0 0.1 0.0\n2.0 nan 0.3 4.0\n",
+    "negative_d_e": "0.0 1.0 -0.1 0.0\n2.0 3.0 0.3 4.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_load_coefficient_table_rejects_bad_tables(tmp_path, name):
+    p = tmp_path / "coeff.txt"
+    p.write_text(BAD_TABLES[name])
+    with pytest.raises(ConfigError):
+        load_coefficient_table(p)
 
 
 def test_vtk_round_trip(tmp_path):

@@ -49,7 +49,7 @@ def test_rank_count_invariance_is_bitwise(tmp_path):
         base = None
         for k in (1, 2, 4):
             cfg = _diffusion_cfg(k, mesh_path=mesh_path)
-            cfg.transport.bc = bc or cfg.transport.bc
+            cfg.bc = bc or cfg.bc
             rep = run_simulation(cfg)
             u = rep.final_fields["u"]
             if base is None:
@@ -155,7 +155,7 @@ def test_no_motion_raises_simulation_error():
 
 def test_unknown_bc_label_rejected_before_spawn():
     cfg = _diffusion_cfg(2)
-    cfg.transport.bc = dict(cfg.transport.bc, sideways=("neumann",))
+    cfg.bc = dict(cfg.bc, sideways=("neumann",))
     with pytest.raises(ConfigError):
         run_simulation(cfg)
 

@@ -5,17 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trifvm.config import RunConfig, StreamerConfig
+from trifvm.config import RunConfig, StreamerConfig, load_config
 from trifvm.direct_solver import factorize
-from trifvm.errors import ConfigError
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.poisson import assemble_system
 from trifvm.runtime import _Streamer, run_simulation
-from trifvm.streamer import (StreamerCoefficients, StreamerState,
-                             charge_source, gaussian_seed, prepare_fluxes,
-                             total_charge)
-from trifvm.transport import Field, face_gradients
+from trifvm.streamer import (StreamerState, charge_source, coefficient,
+                             gaussian_seed, prepare_fluxes, total_charge)
+from trifvm.transport import BC_DIRICHLET, Field, face_gradients
 
 from conftest import ALL_NEUMANN, coupled_step, streamer_hook
 
@@ -31,7 +29,7 @@ def _system(n, potential_bc, pin=None, **coeffs):
     sub = single_subdomain(mesh)
     problem = assemble_system(mesh, sub.diamonds, sub.weights, potential_bc,
                               pin_cell=pin)
-    hook = streamer_hook(sub, potential_bc, StreamerCoefficients(**coeffs))
+    hook = streamer_hook(sub, potential_bc, **coeffs)
     factors = factorize(problem.matrix)
     return sub, hook, lambda state, dt=None: coupled_step(
         state, hook, problem, factors, dt)
@@ -51,27 +49,26 @@ def _seed_state(sub, sigma=0.08, amplitude=1.0, ion_factor=1.0):
                          v_pot=Field(np.zeros_like(ne)))
 
 
-def test_coefficient_table_must_be_sorted():
-    bad = np.array([[1.0, 1.0, 0.1, 0.2], [0.5, 1.0, 0.1, 0.2]])
-    with pytest.raises(ConfigError):
-        StreamerCoefficients(model="table", table=bad)
-
-
 def test_table_lookup_interpolates():
     tab = np.array([[0.0, 1.0, 0.10, 0.0],
                     [2.0, 3.0, 0.30, 4.0]])
-    c = StreamerCoefficients(model="table", table=tab)
-    assert c.mobility(np.array([1.0]))[0] == pytest.approx(2.0)
-    assert c.diffusion(np.array([1.0]))[0] == pytest.approx(0.2)
-    assert c.ionization(np.array([1.0]))[0] == pytest.approx(2.0)
+    sc, e = StreamerConfig(model="table"), np.array([1.0])
+    assert coefficient(sc, tab, "mu_e", e)[0] == pytest.approx(2.0)
+    assert coefficient(sc, tab, "d_e", e)[0] == pytest.approx(0.2)
+    assert coefficient(sc, tab, "alpha", e)[0] == pytest.approx(2.0)
     # clamped at the ends
-    assert c.mobility(np.array([10.0]))[0] == pytest.approx(3.0)
+    assert coefficient(sc, tab, "mu_e", np.array([10.0]))[0] == \
+        pytest.approx(3.0)
+    # no table: the linear model's constants, whatever the field
+    sc = StreamerConfig(mu_e=2.0, d_e=0.3, alpha=5.0)
+    assert [coefficient(sc, None, c, e) for c in ("mu_e", "d_e", "alpha")] \
+        == [2.0, 0.3, 5.0]
 
 
 def test_neutral_state_has_zero_charge_source():
     sub, _, _ = _closed_system(8)
     state = _seed_state(sub)
-    rho = charge_source(state, StreamerCoefficients(), sub)
+    rho = charge_source(state, StreamerConfig(), sub)
     assert np.abs(rho).max() == 0.0
 
 
@@ -79,7 +76,7 @@ def test_charge_source_sign():
     # surplus ions push the potential up: positive rhs for -lap V = rho/eps
     sub, _, _ = _closed_system(8)
     state = _seed_state(sub, ion_factor=1.5)
-    rho = charge_source(state, StreamerCoefficients(eps=2.0, q_e=3.0), sub)
+    rho = charge_source(state, StreamerConfig(eps=2.0, q_e=3.0), sub)
     expect = (3.0 / 2.0) * (state.n_i.values - state.n_e.values)[:sub.n_own]
     assert np.allclose(rho, expect, rtol=0, atol=1e-15)
 
@@ -103,8 +100,8 @@ def test_drift_velocity_opposes_field():
     sub, hook, _ = _plate_system(8, mu_e=2.0, d_e=0.0, alpha=0.0)
     state = _seed_state(sub)
     state.v_pot = Field(1.0 - sub.local_mesh.centroids[:, 0])
-    fc = prepare_fluxes(sub, state, hook.coeffs, hook.potential, hook.stencil,
-                        hook.cfl)
+    fc = prepare_fluxes(sub, state, hook.sc, hook.table, hook.potential,
+                        hook.stencil, hook.cfl)
     # electrons drift against E: v = -mu E = (-2, 0), so V.n = -2 n_x
     from trifvm.transport import BC_NEUMANN
     good = hook.potential.kind != BC_NEUMANN
@@ -183,8 +180,7 @@ def test_streamer_step_is_the_run_loop_at_one_rank(potential_bc):
     pin = 0 if potential_bc is ALL_NEUMANN else None
     problem = assemble_system(mesh, build_diamonds(mesh), node_weights(mesh),
                               potential_bc, pin_cell=pin)
-    hook = _Streamer(sub, cfg, StreamerCoefficients(mu_e=sc.mu_e, d_e=sc.d_e,
-                                                    alpha=sc.alpha))
+    hook = _Streamer(sub, cfg, None)
     factors = factorize(problem.matrix)
     state = hook.initial(cfg)
     for _ in range(6):
@@ -210,3 +206,19 @@ def test_a_run_seeds_the_ions_at_their_own_amplitude():
                                        physics="streamer", streamer=sc))
         for name, seed in want.items():
             assert np.array_equal(rep.final_fields[name], seed), (k, name)
+
+
+def test_bc_section_sets_the_electrons_dirichlet_faces(tmp_path):
+    # [bc] is the one boundary record of the transported field: in a
+    # streamer run its Dirichlet labels pin the electrons' faces
+    p = tmp_path / "run.ini"
+    p.write_text("[run]\nphysics = streamer\n\n[bc]\nleft = dirichlet 0.2\n")
+    cfg = load_config(p)
+    sub = single_subdomain(structured_triangulation(4))
+    hook = _Streamer(sub, cfg, None)
+    lm = sub.local_mesh
+    left = np.array([lab == "left" for lab in lm.face_labels])
+    assert left.any()
+    assert (hook.stencil.kind[left] == BC_DIRICHLET).all()
+    assert not (hook.stencil.kind[~left] == BC_DIRICHLET).any()
+    assert not (hook.potential.kind == BC_DIRICHLET).any()
