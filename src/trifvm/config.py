@@ -206,7 +206,11 @@ def load_config(path) -> RunConfig:
 def load_coefficient_table(path) -> np.ndarray:
     """Whitespace table with rows |E| mu_e D_e alpha, ascending |E|."""
     try:
-        t = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        with open(path) as fh:
+            rows = [line for line in fh if line.split("#", 1)[0].strip()]
+        # numpy warns on a table without rows; the shape test rejects it
+        t = np.loadtxt(rows, dtype=np.float64, ndmin=2) if rows \
+            else np.empty((0, 0))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read coefficient table {path}: {exc}") from exc
     if t.shape[1] != 4 or t.shape[0] < 2:

@@ -32,14 +32,17 @@ dense from B's entries whose smaller index is one of its columns plus its
 children's contribution blocks (extend-add through index maps); its
 fully-summed columns are eliminated one by one; U12 = L11^-1 F12; and
 F22 - L21 U12, one matrix product, is the block its parent receives.  The
-inverses of L11 and U11, L21 and U12 are written into the front's slot of
-its level stack (the U11 inverses one batched inversion per stack), the one
-copy of the factor.
+front keeps one diagonal block, in the block form of the scheme (Amestoy et
+al. 2001): W = L21 L11^-1, F11^-1 = U11^-1 L11^-1 and V = U11^-1 U12, built
+in place in its level stack's slot, the one copy of the factor.
 
-Solve: a forward sweep from the leaves and a backward sweep from the root,
-per level stack a gather, batched matrix-vector products (np.matmul) and a
-scatter; the forward updates of shared ancestor rows are summed by one
-np.bincount in stack order, so reruns are byte-identical.
+Solve, on z in B's row order: a forward sweep from the leaves subtracts
+W z[pivots] from each front's rows past its columns, and a backward sweep
+from the root sets z[columns] = F11^-1 z[pivots] - V z[rows past]; per
+level stack one gather, one batched matrix-vector product (np.matmul) and a
+scatter.  The forward sweep leaves a front's columns alone: only its
+descendants change them.  The forward updates of shared ancestor rows are
+summed by one np.bincount in stack order, so reruns are byte-identical.
 
 Pivoting, per front column: the diagonal is kept when it is at least
 `threshold` (default 0.1) of the column's largest entry in the whole front,
@@ -47,8 +50,9 @@ else the largest fully-summed row is swapped in if it passes the same test.
 A column where neither passes, or whose largest entry is below
 1e-14 * max|A|, raises SingularMatrix naming the column of A.
 
-The factors satisfy  A[perm_row][:, perm_col] = L U  with L unit lower
-triangular; row swaps stay inside a front.  factorize ends with a check
+The factors satisfy  A[perm_row][:, perm_col] = L U = L~ D U~  with L unit
+lower triangular, D the fronts' F11 = L11 U11 and L~ (W) and U~ (V) unit
+block triangular; row swaps stay inside a front.  factorize ends with a check
 solve of A x = A 1: the residual ||A x - b|| / (||A|| ||x|| + ||b||)
 (infinity norms) is kept as `check_residual`; above CHECK_BOUND it raises
 SingularMatrix.
@@ -79,20 +83,19 @@ STACK_ENTRIES = 2048  # padded block entries worth one more level stack
 @dataclass(slots=True)
 class LevelStack:
     """The fronts of one elimination-tree level whose widths and rows past
-    the columns pad to the same (wp, rp), stacked in supernode order.
+    the columns pad to the same (wp, rp), stacked in supernode order, each
+    with its one diagonal block F11^-1, its W and its V (module doc).
 
     Padding is zero in the blocks and index n in the index arrays: the
     sweep's spare entry, which padded reads find zero and padded writes
     leave zero."""
     cols: np.ndarray     # (g, wp) each front's columns of B
+    idx: np.ndarray      # (g, wp + rp) piv, then the rows past the columns
     piv: np.ndarray      # (g, wp) the row feeding each column (pivots)
-    rest: np.ndarray     # (g, rp) each front's rows past its columns
-    targets: np.ndarray  # the distinct entries of rest, ascending
-    slot: np.ndarray     # rest, flattened, as positions in targets
-    l_inv: np.ndarray    # (g, wp, wp) inverses of the unit lower L11s
-    u_inv: np.ndarray    # (g, wp, wp) inverses of the U11s
-    l21: np.ndarray      # (g, rp, wp) L21, its rows those of rest
-    u12: np.ndarray      # (g, wp, rp) U12, its columns those of rest
+    targets: np.ndarray  # the distinct rows past the columns, ascending
+    slot: np.ndarray     # those rows, flattened, as positions in targets
+    w: np.ndarray        # (g, rp, wp) W = L21 L11^-1
+    back: np.ndarray     # (g, wp, wp + rp) [F11^-1, -V], against idx
 
 
 @dataclass
@@ -263,18 +266,15 @@ def _level_stacks(n: int, firsts: list, rows: list, kids: list):
             g = len(group)
             wp = max(w for _, w, _ in group)
             rp = max(r for _, _, r in group)
-            cols = np.full((g, wp), n, dtype=np.int64)
-            rest = np.full((g, rp), n, dtype=np.int64)
+            idx = np.full((g, wp + rp), n, dtype=np.int64)
             for i, (s, w, r) in enumerate(group):
-                cols[i, :w] = rows[s][:w]
-                rest[i, :r] = rows[s][w:]
+                idx[i, :w], idx[i, wp:wp + r] = rows[s][:w], rows[s][w:]
                 slot_of[s] = (len(stacks), i)
-            targets, slot = np.unique(rest, return_inverse=True)
+            targets, slot = np.unique(idx[:, wp:], return_inverse=True)
             stacks.append(LevelStack(
-                cols=cols, piv=cols, rest=rest, targets=targets,
-                slot=slot.ravel(), l_inv=np.zeros((g, wp, wp)),
-                u_inv=np.zeros((g, wp, wp)), l21=np.zeros((g, rp, wp)),
-                u12=np.zeros((g, wp, rp))))
+                cols=idx[:, :wp].copy(), idx=idx, piv=idx[:, :wp],
+                targets=targets, slot=slot.ravel(), w=np.zeros((g, rp, wp)),
+                back=np.zeros((g, wp, wp + rp))))
     return stacks, slot_of, len(shapes)
 
 
@@ -332,24 +332,29 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
             front[k + 1:, k + 1:w] -= front[k + 1:, k, None] * front[k, None, k + 1:w]
 
         l_inv = np.linalg.inv(np.tril(front[:w, :w], -1) + np.eye(w))
-        l21 = front[w:, :w].copy()   # a view would keep front alive
+        l21 = front[w:, :w]
         u12 = l_inv @ front[:w, w:]
         if m > w:
             contrib[s] = rows[w:], front[w:, w:] - l21 @ u12
         st, i = stacks[slot_of[s][0]], slot_of[s][1]
-        st.l_inv[i, :w, :w] = l_inv
-        st.u_inv[i, :w, :w] = np.triu(front[:w, :w])
-        st.l21[i, :m - w, :w] = l21
-        st.u12[i, :w, :m - w] = u12
+        wp = st.cols.shape[1]
+        # U11, and L11^-1 below its diagonal, until the pivots are known
+        st.back[i, :w, :w] = np.where(np.tri(w, k=-1, dtype=bool), l_inv,
+                                      front[:w, :w])
+        st.back[i, :w, wp:wp + m - w] = u12
+        st.w[i, :m - w, :w] = l21 @ l_inv
         fill += w * (w + 1) + 2 * w * (m - w)
     for st in stacks:   # the pivots are known now
-        st.piv = np.append(pivot_rows, n)[st.cols]
-        # U11 in place of its inverse, identity on the padding: invert the
-        # whole stack at once, then clear the padding again
-        pad = st.u_inv.reshape(len(st.cols), -1)[:, ::st.cols.shape[1] + 1]
-        pad[st.cols == n] = 1.0
-        st.u_inv[...] = np.linalg.inv(st.u_inv)
-        pad[st.cols == n] = 0.0
+        g, wp = st.cols.shape
+        st.piv = st.idx[:, :wp] = np.append(pivot_rows, n)[st.cols]
+        # U11^-1 [L11^-1, U12] = [F11^-1, V], one inversion per stack:
+        # padded pivots are 1 in U11 and 0 in L11^-1, so 0 in F11^-1
+        u11 = np.triu(st.back[:, :, :wp])
+        u11.reshape(g, -1)[:, ::wp + 1][st.cols == n] = 1.0
+        st.back[:, :, :wp] -= u11
+        st.back.reshape(g, -1)[:, ::st.back.shape[2] + 1] = st.cols < n
+        np.matmul(np.linalg.inv(u11), st.back, out=st.back)
+        np.negative(st.back[:, :, wp:], out=st.back[:, :, wp:])
 
     lu = LuFactors(n=n, perm_row=perm_col[pivot_rows], perm_col=perm_col,
                    pivot_rows=pivot_rows, stacks=stacks,
@@ -377,17 +382,12 @@ def _sweep(lu: LuFactors, b: np.ndarray) -> np.ndarray:
     z = np.zeros(lu.n + 1)   # in B's row order, plus the spare entry n
     z[:lu.n] = b[lu.perm_col]
     for st in lu.stacks:
-        y = np.matmul(st.l_inv, z[st.piv][..., None])
-        z[st.cols] = y[..., 0]
-        if st.rest.size:
-            z[st.targets] -= np.bincount(st.slot,
-                                         np.matmul(st.l21, y).ravel(),
-                                         minlength=len(st.targets))
+        if st.slot.size:
+            z[st.targets] -= np.bincount(
+                st.slot, np.matmul(st.w, z[st.piv][..., None]).ravel(),
+                minlength=len(st.targets))
     for st in reversed(lu.stacks):
-        t = z[st.cols]
-        if st.rest.size:
-            t -= np.matmul(st.u12, z[st.rest][..., None])[..., 0]
-        z[st.cols] = np.matmul(st.u_inv, t[..., None])[..., 0]
+        z[st.cols] = np.matmul(st.back, z[st.idx][..., None])[..., 0]
     out = np.empty(lu.n)
     out[lu.perm_col] = z[:lu.n]
     return out

@@ -1,6 +1,7 @@
 """INI config parsing, validation, and the VTK writer."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,17 @@ def test_load_coefficient_table_rejects_bad_tables(tmp_path, name):
     p.write_text(BAD_TABLES[name])
     with pytest.raises(ConfigError):
         load_coefficient_table(p)
+
+
+@pytest.mark.parametrize("text", ["", "# |E|  mu  D  alpha\n\n",
+                                  "0.0 1.0 0.1 0.0\n"])
+def test_short_coefficient_table_raises_without_a_warning(tmp_path, text):
+    p = tmp_path / "coeff.txt"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"\(rows >= 2\) x 4"):
+            load_coefficient_table(p)
 
 
 def test_vtk_round_trip(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifvm.direct_solver import adjacency_pattern, factorize, rcm_order, solve
+from trifvm.direct_solver import (LEAF_SIZE, adjacency_pattern, factorize,
+                                  rcm_order, solve)
 from trifvm.errors import SingularMatrix
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import cuthill_mckee
@@ -118,21 +119,24 @@ def test_rcm_matches_the_per_vertex_queue():
         assert np.array_equal(_reverse_sweep(mat), _rcm_reference(mat))
 
 
-def _lu_from_stacks(f):
-    """Dense L and U (step space) rebuilt from the level stacks."""
+def _ldu_from_stacks(f):
+    """Dense block factors (step space) rebuilt from the level stacks:
+    L~ unit lower with W under each front's columns, D block diagonal with
+    each front's F11, and U~ unit upper with V right of its columns."""
     n = f.n
     step_of = np.empty(n, dtype=np.int64)
     step_of[f.pivot_rows] = np.arange(n)
-    l, u = np.eye(n), np.zeros((n, n))
+    l, d, u = np.eye(n), np.zeros((n, n)), np.eye(n)
     for st in f.stacks:
+        wp = st.cols.shape[1]
         for i in range(len(st.cols)):
-            cols, rest = st.cols[i][st.cols[i] < n], st.rest[i][st.rest[i] < n]
+            cols, rest = st.cols[i][st.cols[i] < n], st.idx[i, wp:]
+            rest = rest[rest < n]
             w, r = len(cols), len(rest)
-            l[np.ix_(cols, cols)] = np.linalg.inv(st.l_inv[i, :w, :w])
-            u[np.ix_(cols, cols)] = np.linalg.inv(st.u_inv[i, :w, :w])
-            l[np.ix_(step_of[rest], cols)] = st.l21[i, :r, :w]
-            u[np.ix_(cols, rest)] = st.u12[i, :w, :r]
-    return l, u
+            d[np.ix_(cols, cols)] = np.linalg.inv(st.back[i, :w, :w])
+            l[np.ix_(step_of[rest], cols)] = st.w[i, :r, :w]
+            u[np.ix_(cols, rest)] = -st.back[i, :w, wp:wp + r]
+    return l, d, u
 
 
 def _assert_reconstructs(mesh):
@@ -140,11 +144,16 @@ def _assert_reconstructs(mesh):
     mat = assemble_system(mesh, dia, w, dirichlet_bc(0.0)).matrix
     f = factorize(mat)
     a = _csr_to_dense(mat)
-    l, u = _lu_from_stacks(f)
-    assert np.allclose(np.tril(l), l) and np.allclose(np.triu(u), u)
-    assert np.array_equal(np.diag(l), np.ones(mat.n))
+    l, d, u = _ldu_from_stacks(f)
+    assert np.array_equal(np.tril(l, -1) + np.eye(mat.n), l)
+    assert np.array_equal(np.triu(u, 1) + np.eye(mat.n), u)
+    for st in f.stacks:   # D holds the diagonal blocks, L~ and U~ none
+        for cols in st.cols:
+            block = np.ix_(cols[cols < mat.n], cols[cols < mat.n])
+            assert np.array_equal(l[block], np.eye(len(block[0])))
+            assert np.array_equal(u[block], np.eye(len(block[0])))
     perm = a[np.ix_(f.perm_row, f.perm_col)]
-    assert np.abs(l @ u - perm).max() < 1e-12 * np.abs(a).max()
+    assert np.abs(l @ d @ u - perm).max() < 1e-12 * np.abs(a).max()
 
 
 def test_factorization_reconstructs_permuted_matrix():
@@ -211,6 +220,37 @@ def test_zero_diagonal_block_takes_an_off_diagonal_pivot():
     swapped = np.flatnonzero(f.pivot_rows != np.arange(n))
     assert sorted(f.perm_col[swapped]) == [p, q]
     b = rng.standard_normal(n)
+    x = solve(f, b)
+    ref = dense_lu_oracle(a, b)
+    assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_off_diagonal_pivot_in_a_front_with_rows_past_its_columns():
+    # the block of the test above between two coupled cells of the widest
+    # leaf front of a 200-cell mesh matrix: the pivoted front has rows past
+    # its columns, so both sweeps read its pivot rows below the root
+    mesh = irregular_mesh(10, 4)
+    mat = assemble_system(mesh, build_diamonds(mesh), node_weights(mesh),
+                          dirichlet_bc(0.0)).matrix
+    n, a = mat.n, _csr_to_dense(mat)
+    assert n > LEAF_SIZE
+    f = factorize(mat)
+    leaves = f.stacks[0].cols
+    i = int(np.argmax((leaves < n).sum(axis=1)))   # the widest leaf front
+    cells = f.perm_col[leaves[i][leaves[i] < n]]
+    coupled = np.triu(a[np.ix_(cells, cells)] != 0.0, 1)   # pattern kept
+    p, q = cells[np.argwhere(coupled)[0]]
+    c = 10.0 * np.abs(a).sum(axis=1).max()
+    a[p, p] = a[q, q] = 0.0
+    a[p, q] = a[q, p] = c
+    rows, cols = np.nonzero(a)
+    f = factorize(csr_from_coo(n, rows, cols, a[rows, cols]))
+    swapped = np.flatnonzero(f.pivot_rows != np.arange(n))
+    assert sorted(f.perm_col[swapped]) == sorted([p, q])
+    st = f.stacks[0]
+    assert set(swapped) <= set(st.cols[i])
+    assert (st.idx[i, st.cols.shape[1]:] < n).any()
+    b = np.random.default_rng(11).standard_normal(n)
     x = solve(f, b)
     ref = dense_lu_oracle(a, b)
     assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
