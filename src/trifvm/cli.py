@@ -73,7 +73,6 @@ def _cmd_run(args) -> int:
         cfg.out_dir = args.out
     if cfg.out_dir is None:
         cfg.out_dir = "out"
-    cfg.validate()
     report = run_simulation(cfg)
     csv_path, json_path = write_report(report, cfg.out_dir)
     for phase in PHASES:

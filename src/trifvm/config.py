@@ -1,24 +1,27 @@
 """Run configuration: dataclasses plus a flat key = value file format.
 
-Sections: [run], [transport], [streamer], [bc], [potential_bc].  [bc] is
-`RunConfig.bc`, the boundaries of the transported field (the scalar or the
-electrons).  Boundary entries map any face label of the mesh,
-case-sensitive, to `neumann` or `dirichlet <value>`, and a label left out
-is Neumann; section names and other keys match in any case, and left empty
-keep their defaults.  Any unknown key or section, [DEFAULT] included, is an
-error so typos fail loudly instead of silently running defaults, and so is
-a section or key given twice; a label the mesh lacks is one too, found once
-the mesh is read (`runtime`).  A file configparser cannot parse, or that is
-not UTF-8 text, is a ConfigError as well.  Each rule is checked once:
-`RunConfig.validate` checks the settings, `load_coefficient_table` the
-streamer's table, and the streamer's kernels read both unchecked.
+Sections: [run], [transport], [streamer], [bc], [potential_bc].  The
+records below declare the keys of the first three: each int, float, tuple
+or str field (or None) of `RunConfig`, `TransportConfig` and
+`StreamerConfig` is one.  [bc] is `RunConfig.bc`, the boundaries of the
+transported field (the scalar or the electrons).  Boundary entries map any
+face label of the mesh, case-sensitive, to `neumann` or `dirichlet
+<value>`, and a label left out is Neumann; section names and other keys
+match in any case, and left empty keep their defaults.  Any unknown key or
+section, [DEFAULT] included, is an error so typos fail loudly instead of
+silently running defaults, and so is a section or key given twice; a label
+the mesh lacks is one too, found once the mesh is read (`runtime`).  A file
+configparser cannot parse, or that is not UTF-8 text, is a ConfigError as
+well.  Each rule is checked once: `RunConfig.validate` checks the settings,
+`load_coefficient_table` the streamer's table, and the streamer's kernels
+read both unchecked.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -101,6 +104,8 @@ class RunConfig:
                 raise ConfigError("model = table needs table_path")
             if sc.model == "linear" and sc.d_e < 0:
                 raise ConfigError("d_e must be >= 0")
+            if not sc.eps > 0:   # NaN too
+                raise ConfigError("eps must be positive")
         for name, val in (("sigma", tc.sigma), ("seed_sigma", sc.seed_sigma)):
             if val <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -144,25 +149,9 @@ def _bc_section(sections, section) -> dict:
             for label, raw in sections.get(section, ())}
 
 
-_KEYS = {
-    "run": {
-        "mesh_path": str, "mesh_n": _int, "k": _int, "steps": _int,
-        "dt": _float, "cfl": _float, "physics": str, "output_every": _int,
-        "out_dir": str, "name": str, "timeout_s": _float,
-    },
-    "transport": {
-        "velocity": _pair, "diffusion": _float, "init": str,
-        "center": _pair, "sigma": _float, "amplitude": _float,
-        "constant": _float,
-    },
-    "streamer": {
-        "model": str, "mu_e": _float, "d_e": _float, "alpha": _float,
-        "eps": _float, "q_e": _float, "table_path": str,
-        "seed_center": _pair, "seed_sigma": _float,
-        "seed_amplitude": _float, "ion_amplitude": _float,
-        "pin_cell": _int,
-    },
-}
+# a record's field is a key when its annotation starts with one of these
+# types, and is read by its parser (`str | None` by str)
+_PARSERS = {"int": _int, "float": _float, "tuple": _pair, "str": str}
 
 
 def load_config(path) -> RunConfig:
@@ -180,18 +169,21 @@ def load_config(path) -> RunConfig:
     if len(sections) < len(parser.sections()):
         raise ConfigError(f"a section appears twice: {parser.sections()}")
     cfg = RunConfig()
-    extra = set(sections) - set(_KEYS) - {"bc", "potential_bc"}
+    records = {"run": cfg, "transport": cfg.transport,
+               "streamer": cfg.streamer}
+    extra = set(sections) - set(records) - {"bc", "potential_bc"}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
 
-    for section, target in (("run", cfg), ("transport", cfg.transport),
-                            ("streamer", cfg.streamer)):
+    for section, target in records.items():
+        typed = ((f.name, f.type.split()[0]) for f in fields(target))
+        keys = {name: _PARSERS[t] for name, t in typed if t in _PARSERS}
         items = [(key.lower(), raw) for key, raw in sections.get(section, ())]
         if len(dict(items)) < len(items):
             raise ConfigError(f"[{section}] a key appears twice: "
                               f"{[key for key, _ in items]}")
         for key, raw in items:
-            conv = _KEYS[section].get(key)
+            conv = keys.get(key)
             if conv is None:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
             if raw:   # an empty value keeps the default

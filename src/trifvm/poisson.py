@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem, TopologyError
-from .mesh import DiamondCells, Mesh, NodeWeights
+from .mesh import DiamondCells, Mesh, NodeWeights, cell_sum
 from .partition import graph_from_pairs
 from .transport import BC_DIRICHLET, BC_NEUMANN, diamond_stencil
 
@@ -113,7 +113,7 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     rows = np.concatenate([mesh.face_cells[f, 0], right[inner]])
     cols = np.concatenate([c, c[inner]])
     vals = np.concatenate([-v, v[inner]])
-    lift = (phi0[mesh.cell_faces] * mesh.cell_face_signs).sum(axis=1)
+    lift = cell_sum(mesh, phi0)
 
     pinned = None
     if not np.any(st.kind == BC_DIRICHLET):

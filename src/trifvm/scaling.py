@@ -57,30 +57,36 @@ class ScalingReport:
 
 
 def read_timings_csv(path) -> list:
-    """Rows of cores plus per-phase times; header names the phases."""
+    """Rows of cores plus per-phase times; header names the phases.  Each
+    row has one non-empty cell per column; a bad row is named by its line."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "cores" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "cores" not in header:
             raise ParseError("timings CSV needs a 'cores' column", path=path)
-        phases = [c for c in reader.fieldnames if c != "cores"]
+        phases = [c for c in header if c != "cores"]
         unknown = set(phases) - set(PHASES)
         if unknown:
             raise ParseError(f"unknown phase column(s) {sorted(unknown)}",
                              path=path)
-        for i, row in enumerate(reader, start=2):
+        for cells in filter(None, reader):      # blank lines hold no row
+            at = {"path": path, "line": reader.line_num}
+            if len(cells) != len(header) or not all(c.strip() for c in cells):
+                raise ParseError(f"expected {len(header)} non-empty cells, "
+                                 f"got {cells}", **at)
+            row = dict(zip(header, cells))
             try:
                 cores = int(row["cores"])
-            except (TypeError, ValueError):
+                times = {ph: parse_duration(row[ph]) for ph in phases}
+            except ValueError:
                 raise ParseError(f"bad cores value '{row['cores']}'",
-                                 path=path, line=i) from None
-            times = {}
-            for ph in phases:
-                t = parse_duration(row[ph])
+                                 **at) from None
+            except ParseError as exc:   # a duration, named with its line
+                raise ParseError(str(exc), **at) from None
+            for ph, t in times.items():
                 if t <= 0:
-                    raise ParseError(f"{ph} time must be > 0, got {t}",
-                                     path=path, line=i)
-                times[ph] = t
+                    raise ParseError(f"{ph} time must be > 0, got {t}", **at)
             records.append(ScalingRecord(cores=cores, times=times))
     seen = [r.cores for r in records]
     if len(set(seen)) != len(seen):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import StreamerConfig
+from .mesh import cell_sum
 # not called here: bound so that perfbench's tracer can patch them by name
 from .mesh import build_diamonds, node_weights  # noqa: F401
 from .partition import Subdomain
@@ -85,9 +86,8 @@ def prepare_fluxes(sub: Subdomain, state: StreamerState, sc: StreamerConfig,
 
     table is the loaded coefficient table, None for the linear model;
     potential and species are the two BC layouts on the subdomain.
-    Requires v_pot and n_e with fresh halo slots.  The 3-face means below
-    use the canonical cell_faces order, so they are identical no matter how
-    the mesh was partitioned.
+    Requires v_pot and n_e with fresh halo slots.  The 3-face means are
+    `mesh.cell_sum`s.
     """
     lm = sub.local_mesh
     e_faces = -face_gradients(sub, potential, state.v_pot)
@@ -97,12 +97,9 @@ def prepare_fluxes(sub: Subdomain, state: StreamerState, sc: StreamerConfig,
                                     -np.asarray(mu_f)[..., None] * e_faces)
     speed_f = np.asarray(mu_f) * e_mag
     d_f = coefficient(sc, table, "d_e", e_mag)
-
-    cf = lm.cell_faces
-    speed_cell = (speed_f[cf[:, 0]] + speed_f[cf[:, 1]]
-                  + speed_f[cf[:, 2]]) / 3.0
-    e_cell = None if table is None else \
-        (e_mag[cf[:, 0]] + e_mag[cf[:, 1]] + e_mag[cf[:, 2]]) / 3.0
+    speed_cell = cell_sum(lm, speed_f, signed=False) / 3.0
+    e_cell = None if table is None \
+        else cell_sum(lm, e_mag, signed=False) / 3.0
     s_e = coefficient(sc, table, "alpha", e_cell) * speed_cell \
         * state.n_e.values[:sub.n_own]
 

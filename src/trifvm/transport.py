@@ -11,9 +11,9 @@ diamond-cell gradient
     grad u = [ (u_right - u_left) n |s| + (u_A - u_B) n_lr |s_lr| ] / (2 area_D)
 
 with node values u_A, u_B interpolated by the precomputed least-squares
-weights.  All per-cell sums run in the cell's canonical 3-edge order and all
-node stencils in ascending global id, so a partitioned run reproduces the
-sequential arithmetic exactly.
+weights.  All per-cell sums are `mesh.cell_sum` and all node stencils run
+in ascending global id, so a partitioned run reproduces the sequential
+arithmetic exactly.
 
 The stencil is defined once: with the face differences d_n = u_right - u_left
 and d_t = u_A - u_B, the gradient is d_n g_n + d_t g_t and the flux
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroDt
-from .mesh import Mesh, NodeWeights
+from .mesh import Mesh, NodeWeights, cell_sum
 from .partition import Subdomain
 
 BC_INTERIOR = 0
@@ -212,21 +212,11 @@ def upwind_face_values(sub: Subdomain, u: Field, vel: FaceVelocity,
     return u_face
 
 
-def _per_cell_sum(sub: Subdomain, face_contrib: np.ndarray) -> np.ndarray:
-    """Signed sum of face contributions per own cell, canonical edge order."""
-    lm = sub.local_mesh
-    cf, sg = lm.cell_faces, lm.cell_face_signs
-    out = face_contrib[cf[:, 0]] * sg[:, 0]
-    out = out + face_contrib[cf[:, 1]] * sg[:, 1]
-    out = out + face_contrib[cf[:, 2]] * sg[:, 2]
-    return out
-
-
 def convective_residual(sub: Subdomain, u: Field, vel: FaceVelocity,
                         bvals: np.ndarray) -> np.ndarray:
     u_face = upwind_face_values(sub, u, vel, bvals)
     flux = u_face * vel.normal * sub.local_mesh.face_lengths
-    return _per_cell_sum(sub, flux)
+    return cell_sum(sub.local_mesh, flux)
 
 
 def diffusive_residual(sub: Subdomain, u: Field, st: DiamondStencil,
@@ -241,7 +231,7 @@ def diffusive_residual(sub: Subdomain, u: Field, st: DiamondStencil,
     d_n, d_t = face_differences(sub, st, u, bvals)
     flux = (sub.diamonds.beta * d_n + sub.diamonds.tau * d_t) * diffusion
     flux[st.neumann] = 0.0
-    return _per_cell_sum(sub, flux)
+    return cell_sum(sub.local_mesh, flux)
 
 
 def explicit_step(sub: Subdomain, u: Field, conv: np.ndarray, diss: np.ndarray,
@@ -268,12 +258,9 @@ def stable_dt(sub: Subdomain, vel: FaceVelocity, diffusion=0.0,
     lm = sub.local_mesh
     conv_f = np.abs(vel.normal) * lm.face_lengths
     diff_f = 2.0 * np.asarray(diffusion) * lm.face_lengths ** 2
-
-    cf = lm.cell_faces
     mu = lm.areas[:sub.n_own]
-    conv_sum = conv_f[cf[:, 0]] + conv_f[cf[:, 1]] + conv_f[cf[:, 2]]
-    diff_sum = (diff_f[cf[:, 0]] + diff_f[cf[:, 1]] + diff_f[cf[:, 2]]) / mu
-    denom = conv_sum + diff_sum
+    denom = cell_sum(lm, conv_f, signed=False) \
+        + cell_sum(lm, diff_f, signed=False) / mu
     if not denom.size or float(denom.max()) == 0.0:
         return float("inf")
     with np.errstate(divide="ignore"):

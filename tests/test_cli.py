@@ -98,6 +98,16 @@ def test_scaling_command(tmp_path, capsys):
     assert rows["total_speedup"][-1] == pytest.approx(572.2548, abs=1e-4)
 
 
+@pytest.mark.parametrize("row", ["2,100", "2,,50", "2,100,50,7"])
+def test_scaling_bad_row_exits_2(tmp_path, capsys, row):
+    # a row with a missing, empty or extra cell is a bad input table
+    timings = tmp_path / "t.csv"
+    timings.write_text(f"cores,total,convection\n1,200,100\n{row}\n")
+    assert main(["scaling", str(timings), "--out",
+                 str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {timings}:3: ")
+
+
 def test_convergence_command(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     assert main(["convergence", "poisson_sine", "--sizes", "8,16",

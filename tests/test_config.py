@@ -1,7 +1,9 @@
 """INI config parsing, validation, and the VTK writer."""
 
+import configparser
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,16 @@ def test_readme_sample_config_runs(tmp_path):
     assert cfg.streamer.potential_bc["right"] == ("dirichlet", 0.0)
     assert main(["run", "--config", str(p), "--out",
                  str(tmp_path / "out")]) == 0
+    # it shows every key: each field of the three records but the boundary
+    # maps and the nested records
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    for section, record in (("run", RunConfig),
+                            ("transport", TransportConfig),
+                            ("streamer", StreamerConfig)):
+        keys = {f.name for f in fields(record)} \
+            - {"bc", "potential_bc", "transport", "streamer"}
+        assert set(parser[section]) == keys, section
 
 
 @pytest.mark.parametrize("body", [
@@ -170,6 +182,20 @@ def test_validate_rejects(patch):
         setattr(cfg, key, val)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_streamer_eps_must_be_positive(tmp_path, capsys, eps):
+    # the charge source divides by eps: a streamer run without eps > 0 is a
+    # config error (exit 2) before any mesh is read, not a rank's failure
+    body = f"[run]\nphysics = streamer\n\n[streamer]\neps = {eps}\n"
+    with pytest.raises(ConfigError, match="eps must be positive"):
+        _load(tmp_path, body)
+    assert main(["run", "--config", str(tmp_path / "cfg.ini"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "eps" in capsys.readouterr().err
+    # a transport run does not read eps
+    RunConfig(streamer=StreamerConfig(eps=float(eps))).validate()
 
 
 def test_ranks_beyond_one_need_fork(monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from trifvm.errors import InvalidK
-from trifvm.mesh import (build_diamonds, node_weights, structured_triangulation,
-                         validate_mesh)
+from trifvm.mesh import (build_diamonds, cell_sum, node_weights,
+                         structured_triangulation, validate_mesh)
 from trifvm.partition import (DualGraph, build_dual_graph, build_subdomains,
                               partition, partition_metrics, single_subdomain)
 from trifvm.transport import (Field, diamond_stencil, face_gradients,
@@ -204,6 +204,21 @@ def test_local_faces_are_own_or_boundary_faces_as_in_the_global_mesh(mesh, k):
         assert np.array_equal(lm.cell_face_signs,
                               mesh.cell_face_signs[s.own_cells])
         validate_mesh(lm)
+
+
+def test_cell_sum_on_a_subdomain_is_the_global_one_bit_for_bit():
+    # every per-cell face sum is mesh.cell_sum: on each subdomain, the sum of
+    # the global face data equals the global sum on its own cells, last bit
+    # included, signed or not
+    mesh = irregular_mesh(10, 4)
+    v = np.random.default_rng(7).standard_normal(mesh.n_faces)
+    pm = partition(build_dual_graph(mesh), 3)
+    for s in build_subdomains(mesh, pm, build_diamonds(mesh),
+                              node_weights(mesh)):
+        for signed in (True, False):
+            local = cell_sum(s.local_mesh, v[s.face_l2g], signed)
+            whole = cell_sum(mesh, v, signed)[s.own_cells]
+            assert local.tobytes() == whole.tobytes()
 
 
 def test_neighbor_links_are_mirrored():

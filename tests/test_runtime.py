@@ -164,10 +164,12 @@ def test_report_files(tmp_path):
     rep = run_simulation(_diffusion_cfg(2, steps=4, out_dir=str(tmp_path),
                                         output_every=2, name="case"))
     csv_path, json_path = write_report(rep, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    with open(csv_path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "phase,seconds"
     assert [ln.split(",")[0] for ln in lines[1:]] == list(PHASES)
-    summary = json.load(open(json_path))
+    with open(json_path) as fh:
+        summary = json.load(fh)
     assert summary["steps"] == 4 and summary["k"] == 2
     assert summary["cells"] == 2 * 16 * 16
     # initial frame + one every 2 steps

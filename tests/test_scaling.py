@@ -94,6 +94,23 @@ def test_csv_validation(tmp_path):
         read_timings_csv(p)
 
 
+@pytest.mark.parametrize("rows, line", [
+    ("2,100\n", 3),                 # a missing cell
+    ("2,,50\n", 3),                 # an empty one
+    ("2, ,50\n", 3),
+    ("2,100,50,7\n", 3),            # one past the header
+    ("2,abc,50\n", 3),              # a duration that does not parse
+    ("\n2,100\n", 4),               # lines are counted, blank ones too
+])
+def test_bad_row_names_its_file_and_line(tmp_path, rows, line):
+    p = tmp_path / "t.csv"
+    p.write_text("cores,total,convection\n1,200,100\n" + rows)
+    with pytest.raises(ParseError) as info:
+        read_timings_csv(p)
+    assert (info.value.path, info.value.line) == (p, line)
+    assert str(info.value).startswith(f"{p}:{line}: ")
+
+
 def test_write_scaling_csv_round_trip(tmp_path):
     records = read_timings_csv(write_timing_table(tmp_path / "t.csv"))
     report = compute_scaling(records, base_cores=1)
