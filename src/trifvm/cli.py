@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: genmesh, partition, run, scaling, convergence.  Exit codes:
-0 ok, 2 bad config or input table, 3 numeric failure, 4 I/O failure.
+0 ok, 2 bad input (ConfigError), 3 numeric failure (NumericError), 4 I/O.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .errors import (ConfigError, DegenerateDiamond, DimensionMismatch,
-                     InvalidK, MissingBase, ParseError, SimulationError,
-                     SingularMatrix, SingularSystem, Timeout, TopologyError,
-                     UnknownCase, ZeroDt)
+from .errors import ConfigError, NumericError
 from .mesh import load_mesh, save_mesh, structured_triangulation, validate_mesh
 from .partition import build_dual_graph, partition, partition_metrics
 from .runtime import PHASES, run_simulation, write_report
@@ -25,15 +22,8 @@ from .verification import CASES, run_case
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
-_CONFIG_ERRORS = (ConfigError, ParseError, MissingBase, UnknownCase,
-                  InvalidK, TopologyError)
-_NUMERIC_ERRORS = (SingularMatrix, SingularSystem, ZeroDt, DegenerateDiamond,
-                   SimulationError, Timeout, DimensionMismatch)
-
 
 def _cmd_genmesh(args) -> int:
-    if args.n < 1:
-        raise ConfigError("mesh size must be >= 1")
     mesh = structured_triangulation(args.n)
     validate_mesh(mesh)
     save_mesh(mesh, args.out)
@@ -163,10 +153,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         if isinstance(exc.__cause__, OSError):  # a rank could not write
             print(f"io failure: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -50,12 +50,12 @@ else the largest fully-summed row is swapped in if it passes the same test.
 A column where neither passes, or whose largest entry is below
 1e-14 * max|A|, raises SingularMatrix naming the column of A.
 
-The factors satisfy  A[perm_row][:, perm_col] = L U = L~ D U~  with L unit
-lower triangular, D the fronts' F11 = L11 U11 and L~ (W) and U~ (V) unit
-block triangular; row swaps stay inside a front.  factorize ends with a check
-solve of A x = A 1: the residual ||A x - b|| / (||A|| ||x|| + ||b||)
-(infinity norms) is kept as `check_residual`; above CHECK_BOUND it raises
-SingularMatrix.
+The factors satisfy  A[perm_col[pivot_rows]][:, perm_col] = L U = L~ D U~
+with L unit lower triangular, D the fronts' F11 = L11 U11 and L~ (W) and
+U~ (V) unit block triangular; row swaps stay inside a front.  factorize ends
+with a check solve of A x = A 1: the residual ||A x - b|| / (||A|| ||x|| +
+||b||) (infinity norms) is kept as `check_residual`; above CHECK_BOUND it
+raises SingularMatrix.
 
 The tests cross-check this solver against an independent dense
 partial-pivoting elimination that shares no code with it
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import NumericError, SingularMatrix
 from .partition import DualGraph, cuthill_mckee, graph_from_pairs, neighbors
 from .poisson import CsrMatrix
 
@@ -101,7 +101,6 @@ class LevelStack:
 @dataclass
 class LuFactors:
     n: int
-    perm_row: np.ndarray    # A-row feeding elimination step t
     perm_col: np.ndarray    # A-column feeding column t (the fill order)
     pivot_rows: np.ndarray  # permuted-space row chosen at each step
     stacks: list            # LevelStack per level and shape, leaves first
@@ -287,7 +286,7 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
 
     max_abs = float(np.abs(mat.data).max(initial=0.0))
     if max_abs == 0.0:
-        raise SingularMatrix("matrix has no nonzero entries", column=0)
+        raise SingularMatrix("matrix has no nonzero entries")
     tiny = PIVOT_FLOOR * max_abs
 
     b_rows = inv_perm[np.repeat(np.arange(n), np.diff(mat.indptr))]
@@ -323,8 +322,7 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
                 c = int(perm_col[f + k])
                 raise SingularMatrix(
                     f"column {c}: best fully-summed pivot {col[p]:.3e}, column "
-                    f"max {big:.3e} (threshold {threshold}, floor {tiny:.3e})",
-                    column=c)
+                    f"max {big:.3e} (threshold {threshold}, floor {tiny:.3e})")
             if p:
                 front[[k, k + p]] = front[[k + p, k]]
                 pivot_rows[[f + k, f + k + p]] = pivot_rows[[f + k + p, f + k]]
@@ -356,9 +354,8 @@ def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
         np.matmul(np.linalg.inv(u11), st.back, out=st.back)
         np.negative(st.back[:, :, wp:], out=st.back[:, :, wp:])
 
-    lu = LuFactors(n=n, perm_row=perm_col[pivot_rows], perm_col=perm_col,
-                   pivot_rows=pivot_rows, stacks=stacks,
-                   levels=levels, fill_nnz=fill)
+    lu = LuFactors(n=n, perm_col=perm_col, pivot_rows=pivot_rows,
+                   stacks=stacks, levels=levels, fill_nnz=fill)
     lu.check_residual = _check_residual(mat, lu)
     if not lu.check_residual <= CHECK_BOUND:
         raise SingularMatrix(f"check solve residual {lu.check_residual:.3e} "
@@ -396,5 +393,5 @@ def _sweep(lu: LuFactors, b: np.ndarray) -> np.ndarray:
 def solve(factors: LuFactors, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (factors.n,):
-        raise DimensionMismatch(f"rhs has shape {b.shape}, system is {factors.n}")
+        raise NumericError(f"rhs has shape {b.shape}, system is {factors.n}")
     return _sweep(factors, b)

@@ -1,11 +1,26 @@
-"""Exception taxonomy shared by all solver modules."""
+"""Exception taxonomy shared by all solver modules.
+
+An error is its exit code.  Everything raised on purpose derives from one of
+two bases: ConfigError (exit 2) or NumericError (exit 3), and `cli.main`
+catches those two.  A new error subclasses one of them, and it gets a class
+of its own only when a caller reads more than its message.
+"""
 
 
 class TriFvmError(Exception):
     """Base class for everything raised on purpose by this package."""
 
 
-class ParseError(TriFvmError):
+class ConfigError(TriFvmError):
+    """Bad input: a config value, a mesh, a table or a request (exit 2)."""
+
+
+class NumericError(TriFvmError):
+    """A numeric failure: a degenerate or singular system, a collapsed step,
+    a failed rank (exit 3)."""
+
+
+class ParseError(ConfigError):
     """Malformed text input (mesh file, timings CSV, ...)."""
 
     def __init__(self, message, path=None, line=None):
@@ -19,52 +34,23 @@ class ParseError(TriFvmError):
         self.line = line
 
 
-class TopologyError(TriFvmError):
-    """Mesh connectivity violates the face/triangle contracts."""
-
-
-class DegenerateDiamond(TriFvmError):
-    """Diamond cell area collapsed below the degeneracy threshold."""
-
-
-class InvalidK(TriFvmError):
-    """Requested part count outside 1..n_cells."""
-
-
-class SingularSystem(TriFvmError):
-    """Poisson operator has a nullspace (all-Neumann without a pinned cell)."""
-
-
-class SingularMatrix(TriFvmError):
+class SingularMatrix(NumericError):
     """No acceptable pivot during LU elimination."""
 
-    def __init__(self, message, column=None):
-        super().__init__(message)
-        self.column = column
 
-
-class DimensionMismatch(TriFvmError):
-    """Operand shapes disagree with the factored system."""
-
-
-class ZeroDt(TriFvmError):
-    """Stability limit collapsed to zero with nonzero transport."""
-
-
-class Timeout(TriFvmError):
+class Timeout(NumericError):
     """A rank waited too long on a message link.
 
     deadline: the monotonic time at which the rank's own wait expired, or
     None when it stopped waiting because a peer had failed.
     """
 
-    def __init__(self, message, rank=None, deadline=None):
+    def __init__(self, message, deadline=None):
         super().__init__(message)
-        self.rank = rank
         self.deadline = deadline
 
 
-class SimulationError(TriFvmError):
+class SimulationError(NumericError):
     """A rank failed mid-run; carries where it happened."""
 
     def __init__(self, message, step=None, rank=None, phase=None):
@@ -72,15 +58,3 @@ class SimulationError(TriFvmError):
         self.step = step
         self.rank = rank
         self.phase = phase
-
-
-class ConfigError(TriFvmError):
-    """Bad or missing configuration value."""
-
-
-class MissingBase(TriFvmError):
-    """Scaling baseline core count absent from the timing table."""
-
-
-class UnknownCase(TriFvmError):
-    """Convergence study name not recognized."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDiamond, ParseError, TopologyError
+from .errors import ConfigError, NumericError, ParseError
 
 INTERIOR = "interior"
 
@@ -104,7 +104,7 @@ def _rot90cw(v: np.ndarray) -> np.ndarray:
 def cell_geometry(points: np.ndarray, triangles: np.ndarray):
     """Signed (shoelace) areas and vertex-average centroids per triangle.
 
-    Raises TopologyError if any triangle is clockwise or degenerate.
+    Raises ConfigError if any triangle is clockwise or degenerate.
     """
     p0 = points[triangles[:, 0]]
     p1 = points[triangles[:, 1]]
@@ -113,7 +113,7 @@ def cell_geometry(points: np.ndarray, triangles: np.ndarray):
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     if np.any(areas <= 0.0):
         bad = int(np.flatnonzero(areas <= 0.0)[0])
-        raise TopologyError(
+        raise ConfigError(
             f"triangle {bad} has non-positive signed area {areas[bad]:.3e} "
             "(vertices must be counter-clockwise)")
     centroids = (p0 + p1 + p2) / 3.0
@@ -127,7 +127,7 @@ def _finalize_geometry(mesh: Mesh) -> Mesh:
     seg = b - a
     mesh.face_lengths = np.hypot(seg[:, 0], seg[:, 1])
     if np.any(mesh.face_lengths <= 0.0):
-        raise TopologyError("zero-length face (duplicate node in a triangle?)")
+        raise ConfigError("zero-length face (duplicate node in a triangle?)")
     mesh.face_normals = _rot90cw(seg) / mesh.face_lengths[:, None]
     mesh.face_midpoints = 0.5 * (a + b)
     left, right = mesh.face_cells.T
@@ -148,16 +148,20 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
     points = np.ascontiguousarray(points, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     if points.ndim != 2 or points.shape[1] != 2:
-        raise TopologyError("points must be (n, 2)")
+        raise ConfigError("points must be (n, 2)")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
-        raise TopologyError("triangles must be (m, 3)")
+        raise ConfigError("triangles must be (m, 3)")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(points)):
-        raise TopologyError("triangle references a node out of range")
+        raise ConfigError("triangle references a node out of range")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"node {int(np.flatnonzero(~finite)[0])} has a "
+                          "non-finite coordinate")
 
     used = np.zeros(len(points), dtype=bool)
     used[triangles.ravel()] = True
     if not used.all():
-        raise TopologyError(f"node {int(np.flatnonzero(~used)[0])} belongs to no triangle")
+        raise ConfigError(f"node {int(np.flatnonzero(~used)[0])} belongs to no triangle")
 
     # half-edge h = 3 t + e runs a -> b; one stable sort of the edge keys
     # groups the traversals of each edge in (triangle, edge) order
@@ -185,9 +189,9 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
         h = int(np.flatnonzero(bad)[0])
         edge = (int(min(a[h], b[h])), int(max(a[h], b[h])))
         if occurrence[h] > 1:
-            raise TopologyError(f"edge {edge} shared by more than two triangles")
-        raise TopologyError(f"edge {edge} traversed twice in the same direction "
-                            "(inconsistent triangle orientation)")
+            raise ConfigError(f"edge {edge} shared by more than two triangles")
+        raise ConfigError(f"edge {edge} traversed twice in the same direction "
+                          "(inconsistent triangle orientation)")
     face_cells = np.column_stack([lead // 3, np.full(len(lead), -1)])
     second = np.flatnonzero(occurrence == 1)
     face_cells[half_face[second], 1] = second // 3
@@ -206,7 +210,7 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
         bad = ~found | (right[f] >= 0) | named
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            raise TopologyError(
+            raise ConfigError(
                 f"boundary declaration {list(boundary_edges)[i]} " + (
                     "matches no edge" if not found[i] else
                     "names an interior edge" if right[f[i]] >= 0 else
@@ -235,17 +239,17 @@ def cell_sum(lm: Mesh, per_face: np.ndarray, signed: bool = True) -> np.ndarray:
 
 
 def validate_mesh(mesh: Mesh, tol: float = 1e-12):
-    """Audit the Mesh invariants; raises TopologyError on the first failure.
+    """Audit the Mesh invariants; raises ConfigError on the first failure.
 
     Checks: positive areas, unit normals, left->right orientation on
     two-sided faces, and the closed-polygon identity sum(|s| n_out) = 0 per
     cell.
     """
     if np.any(mesh.areas <= 0):
-        raise TopologyError("non-positive cell area")
+        raise ConfigError("non-positive cell area")
     nrm = np.hypot(mesh.face_normals[:, 0], mesh.face_normals[:, 1])
     if np.max(np.abs(nrm - 1.0)) > tol:
-        raise TopologyError("face normal not unit length")
+        raise ConfigError("face normal not unit length")
     inter = mesh.interior_faces()
     if inter.size:
         left = mesh.face_cells[inter, 0]
@@ -254,12 +258,12 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12):
         dots = np.einsum("ij,ij->i", mesh.face_normals[inter], d)
         if np.any(dots <= 0):
             f = int(inter[np.flatnonzero(dots <= 0)[0]])
-            raise TopologyError(f"face {f} normal does not point left->right")
+            raise ConfigError(f"face {f} normal does not point left->right")
     weighted = mesh.face_normals * mesh.face_lengths[:, None]
     worst = max(float(np.abs(cell_sum(mesh, weighted[:, c])).max(initial=0.0))
                 for c in (0, 1))
     if worst > tol * max(1.0, float(np.max(mesh.face_lengths))):
-        raise TopologyError(f"cell face normals do not close (max {worst:.3e})")
+        raise ConfigError(f"cell face normals do not close (max {worst:.3e})")
 
 
 # --------------------------------------------------------------------------
@@ -371,7 +375,7 @@ def structured_triangulation(n: int) -> Mesh:
     2*n^2 cells; boundary labels left/right/bottom/top.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("mesh size must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     points = np.column_stack([gx.ravel(), gy.ravel()])
@@ -427,14 +431,14 @@ def build_diamonds(mesh: Mesh) -> DiamondCells:
     floor = 1e-14 * float(np.mean(mesh.areas))
     if np.any(area < floor):
         f = int(np.flatnonzero(area < floor)[0])
-        raise DegenerateDiamond(
+        raise NumericError(
             f"face {f}: diamond area {area[f]:.3e} below {floor:.3e}")
 
     lr = _rot90cw(gr - gl)
     lr_length = np.hypot(lr[:, 0], lr[:, 1])
     if np.any(lr_length <= 0.0):
         f = int(np.flatnonzero(lr_length <= 0.0)[0])
-        raise DegenerateDiamond(f"face {f}: coincident diamond centroids")
+        raise NumericError(f"face {f}: coincident diamond centroids")
     two_area = 2.0 * area[:, None]
     n_sigma = mesh.face_normals * mesh.face_lengths[:, None]
     g_n, g_t = n_sigma / two_area, lr / two_area
@@ -492,7 +496,7 @@ def node_weights(mesh: Mesh) -> NodeWeights:
     dist = np.hypot(d[:, 0], d[:, 1])
     scale = total(dist) / count
     if np.any(scale <= 0.0):
-        raise TopologyError("cell centroid coincides with a mesh node")
+        raise ConfigError("cell centroid coincides with a mesh node")
     gx, gy = (d / scale[node, None]).T
     # in the basis (1, gx - mean gx, gy - mean gy) of G's rows, G G^T is
     # diag(m, C): w = 1/m + cx zx + cy zy with C z = -(mean gx, mean gy)

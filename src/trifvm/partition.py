@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidK
+from .errors import ConfigError
 from .mesh import (DiamondCells, Mesh, NodeWeights, _finalize_geometry,
                    build_diamonds, node_weights)
 
@@ -156,7 +156,7 @@ def _bisect(graph: DualGraph, cells: np.ndarray, k: int, first: int,
 
 def partition(graph: DualGraph, k: int) -> PartitionMap:
     if k < 1 or k > graph.n:
-        raise InvalidK(f"k = {k} outside 1..{graph.n}")
+        raise ConfigError(f"k = {k} outside 1..{graph.n}")
     part = np.empty(graph.n, dtype=np.int64)
     _bisect(graph, np.arange(graph.n), k, 0, part)
     return PartitionMap(part=part, k=k)
@@ -194,10 +194,9 @@ class Subdomain:
 
     rank: int
     n_own: int
-    own_cells: np.ndarray       # global ids, ascending
     halo_cells: np.ndarray      # global ids, ascending
     local_mesh: Mesh
-    cells_l2g: np.ndarray       # (n_own + n_halo,)
+    cells_l2g: np.ndarray       # global ids: own, then halo, each ascending
     face_l2g: np.ndarray
     neighbor_links: dict[int, tuple[np.ndarray, np.ndarray]]
     diamonds: DiamondCells      # this rank's slice of the run's geometry
@@ -265,9 +264,9 @@ def build_subdomains(mesh: Mesh, pm: PartitionMap, diamonds: DiamondCells,
                 send = own[touch[s][tri[own]].any(axis=1)]
                 links[s] = (g2l[send], g2l[recv])
 
-        subs.append(Subdomain(rank=r, n_own=len(own), own_cells=own,
-                              halo_cells=halo, local_mesh=lm, cells_l2g=l2g,
-                              face_l2g=face_l2g, neighbor_links=links,
+        subs.append(Subdomain(rank=r, n_own=len(own), halo_cells=halo,
+                              local_mesh=lm, cells_l2g=l2g, face_l2g=face_l2g,
+                              neighbor_links=links,
                               diamonds=DiamondCells(
                                   *(a[face_l2g]
                                     for a in vars(diamonds).values())),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSystem, TopologyError
+from .errors import ConfigError, NumericError
 from .mesh import DiamondCells, Mesh, NodeWeights, cell_sum
 from .partition import graph_from_pairs
 from .transport import BC_DIRICHLET, BC_NEUMANN, diamond_stencil
@@ -77,7 +77,7 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     explicit residual is S F, so A = -S Phi and lift = S phi0.
     """
     if len(mesh.cell_faces) != mesh.n_cells:
-        raise TopologyError("Poisson assembly needs the global mesh, not a halo view")
+        raise ConfigError("Poisson assembly needs the global mesh, not a halo view")
 
     st, beta = diamond_stencil(mesh, bc), diamonds.beta
 
@@ -118,7 +118,7 @@ def assemble_system(mesh: Mesh, diamonds: DiamondCells, weights: NodeWeights,
     pinned = None
     if not np.any(st.kind == BC_DIRICHLET):
         if pin_cell is None:
-            raise SingularSystem(
+            raise NumericError(
                 "all-Neumann operator has the constant nullspace; pin a cell")
         # replace the pinned row by the identity row (values only, pattern
         # kept) so every other row still annihilates constants; the pinned
@@ -144,7 +144,7 @@ def assemble_rhs(mesh: Mesh, source: np.ndarray, bc: dict,
     """
     source = np.asarray(source, dtype=np.float64)
     if source.shape != (mesh.n_cells,):
-        raise DimensionMismatch(f"source has shape {source.shape}")
+        raise NumericError(f"source has shape {source.shape}")
     b = mesh.areas * source + problem.lift
     if problem.pinned is not None:
         b[problem.pinned] = 0.0

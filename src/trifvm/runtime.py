@@ -44,7 +44,8 @@ import numpy as np
 from . import streamer as discharge
 from .config import RunConfig, load_coefficient_table
 from .direct_solver import LuFactors, factorize, solve
-from .errors import ConfigError, SimulationError, Timeout, TriFvmError, ZeroDt
+from .errors import (ConfigError, NumericError, SimulationError, Timeout,
+                     TriFvmError)
 from .mesh import (INTERIOR, Mesh, build_diamonds, load_mesh, node_weights,
                    structured_triangulation)
 from .partition import (Subdomain, build_dual_graph, build_subdomains,
@@ -162,10 +163,8 @@ class _Fabric:
         that gave up later must not hide it), else that rank `gone` left."""
         if gone is None or time.monotonic() > deadline:
             return Timeout(f"rank {self.rank}: no message from {peer} "
-                           f"within {self.timeout}s", rank=self.rank,
-                           deadline=deadline)
-        return Timeout(f"rank {self.rank}: rank {gone} is gone",
-                       rank=self.rank)
+                           f"within {self.timeout}s", deadline=deadline)
+        return Timeout(f"rank {self.rank}: rank {gone} is gone")
 
     def _wait(self, fd, deadline: float, peer: str) -> None:
         """Write the outboxes until `fd` can be read (fd None: until they
@@ -340,8 +339,8 @@ def _resolve_dt(ctx: RankContext, dt_fixed: float | None,
         return dt_fixed
     dt = allreduce_min(ctx, dt_local)
     if not np.isfinite(dt):
-        raise ZeroDt("no finite stability bound (V = 0 and D = 0); "
-                     "set dt in the config")
+        raise NumericError("no finite stability bound (V = 0 and D = 0); "
+                           "set dt in the config")
     return dt
 
 

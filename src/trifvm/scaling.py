@@ -16,7 +16,7 @@ import csv
 import re
 from dataclasses import dataclass
 
-from .errors import MissingBase, ParseError
+from .errors import ConfigError, ParseError
 
 PHASES = ("convection", "diffusion", "linear_solver", "total")
 
@@ -97,7 +97,7 @@ def read_timings_csv(path) -> list:
 def compute_scaling(records: list, base_cores: int = 1) -> ScalingReport:
     base = next((r for r in records if r.cores == base_cores), None)
     if base is None:
-        raise MissingBase(f"no row with cores = {base_cores}")
+        raise ConfigError(f"no row with cores = {base_cores}")
     rows = []
     for rec in sorted(records, key=lambda r: r.cores):
         sp = {ph: base.times[ph] / rec.times[ph] for ph in rec.times}

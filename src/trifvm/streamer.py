@@ -126,14 +126,3 @@ def apply_update(sub: Subdomain, state: StreamerState, fc: FluxContext,
     n_i = state.n_i.values.copy()
     n_i[:sub.n_own] += dt * fc.s_e
     return n_e, Field(n_i, halo_stale=sub.n_own < sub.n_local), clip
-
-
-def total_charge(sub: Subdomain, state: StreamerState) -> float:
-    """Area-weighted net charge sum(mu (n_i - n_e)) over own cells.
-
-    The ionization source feeds both species identically, so with zero
-    boundary flux this is conserved by every step.
-    """
-    n = sub.n_own
-    mu = sub.local_mesh.areas[:n]
-    return float(np.sum(mu * (state.n_i.values[:n] - state.n_e.values[:n])))

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroDt
+from .errors import NumericError
 from .mesh import Mesh, NodeWeights, cell_sum
 from .partition import Subdomain
 
@@ -267,5 +267,5 @@ def stable_dt(sub: Subdomain, vel: FaceVelocity, diffusion=0.0,
         dts = np.where(denom > 0.0, mu / denom, np.inf)
     dt = cfl * float(dts.min())
     if dt <= 0.0 or not np.isfinite(denom.max()):
-        raise ZeroDt(f"stability limit collapsed (dt = {dt})")
+        raise NumericError(f"stability limit collapsed (dt = {dt})")
     return dt

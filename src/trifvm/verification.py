@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig, TransportConfig
 from .direct_solver import factorize, solve
-from .errors import UnknownCase
+from .errors import ConfigError
 from .mesh import build_diamonds, node_weights, structured_triangulation
 from .partition import single_subdomain
 from .poisson import assemble_rhs, assemble_system
@@ -133,7 +133,7 @@ def run_case(case: str, sizes) -> list:
     """Error table for one manufactured case over the given mesh sizes."""
     runner = _RUNNERS.get(case)
     if runner is None:
-        raise UnknownCase(f"unknown case '{case}'; choose from {CASES}")
+        raise ConfigError(f"unknown case '{case}'; choose from {CASES}")
     rows = []
     for n in sizes:
         linf, l2 = runner(int(n))

@@ -9,7 +9,7 @@ import pytest
 
 from trifvm.config import RunConfig, StreamerConfig
 from trifvm.direct_solver import PIVOT_FLOOR
-from trifvm.errors import DimensionMismatch, SingularMatrix
+from trifvm.errors import NumericError, SingularMatrix
 from trifvm.mesh import build_mesh, save_mesh, structured_triangulation
 from trifvm.partition import single_subdomain
 from trifvm.runtime import _one_rank, _RankResult, _step, _Streamer
@@ -93,6 +93,17 @@ def coupled_step(state, hook, problem, factors, dt=None):
     res = _RankResult(timers={})
     state = _step(_one_rank(hook.sub, problem, factors), hook, state, dt, res)
     return state, res.clips
+
+
+def total_charge(sub, state):
+    """Area-weighted net charge sum(mu (n_i - n_e)) over own cells.
+
+    The ionization source feeds both species identically, so with zero
+    boundary flux this is conserved by every step.
+    """
+    n = sub.n_own
+    mu = sub.local_mesh.areas[:n]
+    return float(np.sum(mu * (state.n_i.values[:n] - state.n_e.values[:n])))
 
 
 def irregular_mesh_file(path, n, seed):
@@ -184,16 +195,16 @@ def dense_lu_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.array(b, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {a.shape}")
+        raise NumericError(f"matrix shape {a.shape}")
     if b.shape != (n,):
-        raise DimensionMismatch(f"rhs shape {b.shape}")
+        raise NumericError(f"rhs shape {b.shape}")
     if n > 500:
-        raise DimensionMismatch("oracle capped at n = 500")
+        raise NumericError("oracle capped at n = 500")
     tiny = PIVOT_FLOOR * float(np.max(np.abs(a))) if a.size else 0.0
     for col in range(n):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
         if abs(a[piv, col]) <= tiny:
-            raise SingularMatrix(f"column {col}: pivot {a[piv, col]:.3e}", column=col)
+            raise SingularMatrix(f"column {col}: pivot {a[piv, col]:.3e}")
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
             b[[col, piv]] = b[[piv, col]]

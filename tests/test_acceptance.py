@@ -22,8 +22,7 @@ from trifvm.partition import (build_dual_graph, partition,
                               partition_metrics, single_subdomain)
 from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
 from trifvm.runtime import run_simulation
-from trifvm.streamer import (StreamerState,
-                             gaussian_seed, total_charge)
+from trifvm.streamer import StreamerState, gaussian_seed
 from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
                               convective_residual, diamond_stencil,
                               diffusive_residual, explicit_step,
@@ -31,7 +30,7 @@ from trifvm.transport import (FaceVelocity, Field, apply_boundary_conditions,
 
 from conftest import (ALL_NEUMANN, TIMING_ROWS, coupled_step, dense_lu_oracle,
                       dirichlet_bc, irregular_mesh, random_spd_like,
-                      streamer_hook, write_timing_table)
+                      streamer_hook, total_charge, write_timing_table)
 
 PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
           "top": ("neumann",), "bottom": ("neumann",)}

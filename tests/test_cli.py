@@ -199,6 +199,15 @@ def test_exit_code_config_errors(tmp_path, capsys):
     for sizes, bad in (("0", "0"), ("-4", "-4"), ("8,abc", "abc")):
         assert main(["convergence", "advect_gauss", "--sizes", sizes]) == 2
         assert f"'{bad}'" in capsys.readouterr().err
+    mesh = tmp_path / "m8.txt"
+    assert main(["genmesh", "2", str(mesh)]) == 0   # 8 cells
+    for k in ("0", "9"):
+        assert main(["partition", str(mesh), k]) == 2
+        assert "outside 1..8" in capsys.readouterr().err
+    dangling = tmp_path / "dangling.txt"
+    dangling.write_text("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 5\n")
+    assert main(["partition", str(dangling), "1"]) == 2
+    assert "triangle references a node out of range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [
@@ -359,6 +368,30 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     assert main(["run", "--config", str(frozen),
                  "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+    # a sliver cell passes the mesh checks, and its diamond collapses
+    sliver = tmp_path / "sliver.txt"
+    sliver.write_text("nodes 4\n0 0\n1 0\n0.5 1e-17\n0.5 -1\n"
+                      "triangles 2\n0 1 2\n1 0 3\n")
+    cfg = tmp_path / "sliver.ini"
+    cfg.write_text(f"[run]\nmesh_path = {sliver}\nsteps = 1\n")
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o2")]) == 3
+    assert "diamond area" in capsys.readouterr().err
+
+
+def test_a_mesh_file_with_a_non_finite_node_exits_2(tmp_path, capsys):
+    # a NaN coordinate is bad input, not a numeric failure of the run
+    mesh = tmp_path / "m.txt"
+    assert main(["genmesh", "2", str(mesh)]) == 0
+    text = mesh.read_text()
+    assert "\n0.5 0.5\n" in text   # node 4, the centre
+    mesh.write_text(text.replace("\n0.5 0.5\n", "\nnan 0.5\n"))
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(f"[run]\nmesh_path = {mesh}\nsteps = 1\n")
+    for argv in (["partition", str(mesh), "2"],
+                 ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        assert "node 4 has a non-finite coordinate" in capsys.readouterr().err
 
 
 def test_exit_code_io_failure(tmp_path, capsys):

@@ -152,7 +152,7 @@ def _assert_reconstructs(mesh):
             block = np.ix_(cols[cols < mat.n], cols[cols < mat.n])
             assert np.array_equal(l[block], np.eye(len(block[0])))
             assert np.array_equal(u[block], np.eye(len(block[0])))
-    perm = a[np.ix_(f.perm_row, f.perm_col)]
+    perm = a[np.ix_(f.perm_col[f.pivot_rows], f.perm_col)]
     assert np.abs(l @ d @ u - perm).max() < 1e-12 * np.abs(a).max()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifvm.errors import DegenerateDiamond, ParseError, TopologyError
+from trifvm.errors import ConfigError, NumericError, ParseError
 from trifvm.mesh import (build_diamonds, build_mesh, load_mesh, node_weights,
                          save_mesh, structured_triangulation, validate_mesh)
 from trifvm.partition import single_subdomain
@@ -90,10 +90,14 @@ def test_save_load_round_trip(tmp_path):
 
 def test_build_mesh_rejects_bad_topology():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(TopologyError):
-        build_mesh(pts, np.array([[0, 1, 5]]))  # node out of range
-    with pytest.raises(TopologyError):
-        build_mesh(pts, np.array([[0, 1, 1]]))  # repeated node
+    with pytest.raises(ConfigError, match="node out of range"):
+        build_mesh(pts, np.array([[0, 1, 5]]))
+    with pytest.raises(ConfigError, match="non-positive signed area"):
+        build_mesh(pts[:2], np.array([[0, 1, 1]]))  # repeated node
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError,
+                           match="node 2 has a non-finite coordinate"):
+            build_mesh(np.vstack([pts[:2], [bad, 1.0]]), np.array([[0, 1, 2]]))
 
 
 # the edge (0, 1) and three apexes, 2 and 4 above it, 3 below
@@ -117,7 +121,7 @@ EDGE_PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
 ])
 def test_build_mesh_names_the_bad_edge(tris, boundary, message):
     pts = EDGE_PTS[:int(np.max(tris)) + 1]
-    with pytest.raises(TopologyError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         build_mesh(pts, np.array(tris), boundary)
 
 
@@ -224,8 +228,9 @@ def test_batched_node_weights_match_per_node_lstsq(mesh):
 
 
 def test_degenerate_diamond_raises():
-    # zero-area triangle collapses the diamond around its faces
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.5, 1.0]])
-    with pytest.raises((DegenerateDiamond, TopologyError)):
-        mesh = build_mesh(pts, np.array([[0, 1, 2], [0, 1, 3]]))
+    # a sliver cell passes the mesh checks, and the diamond across its
+    # shared face collapses
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-17], [0.5, -1.0]])
+    mesh = build_mesh(pts, np.array([[0, 1, 2], [1, 0, 3]]))
+    with pytest.raises(NumericError, match="diamond area"):
         build_diamonds(mesh)

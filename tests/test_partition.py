@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trifvm.errors import InvalidK
+from trifvm.errors import ConfigError
 from trifvm.mesh import (build_diamonds, cell_sum, node_weights,
                          structured_triangulation, validate_mesh)
 from trifvm.partition import (DualGraph, build_dual_graph, build_subdomains,
@@ -36,7 +36,7 @@ def test_dual_graph_symmetric():
 def test_invalid_k_raises():
     g = build_dual_graph(structured_triangulation(4))
     for k in (0, -3, g.n + 1):
-        with pytest.raises(InvalidK):
+        with pytest.raises(ConfigError, match=fr"k = {k} outside 1\.\.{g.n}"):
             partition(g, k)
 
 
@@ -104,11 +104,11 @@ def test_subdomains_partition_cells():
     g = build_dual_graph(m)
     pm = partition(g, 4)
     subs = build_subdomains(m, pm, build_diamonds(m), node_weights(m))
-    owned = np.concatenate([s.own_cells for s in subs])
+    owned = np.concatenate([s.cells_l2g[:s.n_own] for s in subs])
     assert np.array_equal(np.sort(owned), np.arange(m.triangles.shape[0]))
     for s in subs:
-        assert np.array_equal(s.cells_l2g[:s.n_own], s.own_cells)
-        assert not np.intersect1d(s.own_cells, s.halo_cells).size
+        assert np.array_equal(s.cells_l2g[s.n_own:], s.halo_cells)
+        assert not np.intersect1d(s.cells_l2g[:s.n_own], s.halo_cells).size
 
 
 def _split_cases():
@@ -147,7 +147,7 @@ def test_subdomains_slice_the_global_geometry(seed, k):
         assert np.array_equal(sub_grad[faces], grad[g])
         vals = node_values(s, Field(u[s.cells_l2g]), s.weights)
         assert np.array_equal(vals[s.local_mesh.triangles[:s.n_own]],
-                              ref[m.triangles[s.own_cells]])
+                              ref[m.triangles[s.cells_l2g[:s.n_own]]])
 
 
 def test_halo_is_node_adjacent_closure():
@@ -156,9 +156,10 @@ def test_halo_is_node_adjacent_closure():
     for m, subs in _split_cases():
         incident = _node_adjacency(m)
         for s in subs:
-            closure = {t for c in s.own_cells for v in m.triangles[c]
+            own = s.cells_l2g[:s.n_own].tolist()
+            closure = {t for c in own for v in m.triangles[c]
                        for t in incident[v]}
-            assert set(s.halo_cells.tolist()) == closure - set(s.own_cells.tolist())
+            assert set(s.halo_cells.tolist()) == closure - set(own)
             assert np.array_equal(s.halo_cells, np.sort(s.halo_cells))
 
 
@@ -187,8 +188,8 @@ def test_local_faces_are_own_or_boundary_faces_as_in_the_global_mesh(mesh, k):
     pm = partition(build_dual_graph(mesh), k)
     for s in build_subdomains(mesh, pm, build_diamonds(mesh),
                               node_weights(mesh)):
-        lm, g = s.local_mesh, s.face_l2g
-        own_faces = np.unique(mesh.cell_faces[s.own_cells])
+        lm, g, own = s.local_mesh, s.face_l2g, s.cells_l2g[:s.n_own]
+        own_faces = np.unique(mesh.cell_faces[own])
         halo_faces = mesh.cell_faces[s.halo_cells].ravel()
         rim = halo_faces[mesh.face_cells[halo_faces, 1] < 0]
         assert np.array_equal(np.sort(g[:len(own_faces)]), own_faces)
@@ -200,9 +201,8 @@ def test_local_faces_are_own_or_boundary_faces_as_in_the_global_mesh(mesh, k):
             np.where(lm.face_cells >= 0, s.cells_l2g[lm.face_cells], -1),
             mesh.face_cells[g])
         assert lm.face_labels == [mesh.face_labels[f] for f in g]
-        assert np.array_equal(g[lm.cell_faces], mesh.cell_faces[s.own_cells])
-        assert np.array_equal(lm.cell_face_signs,
-                              mesh.cell_face_signs[s.own_cells])
+        assert np.array_equal(g[lm.cell_faces], mesh.cell_faces[own])
+        assert np.array_equal(lm.cell_face_signs, mesh.cell_face_signs[own])
         validate_mesh(lm)
 
 
@@ -217,7 +217,7 @@ def test_cell_sum_on_a_subdomain_is_the_global_one_bit_for_bit():
                               node_weights(mesh)):
         for signed in (True, False):
             local = cell_sum(s.local_mesh, v[s.face_l2g], signed)
-            whole = cell_sum(mesh, v, signed)[s.own_cells]
+            whole = cell_sum(mesh, v, signed)[s.cells_l2g[:s.n_own]]
             assert local.tobytes() == whole.tobytes()
 
 

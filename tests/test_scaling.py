@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifvm.errors import MissingBase, ParseError
+from trifvm.errors import ConfigError, ParseError
 from trifvm.scaling import (compute_scaling, parse_duration, read_timings_csv,
                             write_scaling_csv)
 
@@ -74,7 +74,7 @@ def test_nonunit_base():
 def test_missing_base_raises():
     from trifvm.scaling import ScalingRecord
     records = [ScalingRecord(cores=2, times={"total": 10.0})]
-    with pytest.raises(MissingBase):
+    with pytest.raises(ConfigError, match="no row with cores = 1"):
         compute_scaling(records, base_cores=1)
 
 

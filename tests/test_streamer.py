@@ -12,10 +12,10 @@ from trifvm.partition import single_subdomain
 from trifvm.poisson import assemble_system
 from trifvm.runtime import _Streamer, run_simulation
 from trifvm.streamer import (StreamerState, charge_source, coefficient,
-                             gaussian_seed, prepare_fluxes, total_charge)
+                             gaussian_seed, prepare_fluxes)
 from trifvm.transport import BC_DIRICHLET, Field, face_gradients
 
-from conftest import ALL_NEUMANN, coupled_step, streamer_hook
+from conftest import ALL_NEUMANN, coupled_step, streamer_hook, total_charge
 
 PLATES = {"left": ("dirichlet", 1.0), "right": ("dirichlet", 0.0),
           "top": ("neumann",), "bottom": ("neumann",)}

@@ -3,7 +3,7 @@
 import pytest
 
 from trifvm import runtime, verification
-from trifvm.errors import UnknownCase
+from trifvm.errors import ConfigError
 from trifvm.verification import run_case
 
 from conftest import irregular_mesh
@@ -60,7 +60,7 @@ def test_diffusion_error_decreases():
 
 
 def test_unknown_case_raises():
-    with pytest.raises(UnknownCase):
+    with pytest.raises(ConfigError, match="unknown case 'navier_stokes'"):
         run_case("navier_stokes", [8])
 
 
