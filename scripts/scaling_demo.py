@@ -34,11 +34,11 @@ def main():
             fh.write(f"{k},{row}\n")
             print(f"measured k = {k}: total {rep.phase_seconds['total']:.3f} s")
 
-    report = compute_scaling(read_timings_csv(timings), base_cores=1)
+    rows = compute_scaling(read_timings_csv(timings), base_cores=1)
     out = os.path.join(OUT, "scaling_report.csv")
-    write_scaling_csv(report, out)
+    write_scaling_csv(rows, out)
     print(f"\n{'ranks':>5s} {'ideal':>6s} {'speedup':>8s} {'efficiency':>10s}")
-    for row in report.rows:
+    for row in rows:
         print(f"{row.cores:5d} {row.sp_ideal:6.1f} "
               f"{row.speedup['total']:8.3f} {row.efficiency['total']:9.1f}%")
     print(f"wrote {timings} and {out}")

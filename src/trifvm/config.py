@@ -85,13 +85,13 @@ class RunConfig:
             raise ConfigError("cfl must be in (0, 1]")
         if self.physics not in ("transport", "streamer"):
             raise ConfigError(f"unknown physics '{self.physics}'")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:   # NaN too
             raise ConfigError("dt must be positive")
         if self.output_every < 0:
             raise ConfigError("output_every must be >= 0")
         if self.mesh_path is None and self.mesh_n < 1:
             raise ConfigError("mesh_n must be >= 1")
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:
             raise ConfigError("timeout_s must be positive")
         tc, sc = self.transport, self.streamer
         if self.physics == "transport" \
@@ -102,12 +102,12 @@ class RunConfig:
                 raise ConfigError(f"unknown coefficient model '{sc.model}'")
             if sc.model == "table" and sc.table_path is None:
                 raise ConfigError("model = table needs table_path")
-            if sc.model == "linear" and sc.d_e < 0:
+            if sc.model == "linear" and not sc.d_e >= 0:
                 raise ConfigError("d_e must be >= 0")
             if not sc.eps > 0:   # NaN too
                 raise ConfigError("eps must be positive")
         for name, val in (("sigma", tc.sigma), ("seed_sigma", sc.seed_sigma)):
-            if val <= 0:
+            if not val > 0:
                 raise ConfigError(f"{name} must be positive")
         return self
 

@@ -45,10 +45,10 @@ descendants change them.  The forward updates of shared ancestor rows are
 summed by one np.bincount in stack order, so reruns are byte-identical.
 
 Pivoting, per front column: the diagonal is kept when it is at least
-`threshold` (default 0.1) of the column's largest entry in the whole front,
+PIVOT_THRESHOLD (0.1) of the column's largest entry in the whole front,
 else the largest fully-summed row is swapped in if it passes the same test.
 A column where neither passes, or whose largest entry is below
-1e-14 * max|A|, raises SingularMatrix naming the column of A.
+PIVOT_FLOOR * max|A|, raises SingularMatrix naming the column of A.
 
 The factors satisfy  A[perm_col[pivot_rows]][:, perm_col] = L U = L~ D U~
 with L unit lower triangular, D the fronts' F11 = L11 U11 and L~ (W) and
@@ -73,7 +73,7 @@ from .partition import DualGraph, cuthill_mckee, graph_from_pairs, neighbors
 from .poisson import CsrMatrix
 
 PIVOT_FLOOR = 1e-14
-DEFAULT_THRESHOLD = 0.1
+PIVOT_THRESHOLD = 0.1
 RELAX_WIDTH = 32     # widest supernode amalgamation builds
 LEAF_SIZE = 64       # largest vertex set nested dissection leaves uncut
 CHECK_BOUND = 1e-8   # largest relative residual the check solve accepts
@@ -277,10 +277,9 @@ def _level_stacks(n: int, firsts: list, rows: list, kids: list):
     return stacks, slot_of, len(shapes)
 
 
-def factorize(mat: CsrMatrix, threshold: float = DEFAULT_THRESHOLD,
-              reorder: bool = True) -> LuFactors:
-    n = mat.n
-    perm_col = rcm_order(mat) if reorder else np.arange(n, dtype=np.int64)
+def factorize(mat: CsrMatrix) -> LuFactors:
+    n, threshold = mat.n, PIVOT_THRESHOLD
+    perm_col = rcm_order(mat)
     inv_perm = np.empty(n, dtype=np.int64)
     inv_perm[perm_col] = np.arange(n)
 

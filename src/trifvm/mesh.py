@@ -26,8 +26,8 @@ The text format is line oriented::
     boundary <B>
     <a> <b> <label>    (B lines)
 
-Boundary edges not listed get the label ``default``; none may be labelled
-``interior``.
+Boundary edges not listed get the label ``default``; none may be listed
+twice or labelled ``interior``.
 """
 
 from __future__ import annotations
@@ -238,34 +238,6 @@ def cell_sum(lm: Mesh, per_face: np.ndarray, signed: bool = True) -> np.ndarray:
         + per_face[cf[:, 2]] * sg[:, 2]
 
 
-def validate_mesh(mesh: Mesh, tol: float = 1e-12):
-    """Audit the Mesh invariants; raises ConfigError on the first failure.
-
-    Checks: positive areas, unit normals, left->right orientation on
-    two-sided faces, and the closed-polygon identity sum(|s| n_out) = 0 per
-    cell.
-    """
-    if np.any(mesh.areas <= 0):
-        raise ConfigError("non-positive cell area")
-    nrm = np.hypot(mesh.face_normals[:, 0], mesh.face_normals[:, 1])
-    if np.max(np.abs(nrm - 1.0)) > tol:
-        raise ConfigError("face normal not unit length")
-    inter = mesh.interior_faces()
-    if inter.size:
-        left = mesh.face_cells[inter, 0]
-        right = mesh.face_cells[inter, 1]
-        d = mesh.centroids[right] - mesh.centroids[left]
-        dots = np.einsum("ij,ij->i", mesh.face_normals[inter], d)
-        if np.any(dots <= 0):
-            f = int(inter[np.flatnonzero(dots <= 0)[0]])
-            raise ConfigError(f"face {f} normal does not point left->right")
-    weighted = mesh.face_normals * mesh.face_lengths[:, None]
-    worst = max(float(np.abs(cell_sum(mesh, weighted[:, c])).max(initial=0.0))
-                for c in (0, 1))
-    if worst > tol * max(1.0, float(np.max(mesh.face_lengths))):
-        raise ConfigError(f"cell face normals do not close (max {worst:.3e})")
-
-
 # --------------------------------------------------------------------------
 # text format
 
@@ -344,8 +316,13 @@ def load_mesh(path) -> Mesh:
     points = take_rows(n_nodes, 2, "node", numbers(np.float64, float, 2))
     n_tris = expect_section("triangles")
     triangles = take_rows(n_tris, 3, "triangle", numbers(np.int64, int, 3))
-    n_bnd = expect_section("boundary", optional=True)
-    boundary_edges = {} if n_bnd is None else take_rows(n_bnd, 3, "boundary", edges)
+    n_bnd = expect_section("boundary", optional=True) or 0
+    boundary_edges = take_rows(n_bnd, 3, "boundary", edges)
+    if len(boundary_edges) < n_bnd:   # an edge listed twice: name its second row
+        block = filled[pos - n_bnd:pos]
+        ends = [tuple(sorted(map(int, lines[ln - 1].split()[:2]))) for ln in block]
+        i = next(i for i, e in enumerate(ends) if e in ends[:i])
+        raise ParseError(f"boundary edge {ends[i]} listed twice", path, block[i])
     if pos < len(filled):
         ln = filled[pos]
         raise ParseError("unexpected trailing content "
@@ -451,21 +428,19 @@ def build_diamonds(mesh: Mesh) -> DiamondCells:
 
 @dataclass
 class NodeWeights:
-    """CSR-like node -> (cells, weights) map with a fallback flag per node.
+    """CSR-like node -> (cells, weights) map.
 
     Stencil cells are stored in ascending cell id, which pins the summation
     order of the interpolation; a subdomain's slice of the global weights
     keeps that order (`partition.build_subdomains`).  weights are the
-    minimum-norm affine-exact weights of `node_weights`; fallback marks the
-    nodes whose stencil fails the rank test and which carry inverse-distance
-    weights instead.
+    minimum-norm affine-exact weights of `node_weights`, or inverse-distance
+    weights at the nodes whose stencil fails its rank test.
     """
 
     ptr: np.ndarray       # (n_nodes + 1,)
     node: np.ndarray      # the node of each stencil entry
     cells: np.ndarray     # stencil cell indices, concatenated
     weights: np.ndarray
-    fallback: np.ndarray  # (n_nodes,) bool, True = inverse-distance node
 
 
 def node_weights(mesh: Mesh) -> NodeWeights:
@@ -477,7 +452,7 @@ def node_weights(mesh: Mesh) -> NodeWeights:
     w = G^T (G G^T)^-1 e_1, solved for all nodes at once in closed form.
     Rank test: a node whose G has rank < 3, its third singular value at most
     1e-9 times the first (fewer than 3 cells, collinear centroids), falls
-    back to inverse-distance weights and is flagged.
+    back to inverse-distance weights.
 
     Stencils are enumerated in ascending cell id, and every reduction runs
     over one node's stencil in that order.
@@ -521,5 +496,4 @@ def node_weights(mesh: Mesh) -> NodeWeights:
     fit = 1.0 / count[node] + zx[node] * cx + zy[node] * cy
     inv = 1.0 / dist
     return NodeWeights(ptr=ptr, node=node, cells=cells,
-                       weights=np.where(fallback[node], inv / total(inv)[node], fit),
-                       fallback=fallback)
+                       weights=np.where(fallback[node], inv / total(inv)[node], fit))

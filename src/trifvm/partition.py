@@ -218,8 +218,7 @@ def _slice_weights(weights: NodeWeights, keep: np.ndarray,
     node = np.searchsorted(nodes_l2g, weights.node[mask])
     ptr = np.searchsorted(node, np.arange(len(nodes_l2g) + 1))
     return NodeWeights(ptr=ptr, node=node, cells=g2l[weights.cells[mask]],
-                       weights=weights.weights[mask],
-                       fallback=weights.fallback[nodes_l2g])
+                       weights=weights.weights[mask])
 
 
 def build_subdomains(mesh: Mesh, pm: PartitionMap, diamonds: DiamondCells,

@@ -212,13 +212,11 @@ class RankContext:
         return self.rank == 0
 
 
-def _one_rank(sub: Subdomain, problem: PoissonProblem | None = None,
-              factors: LuFactors | None = None) -> RankContext:
+def _one_rank(sub: Subdomain) -> RankContext:
     """The context of a lone rank holding the whole mesh in `sub`."""
     return RankContext(rank=0, k=1, sub=sub, fabric=None, mesh=sub.local_mesh,
                        all_own_l2g=[sub.cells_l2g[:sub.n_own]],
-                       all_full_l2g=[sub.cells_l2g], problem=problem,
-                       factors=factors)
+                       all_full_l2g=[sub.cells_l2g])
 
 
 def halo_exchange(ctx: RankContext, f: Field) -> Field:

@@ -51,11 +51,6 @@ class ScalingRow:
     efficiency: dict   # phase -> percent
 
 
-@dataclass
-class ScalingReport:
-    rows: list
-
-
 def read_timings_csv(path) -> list:
     """Rows of cores plus per-phase times; header names the phases.  Each
     row has one non-empty cell per column; a bad row is named by its line."""
@@ -94,7 +89,7 @@ def read_timings_csv(path) -> list:
     return records
 
 
-def compute_scaling(records: list, base_cores: int = 1) -> ScalingReport:
+def compute_scaling(records: list, base_cores: int = 1) -> list:
     base = next((r for r in records if r.cores == base_cores), None)
     if base is None:
         raise ConfigError(f"no row with cores = {base_cores}")
@@ -106,19 +101,19 @@ def compute_scaling(records: list, base_cores: int = 1) -> ScalingReport:
         rows.append(ScalingRow(cores=rec.cores,
                                sp_ideal=rec.cores / base_cores,
                                speedup=sp, efficiency=eff))
-    return ScalingReport(rows=rows)
+    return rows
 
 
-def write_scaling_csv(report: ScalingReport, path) -> None:
-    phases = [ph for ph in PHASES if ph in report.rows[0].speedup] \
-        if report.rows else list(PHASES)
+def write_scaling_csv(rows: list, path) -> None:
+    phases = [ph for ph in PHASES if ph in rows[0].speedup] \
+        if rows else list(PHASES)
     header = ["cores", "sp_ideal"]
     for ph in phases:
         header += [f"{ph}_speedup", f"{ph}_efficiency"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in report.rows:
+        for row in rows:
             out = [row.cores, "%.17g" % row.sp_ideal]
             for ph in phases:
                 out += ["%.17g" % row.speedup[ph],

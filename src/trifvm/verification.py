@@ -32,9 +32,6 @@ from .poisson import assemble_rhs, assemble_system
 from .runtime import _one_rank, _RankResult, _step, _Transport
 from .transport import diamond_stencil
 
-CASES = ("poisson_sine", "advect_gauss", "diffuse_gauss")
-
-
 @dataclass
 class ConvergenceRow:
     n: int
@@ -127,6 +124,7 @@ _RUNNERS = {
     "advect_gauss": _case_advect_gauss,
     "diffuse_gauss": _case_diffuse_gauss,
 }
+CASES = tuple(_RUNNERS)
 
 
 def run_case(case: str, sizes) -> list:

@@ -1,16 +1,18 @@
 """Shared fixtures: small meshes, single-rank subdomains, BC dictionaries,
-the one-rank coupled step, and the dense reference solver the sparse one is
-checked against."""
+the one-rank coupled step, the mesh audit, and the dense reference solver
+the sparse one is checked against."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trifvm.config import RunConfig, StreamerConfig
 from trifvm.direct_solver import PIVOT_FLOOR
-from trifvm.errors import NumericError, SingularMatrix
-from trifvm.mesh import build_mesh, save_mesh, structured_triangulation
+from trifvm.errors import ConfigError, NumericError, SingularMatrix
+from trifvm.mesh import (build_mesh, cell_sum, save_mesh,
+                         structured_triangulation)
 from trifvm.partition import single_subdomain
 from trifvm.runtime import _one_rank, _RankResult, _step, _Streamer
 
@@ -77,6 +79,34 @@ def holed_mesh(n):
     return build_mesh(m.points[used], tris, boundary)
 
 
+def validate_mesh(mesh, tol=1e-12):
+    """Audit the Mesh invariants; raises ConfigError on the first failure.
+
+    Checks: positive areas, unit normals, left->right orientation on
+    two-sided faces, and the closed-polygon identity sum(|s| n_out) = 0 per
+    cell.
+    """
+    if np.any(mesh.areas <= 0):
+        raise ConfigError("non-positive cell area")
+    nrm = np.hypot(mesh.face_normals[:, 0], mesh.face_normals[:, 1])
+    if np.max(np.abs(nrm - 1.0)) > tol:
+        raise ConfigError("face normal not unit length")
+    inter = mesh.interior_faces()
+    if inter.size:
+        left = mesh.face_cells[inter, 0]
+        right = mesh.face_cells[inter, 1]
+        d = mesh.centroids[right] - mesh.centroids[left]
+        dots = np.einsum("ij,ij->i", mesh.face_normals[inter], d)
+        if np.any(dots <= 0):
+            f = int(inter[np.flatnonzero(dots <= 0)[0]])
+            raise ConfigError(f"face {f} normal does not point left->right")
+    weighted = mesh.face_normals * mesh.face_lengths[:, None]
+    worst = max(float(np.abs(cell_sum(mesh, weighted[:, c])).max(initial=0.0))
+                for c in (0, 1))
+    if worst > tol * max(1.0, float(np.max(mesh.face_lengths))):
+        raise ConfigError(f"cell face normals do not close (max {worst:.3e})")
+
+
 def streamer_hook(sub, potential_bc, **coeffs):
     """The streamer's per-rank hook on sub, as a run builds it, with the
     linear model's coefficients and Neumann species boundaries."""
@@ -91,7 +121,8 @@ def coupled_step(state, hook, problem, factors, dt=None):
     bound of the freshly computed drift field.  Returns the state and the
     step's clip count, as the rank's record counts it."""
     res = _RankResult(timers={})
-    state = _step(_one_rank(hook.sub, problem, factors), hook, state, dt, res)
+    ctx = replace(_one_rank(hook.sub), problem=problem, factors=factors)
+    state = _step(ctx, hook, state, dt, res)
     return state, res.clips
 
 

@@ -191,6 +191,11 @@ def test_exit_code_config_errors(tmp_path, capsys):
         assert main(["run", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # a NaN timeout is bad input, found before any rank is forked
+    bad.write_text("[run]\nmesh_n = 4\nk = 2\ntimeout_s = nan\n")
+    assert main(["run", "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "timeout_s must be positive" in capsys.readouterr().err
     nobase = tmp_path / "nb.csv"
     nobase.write_text("cores,total\n2,100\n")
     assert main(["scaling", str(nobase), "--out",

@@ -154,6 +154,13 @@ def test_readme_sample_config_runs(tmp_path):
     "[DEFAULT]\nsteps = 3\n\n[run]\nmesh_n = 8\n\n[transport]\n"
     "diffusion = 0.2\n",
     "[DEFAULT]\nsteps = 3\n\n[run]\nmesh_n = 8\n\n[bc]\nleft = neumann\n",
+    "[run]\ncfl = x\n",                         # not a number
+    "[transport]\nvelocity = 1\n",              # not two numbers
+    "[transport]\nsigma = 0\n",
+    # a NaN fails every check, as a number out of range does
+    "[transport]\nsigma = nan\n",
+    "[streamer]\nseed_sigma = nan\n",
+    "[run]\nphysics = streamer\n\n[streamer]\nd_e = nan\n",
 ])
 def test_rejects_malformed_input(tmp_path, body):
     with pytest.raises(ConfigError):
@@ -175,6 +182,7 @@ def test_missing_file_raises():
 @pytest.mark.parametrize("patch", [
     dict(k=0), dict(steps=-1), dict(cfl=0.0), dict(physics="magnets"),
     dict(mesh_n=0), dict(output_every=-2), dict(timeout_s=0.0),
+    dict(dt=0.0), dict(dt=float("nan")), dict(timeout_s=float("nan")),
 ])
 def test_validate_rejects(patch):
     cfg = RunConfig(mesh_n=8, transport=TransportConfig(velocity=(1.0, 0.0)))

@@ -1,13 +1,16 @@
 """Sparse LU with reverse Cuthill-McKee ordering, against the dense oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trifvm import direct_solver
 from trifvm.direct_solver import (LEAF_SIZE, adjacency_pattern, factorize,
                                   rcm_order, solve)
-from trifvm.errors import SingularMatrix
+from trifvm.errors import NumericError, SingularMatrix
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
 from trifvm.partition import cuthill_mckee
 from trifvm.poisson import assemble_system, csr_from_coo
@@ -164,12 +167,17 @@ def test_factorization_reconstructs_permuted_matrix_on_irregular_mesh():
     _assert_reconstructs(irregular_mesh(8, 3))
 
 
-def test_rcm_reduces_fill_on_assembled_operator():
+def _natural_order(monkeypatch):
+    monkeypatch.setattr(direct_solver, "rcm_order", lambda m: np.arange(m.n))
+
+
+def test_rcm_reduces_fill_on_assembled_operator(monkeypatch):
     mesh = structured_triangulation(12)
     dia, w = build_diamonds(mesh), node_weights(mesh)
     mat = assemble_system(mesh, dia, w, dirichlet_bc(0.0)).matrix
-    with_rcm = factorize(mat, reorder=True).fill_nnz
-    natural = factorize(mat, reorder=False).fill_nnz
+    with_rcm = factorize(mat).fill_nnz
+    _natural_order(monkeypatch)
+    natural = factorize(mat).fill_nnz
     assert with_rcm <= natural
 
 
@@ -256,12 +264,14 @@ def test_off_diagonal_pivot_in_a_front_with_rows_past_its_columns():
     assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
-def test_check_solve_rejects_an_unstable_static_pivot():
+def test_check_solve_rejects_an_unstable_static_pivot(monkeypatch):
     # threshold 1e-20 keeps the 1e-13 diagonal; the 1e13 growth ruins the solve
     mat = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1e-13, 1.0, 1.0, 1.0])
-    assert factorize(mat, reorder=False).check_residual < 1e-15
+    _natural_order(monkeypatch)
+    assert factorize(mat).check_residual < 1e-15
+    monkeypatch.setattr(direct_solver, "PIVOT_THRESHOLD", 1e-20)
     with pytest.raises(SingularMatrix, match="check solve"):
-        factorize(mat, threshold=1e-20, reorder=False)
+        factorize(mat)
 
 
 def test_singular_matrix_raises():
@@ -278,6 +288,16 @@ def test_zero_column_raises():
     mat = csr_from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 0.0, 1.0])
     with pytest.raises(SingularMatrix):
         factorize(mat)
+
+
+def test_an_empty_matrix_and_a_short_rhs_raise():
+    empty = csr_from_coo(3, [0, 1, 2], [0, 1, 2], [0.0, 0.0, 0.0])
+    with pytest.raises(SingularMatrix, match="matrix has no nonzero entries"):
+        factorize(empty)
+    mat = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0])
+    with pytest.raises(NumericError,
+                       match=re.escape("rhs has shape (3,), system is 2")):
+        solve(factorize(mat), np.ones(3))
 
 
 def test_dense_oracle_singular_raises():

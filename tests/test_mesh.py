@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from trifvm.errors import ConfigError, NumericError, ParseError
 from trifvm.mesh import (build_diamonds, build_mesh, load_mesh, node_weights,
-                         save_mesh, structured_triangulation, validate_mesh)
+                         save_mesh, structured_triangulation)
 from trifvm.partition import single_subdomain
 from trifvm.transport import (Field, diamond_stencil, face_gradients,
                               node_values)
 
-from conftest import dirichlet_bc, irregular_mesh
+from conftest import dirichlet_bc, irregular_mesh, validate_mesh
 
 
 def test_structured_counts():
@@ -141,6 +141,13 @@ MESH_LINES = ["# two triangles", "nodes 4", "0 0", "1 0  # comment", "0.5 1",
      "file ends inside the triangle section", None),
     ({13: "extra 1"}, "unexpected trailing content 'extra 1'", 14),
     ({9: "1 0 2.7"}, "bad triangle row: 1 0 2.7", 10),
+    ({12: "2 1 bottom"}, "boundary edge (1, 2) listed twice", 13),
+    ({1: "nodes 4 4"}, "'nodes' header needs exactly one count", 2),
+    ({1: "nodes x"}, "bad count 'x' in 'nodes' header", 2),
+    ({1: "nodes -1"}, "negative count in 'nodes' header", 2),
+    ({7: "tris 2"}, "expected section 'triangles', got 'tris'", 8),
+    ({i: None for i in range(1, 13)},
+     "expected 'nodes <count>', got end of file", None),
 ])
 def test_load_mesh_names_the_bad_line(tmp_path, edit, message, line):
     lines = [edit.get(i, text) for i, text in enumerate(MESH_LINES)]
@@ -180,7 +187,7 @@ def test_diamond_linear_exactness():
 
 def test_node_weights_reproduce_linear():
     # exact wherever the least-squares stencil holds; the corner stencils
-    # degenerate and are flagged for the boundary treatment to pin instead
+    # degenerate and fall back, for the boundary treatment to pin instead
     m = structured_triangulation(5)
     sub = single_subdomain(m)
     w = node_weights(m)
@@ -188,10 +195,10 @@ def test_node_weights_reproduce_linear():
     u = Field(lin(m.centroids[:, 0], m.centroids[:, 1]))
     vals = node_values(sub, u, w)
     exact = lin(m.points[:, 0], m.points[:, 1])
-    good = ~w.fallback
-    assert np.abs(vals[good] - exact[good]).max() < 1e-12
+    fallback = _lstsq_weights(m)[1]
+    assert np.abs(vals[~fallback] - exact[~fallback]).max() < 1e-12
     corners = {0, 5, 30, 35}
-    assert set(np.flatnonzero(w.fallback)) <= corners
+    assert set(np.flatnonzero(fallback)) <= corners
 
 
 def _lstsq_weights(mesh):
@@ -221,10 +228,9 @@ FAN = build_mesh([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 5.0]],
 def test_batched_node_weights_match_per_node_lstsq(mesh):
     w = node_weights(mesh)
     ref, fallback = _lstsq_weights(mesh)
-    assert np.array_equal(w.fallback, fallback)
     assert np.abs(w.weights - ref).max() < 1e-13
     if mesh is FAN:
-        assert w.fallback[0]
+        assert fallback[0]
 
 
 def test_degenerate_diamond_raises():

@@ -5,13 +5,13 @@ import pytest
 
 from trifvm.errors import ConfigError
 from trifvm.mesh import (build_diamonds, cell_sum, node_weights,
-                         structured_triangulation, validate_mesh)
+                         structured_triangulation)
 from trifvm.partition import (DualGraph, build_dual_graph, build_subdomains,
                               partition, partition_metrics, single_subdomain)
 from trifvm.transport import (Field, diamond_stencil, face_gradients,
                               node_values)
 
-from conftest import irregular_mesh
+from conftest import irregular_mesh, validate_mesh
 
 
 def _node_adjacency(mesh):

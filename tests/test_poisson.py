@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from trifvm.direct_solver import factorize, solve
-from trifvm.errors import NumericError
+from trifvm.errors import ConfigError, NumericError
 from trifvm.mesh import build_diamonds, node_weights, structured_triangulation
-from trifvm.partition import single_subdomain
+from trifvm.partition import (build_dual_graph, build_subdomains, partition,
+                              single_subdomain)
 from trifvm.poisson import assemble_rhs, assemble_system, csr_from_coo
 from trifvm.transport import (Field, apply_boundary_conditions,
                               diamond_stencil, diffusive_residual)
@@ -72,6 +73,19 @@ def test_sparse_path_matches_dense_oracle_on_assembled_matrix():
     x_dense = dense_lu_oracle(_csr_to_dense(problem.matrix), b)
     denom = np.abs(x_dense).max()
     assert np.abs(x_sparse - x_dense).max() / denom < 1e-10
+
+
+def test_assembly_rejects_a_halo_view_and_a_short_source():
+    mesh = structured_triangulation(4)
+    dia, w = build_diamonds(mesh), node_weights(mesh)
+    sub = build_subdomains(mesh, partition(build_dual_graph(mesh), 2),
+                           dia, w)[0]
+    with pytest.raises(ConfigError, match="needs the global mesh"):
+        assemble_system(sub.local_mesh, sub.diamonds, sub.weights,
+                        dirichlet_bc(0.0))
+    problem = assemble_system(mesh, dia, w, dirichlet_bc(0.0))
+    with pytest.raises(NumericError, match=r"source has shape \(31,\)"):
+        assemble_rhs(mesh, np.ones(31), dirichlet_bc(0.0), problem=problem)
 
 
 def test_neumann_needs_pin():

@@ -43,8 +43,8 @@ def test_pipeline_reproduces_hand_computed_spots(tmp_path):
     assert len(records) == 11
     assert records[0].times["total"] == 179688.0
     assert records[-1].times["linear_solver"] == 203.0
-    report = compute_scaling(records, base_cores=1)
-    by = {r.cores: r for r in report.rows}
+    rows = compute_scaling(records, base_cores=1)
+    by = {r.cores: r for r in rows}
     # hand: 179688 / 3701 and 179688 / 314
     assert by[64].speedup["total"] == pytest.approx(48.5512, abs=1e-4)
     assert by[1024].speedup["total"] == pytest.approx(572.2548, abs=1e-4)
@@ -55,7 +55,7 @@ def test_pipeline_reproduces_hand_computed_spots(tmp_path):
     assert by[1024].efficiency["total"] == pytest.approx(55.8843, abs=1e-4)
     assert by[1].speedup["total"] == 1.0
     assert by[1].efficiency["total"] == 100.0
-    assert [r.cores for r in report.rows] == sorted(by)
+    assert [r.cores for r in rows] == sorted(by)
     assert by[128].sp_ideal == 128.0
 
 
@@ -63,8 +63,7 @@ def test_nonunit_base():
     path_rows = [(4, {"total": 100.0}), (8, {"total": 60.0})]
     from trifvm.scaling import ScalingRecord
     records = [ScalingRecord(cores=c, times=t) for c, t in path_rows]
-    report = compute_scaling(records, base_cores=4)
-    by = {r.cores: r for r in report.rows}
+    by = {r.cores: r for r in compute_scaling(records, base_cores=4)}
     assert by[8].speedup["total"] == pytest.approx(100.0 / 60.0)
     # eff = 100 * t_b N_b / (t_N N) = 100 * 100 * 4 / (60 * 8)
     assert by[8].efficiency["total"] == pytest.approx(100 * 400 / 480)
@@ -113,9 +112,8 @@ def test_bad_row_names_its_file_and_line(tmp_path, rows, line):
 
 def test_write_scaling_csv_round_trip(tmp_path):
     records = read_timings_csv(write_timing_table(tmp_path / "t.csv"))
-    report = compute_scaling(records, base_cores=1)
     out = tmp_path / "s.csv"
-    write_scaling_csv(report, out)
+    write_scaling_csv(compute_scaling(records, base_cores=1), out)
     rows = np.genfromtxt(out, delimiter=",", names=True)
     assert rows["cores"][0] == 1 and rows["cores"][-1] == 1024
     assert rows["total_speedup"][-1] == pytest.approx(572.2548, abs=1e-4)
