@@ -85,8 +85,8 @@ class RunConfig:
             raise ConfigError("cfl must be in (0, 1]")
         if self.physics not in ("transport", "streamer"):
             raise ConfigError(f"unknown physics '{self.physics}'")
-        if self.dt is not None and not self.dt > 0:   # NaN too
-            raise ConfigError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < np.inf:   # NaN too
+            raise ConfigError("dt must be positive and finite")
         if self.output_every < 0:
             raise ConfigError("output_every must be >= 0")
         if self.mesh_path is None and self.mesh_n < 1:
@@ -94,16 +94,24 @@ class RunConfig:
         if not self.timeout_s > 0:
             raise ConfigError("timeout_s must be positive")
         tc, sc = self.transport, self.streamer
-        if self.physics == "transport" \
-                and tc.init not in ("gaussian", "constant"):
-            raise ConfigError(f"unknown transport init '{tc.init}'")
+        if self.physics == "transport":
+            if tc.init not in ("gaussian", "constant"):
+                raise ConfigError(f"unknown transport init '{tc.init}'")
+            if not all(abs(v) < np.inf for v in tc.velocity):
+                raise ConfigError("velocity must be finite")
+            if not 0 <= tc.diffusion < np.inf:
+                raise ConfigError("diffusion must be finite and >= 0")
         if self.physics == "streamer":
             if sc.model not in ("linear", "table"):
                 raise ConfigError(f"unknown coefficient model '{sc.model}'")
             if sc.model == "table" and sc.table_path is None:
                 raise ConfigError("model = table needs table_path")
-            if sc.model == "linear" and not sc.d_e >= 0:
-                raise ConfigError("d_e must be >= 0")
+            if sc.model == "linear":
+                if not 0 <= sc.d_e < np.inf:
+                    raise ConfigError("d_e must be finite and >= 0")
+                for name in ("mu_e", "alpha"):
+                    if not abs(getattr(sc, name)) < np.inf:
+                        raise ConfigError(f"{name} must be finite")
             if not sc.eps > 0:   # NaN too
                 raise ConfigError("eps must be positive")
         for name, val in (("sigma", tc.sigma), ("seed_sigma", sc.seed_sigma)):

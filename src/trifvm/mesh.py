@@ -32,7 +32,9 @@ twice or labelled ``interior``.
 
 from __future__ import annotations
 
+import io
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +199,7 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
     face_cells[half_face[second], 1] = second // 3
 
     right = face_cells[:, 1]
-    labels = np.full(len(lead), "default", dtype=object)
-    labels[right >= 0] = INTERIOR
+    labels = np.array(["default", INTERIOR], dtype=object)[(right >= 0).astype(np.intp)]
     if boundary_edges:
         decl = np.array(list(boundary_edges), dtype=np.int64).reshape(-1, 2)
         decl_key = decl[:, 0] * n + decl[:, 1]
@@ -241,10 +242,54 @@ def cell_sum(lm: Mesh, per_face: np.ndarray, signed: bool = True) -> np.ndarray:
 # --------------------------------------------------------------------------
 # text format
 
+_PLAIN_HEADER = re.compile(rb"[ \t]*(nodes|triangles)[ \t]+([0-9]+)[ \t]*(?:#[^\n]*)?\n")
+
+
+def _plain_sections(data: bytes):
+    """The fast path of `load_mesh`: the points and the triangles, each read
+    by one call of numpy's C reader, and the offset of the rest of data.
+    None unless each header is a plain line and its section ASCII text that
+    numpy reads to a (count, width) array without a warning.  numpy skips
+    blank and comment lines as the line reader does, reads numbers as
+    Python's float and int do, and refuses other forms such as '1_0'."""
+    at, out = re.match(rb"(?:[ \t]*(?:#[^\n]*)?\n)*", data).end(), []
+    for name, width, dtype, ends_at in ((b"nodes", 2, np.float64, b"\ntriangles"),
+                                        (b"triangles", 3, np.int64, b"\nboundary")):
+        m = _PLAIN_HEADER.match(data, at)
+        if m is None or m[1] != name:
+            return None
+        at = data.find(ends_at, m.end() - 1) + 1 or len(data)   # next header
+        body = data[m.end():at]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(io.BytesIO(body), dtype, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
+        if rows.shape != (int(m[2]), width) or not body.isascii():
+            return None
+        out.append(rows)
+    return (*out, at)
+
+
 def load_mesh(path) -> Mesh:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = re.sub("#[^\n]*", "", fh.read()).split("\n")
-    filled = [ln for ln, text in enumerate(lines, start=1) if text.strip()]
+    """Read the text format.  `_plain_sections` reads the numeric sections
+    of a plain file and the line reader the rest of it, or of any other
+    file; only the line reader names a bad row and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:   # as text mode reads CRLF and CR line ends
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", path,
+                         data.count(b"\n", 0, exc.start) + 1) from None
+    plain = _plain_sections(data)
+    at = plain[2] if plain else 0   # where the line reader starts
+    lines = re.sub("#[^\n]*", "", data[at:].decode("utf-8")).split("\n")
+    filled = [(ln, text) for ln, text in
+              enumerate(lines, start=data.count(b"\n", 0, at) + 1) if text.strip()]
     pos = 0   # index into filled of the next line to read
 
     def expect_section(name, optional=False):
@@ -253,8 +298,8 @@ def load_mesh(path) -> Mesh:
             if optional:
                 return None
             raise ParseError(f"expected '{name} <count>', got end of file", path)
-        ln = filled[pos]
-        parts = lines[ln - 1].split()
+        ln, text = filled[pos]
+        parts = text.split()
         if parts[0] != name:
             if optional:
                 return None
@@ -270,80 +315,60 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return count
 
-    def take_rows(count, width, what, convert):
-        """The next count rows, all converted by one call of convert; only
-        when that fails are the rows walked, to name the first bad one."""
+    def take_rows(count, what, scalars):
+        """The next count rows, each field read by its column's scalar;
+        the first bad row is named."""
         nonlocal pos
         block = filled[pos:pos + count]
         pos += count
-        text = [lines[ln - 1] for ln in block]
-        if len(block) == count:
+        rows = []
+        for ln, text in block:
+            parts = text.split()
+            if len(parts) != len(scalars):
+                raise ParseError(f"{what} row needs {len(scalars)} fields, "
+                                 f"got {len(parts)}", path, ln)
             try:
-                return convert(text)
-            except (ValueError, OverflowError):
-                pass
-        for ln, row in zip(block, text):  # error path: name the first bad row
-            parts = row.split()
-            if len(parts) != width:
-                raise ParseError(f"{what} row needs {width} fields, got {len(parts)}", path, ln)
-            try:
-                convert([row])
+                rows.append([read(p) for read, p in zip(scalars, parts)])
             except (ValueError, OverflowError):
                 raise ParseError(f"bad {what} row: {' '.join(parts)}", path, ln) from None
-        raise ParseError(f"file ends inside the {what} section", path)
+        if len(block) < count:
+            raise ParseError(f"file ends inside the {what} section", path)
+        return rows
 
-    def numbers(dtype, scalar, width):
-        """Rows of width numbers as a dtype array.  Every value is read by
-        Python's own scalar(), so '2.7' is not an integer on any numpy:
-        loadtxt's own int64 reader reads it as 2 on versions that only warn."""
-        def convert(text):
-            if not text:
-                return np.empty((0, width), dtype)
-            out = np.loadtxt(text, dtype=dtype, converters=scalar, comments=None, ndmin=2)
-            if out.shape != (len(text), width):
-                raise ValueError(f"expected {width} columns")
-            return out
-        return convert
-
-    def edges(text):
-        rows = [row.split() for row in text]
-        if any(len(parts) != 3 for parts in rows):
-            raise ValueError("expected 3 columns")
-        ends = np.sort(np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2))
-        return dict(zip(map(tuple, ends.tolist()), (r[2] for r in rows)))
-
-    n_nodes = expect_section("nodes")
-    points = take_rows(n_nodes, 2, "node", numbers(np.float64, float, 2))
-    n_tris = expect_section("triangles")
-    triangles = take_rows(n_tris, 3, "triangle", numbers(np.int64, int, 3))
+    # np.int64 reads a string as int does, and refuses what int64 cannot hold
+    points, triangles = plain[:2] if plain else (   # read in file order
+        np.array(take_rows(expect_section("nodes"), "node", (float,) * 2),
+                 np.float64).reshape(-1, 2),
+        np.array(take_rows(expect_section("triangles"), "triangle", (np.int64,) * 3),
+                 np.int64).reshape(-1, 3))
     n_bnd = expect_section("boundary", optional=True) or 0
-    boundary_edges = take_rows(n_bnd, 3, "boundary", edges)
-    if len(boundary_edges) < n_bnd:   # an edge listed twice: name its second row
-        block = filled[pos - n_bnd:pos]
-        ends = [tuple(sorted(map(int, lines[ln - 1].split()[:2]))) for ln in block]
-        i = next(i for i, e in enumerate(ends) if e in ends[:i])
-        raise ParseError(f"boundary edge {ends[i]} listed twice", path, block[i])
+    block, boundary_edges = filled[pos:pos + n_bnd], {}
+    for (ln, _), (a, b, label) in zip(
+            block, take_rows(n_bnd, "boundary", (np.int64, np.int64, str))):
+        edge = (int(min(a, b)), int(max(a, b)))
+        if edge in boundary_edges:
+            raise ParseError(f"boundary edge {edge} listed twice", path, ln)
+        boundary_edges[edge] = label
     if pos < len(filled):
-        ln = filled[pos]
-        raise ParseError("unexpected trailing content "
-                         f"'{' '.join(lines[ln - 1].split())}'", path, ln)
+        ln, text = filled[pos]
+        raise ParseError(f"unexpected trailing content '{' '.join(text.split())}'",
+                         path, ln)
     return build_mesh(points, triangles, boundary_edges)
 
 
 def save_mesh(mesh: Mesh, path):
-    """Write the text format with exact decimal (repr) coordinates."""
+    """Write the text format with exact decimal (repr) coordinates: each
+    section is one format operation and one write."""
+    bnd = mesh.boundary_faces()
+    ends = mesh.face_nodes[bnd].tolist()
+    labels = [mesh.face_labels[f] for f in bnd.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"nodes {mesh.n_nodes}\n")
-        for x, y in mesh.points:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        fh.write(f"triangles {mesh.n_cells}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        bnd = mesh.boundary_faces()
-        fh.write(f"boundary {len(bnd)}\n")
-        for f in bnd:
-            a, b = mesh.face_nodes[f]
-            fh.write(f"{a} {b} {mesh.face_labels[f]}\n")
+        fh.write(f"nodes {mesh.n_nodes}\n" + "%r %r\n" * mesh.n_nodes
+                 % tuple(mesh.points.ravel().tolist()))
+        fh.write(f"triangles {mesh.n_cells}\n" + "%d %d %d\n" * mesh.n_cells
+                 % tuple(mesh.triangles.ravel().tolist()))
+        fh.write(f"boundary {len(bnd)}\n" + "%d %d %s\n" * len(bnd)
+                 % tuple(x for (a, b), lab in zip(ends, labels) for x in (a, b, lab)))
 
 
 def structured_triangulation(n: int) -> Mesh:
@@ -482,12 +507,15 @@ def node_weights(mesh: Mesh) -> NodeWeights:
 
     # rank 3 is beyond doubt where det(G G^T) = m det(C) exceeds 1e-8
     # trace(G G^T)^3 (then sigma_3 > 1e-4 sigma_1); an SVD of the zero-padded
-    # G decides the other nodes
+    # G decides the other nodes, padded to the widest stencil of the mesh
     unsure = count * det <= 1e-8 * (count + total(gx * gx + gy * gy)) ** 3
-    padded = np.zeros((mesh.n_nodes, 3, max(count.max(initial=0), 3)))
-    slot = np.arange(len(node)) - ptr[node]
-    padded[node, 0, slot], padded[node, 1, slot], padded[node, 2, slot] = 1.0, gx, gy
-    sv = np.linalg.svd(padded[unsure], compute_uv=False)
+    entry = np.flatnonzero(unsure[node])
+    row = (np.cumsum(unsure) - 1)[node[entry]]
+    slot = entry - ptr[node[entry]]
+    padded = np.zeros((np.count_nonzero(unsure), 3, max(count.max(initial=0), 3)))
+    padded[row, 0, slot], padded[row, 1, slot], padded[row, 2, slot] = \
+        1.0, gx[entry], gy[entry]
+    sv = np.linalg.svd(padded, compute_uv=False)
     fallback = unsure.copy()
     fallback[unsure] = ~(sv[:, 2] > 1e-9 * sv[:, 0])
 

@@ -399,6 +399,14 @@ def test_a_mesh_file_with_a_non_finite_node_exits_2(tmp_path, capsys):
         assert "node 4 has a non-finite coordinate" in capsys.readouterr().err
 
 
+def test_a_mesh_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    mesh = tmp_path / "m.txt"
+    assert main(["genmesh", "2", str(mesh)]) == 0
+    mesh.write_bytes(mesh.read_bytes().replace(b" top\n", b" t\xe9te\n", 1))
+    assert main(["partition", str(mesh), "2"]) == 2
+    assert "not UTF-8 text: byte 0xe9" in capsys.readouterr().err
+
+
 def test_exit_code_io_failure(tmp_path, capsys):
     assert main(["genmesh", "4", "/nonexistent_dir/m.txt"]) == 4
 

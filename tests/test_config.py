@@ -206,6 +206,27 @@ def test_streamer_eps_must_be_positive(tmp_path, capsys, eps):
     RunConfig(streamer=StreamerConfig(eps=float(eps))).validate()
 
 
+@pytest.mark.parametrize("key, body", [
+    ("velocity", "[transport]\nvelocity = nan 0\n"),
+    ("velocity", "[transport]\nvelocity = 0 inf\n"),
+    ("diffusion", "[transport]\ndiffusion = nan\n"),
+    ("diffusion", "[transport]\ndiffusion = inf\n"),
+    ("mu_e", "[run]\nphysics = streamer\n\n[streamer]\nmu_e = nan\n"),
+    ("alpha", "[run]\nphysics = streamer\n\n[streamer]\nalpha = -inf\n"),
+    ("d_e", "[run]\nphysics = streamer\n\n[streamer]\nd_e = inf\n"),
+    ("dt", "[run]\ndt = inf\n"),
+])
+def test_a_non_finite_setting_exits_2_naming_its_key(tmp_path, capsys, key,
+                                                     body):
+    # found before any rank starts, not as a collapsed step or a non-finite
+    # field at exit 3
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        _load(tmp_path, body)
+    assert main(["run", "--config", str(tmp_path / "cfg.ini"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
 def test_ranks_beyond_one_need_fork(monkeypatch):
     # ranks 1..k-1 are forked processes: without os.fork only k = 1 runs
     import os

@@ -1,12 +1,15 @@
 """Mesh construction, geometry, diamond cells, node interpolation weights."""
 
+import io
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trifvm.mesh as mesh_module
 from trifvm.errors import ConfigError, NumericError, ParseError
 from trifvm.mesh import (build_diamonds, build_mesh, load_mesh, node_weights,
                          save_mesh, structured_triangulation)
@@ -78,14 +81,24 @@ def test_boundary_labels():
 
 
 def test_save_load_round_trip(tmp_path):
-    m = structured_triangulation(3)
-    p = tmp_path / "m.txt"
-    save_mesh(m, p)
-    back = load_mesh(p)
-    assert np.array_equal(back.points, m.points)
-    assert np.array_equal(back.triangles, m.triangles)
-    assert np.array_equal(back.face_cells, m.face_cells)
-    assert back.face_labels == m.face_labels
+    # repr coordinates read back to the same bits, so saving the mesh read
+    # back writes the same bytes
+    for m in (structured_triangulation(3), irregular_mesh(8, seed=2)):
+        p, again = tmp_path / "m.txt", tmp_path / "again.txt"
+        save_mesh(m, p)
+        back = load_mesh(p)
+        save_mesh(back, again)
+        assert again.read_bytes() == p.read_bytes()
+        assert same_mesh(back, m)
+
+
+def same_mesh(a, b):
+    """Bit for bit the same nodes, cells, faces and labels."""
+    return all(getattr(a, k).dtype == getattr(b, k).dtype
+               and getattr(a, k).tobytes() == getattr(b, k).tobytes()
+               for k in ("points", "triangles", "face_nodes", "face_cells",
+                         "cell_faces", "cell_face_signs")) \
+        and a.face_labels == b.face_labels
 
 
 def test_build_mesh_rejects_bad_topology():
@@ -157,6 +170,126 @@ def test_load_mesh_names_the_bad_line(tmp_path, edit, message, line):
     with pytest.raises(ParseError, match=re.escape(message)) as exc:
         load_mesh(path)
     assert exc.value.line == line
+
+
+# the same file with plain headers and no comment or blank line, so that
+# only the fast path's refusal hands a bad row to the line reader
+PLAIN_LINES = ["nodes 4", "0 0", "1 0", "0.5 1", "0.5 -1", "triangles 2",
+               "0 1 2", "1 0 3", "boundary 2", "1 2 top", "3 1 bottom"]
+
+
+@pytest.mark.parametrize("edit, message, line", [
+    ({2: "1 zz"}, "bad node row: 1 zz", 3),
+    ({3: "0.5 1 3"}, "node row needs 2 fields, got 3", 4),
+    ({0: "nodes 5"}, "bad node row: triangles 2", 6),
+    ({6: "0 1.0 2"}, "bad triangle row: 0 1.0 2", 7),
+    ({7: "1 0 2.7"}, "bad triangle row: 1 0 2.7", 8),
+    ({7: "1 0 99999999999999999999"}, "bad triangle row: 1 0 9999", 8),
+    ({7: "1 0"}, "triangle row needs 3 fields, got 2", 8),
+    ({9: "x 2 top"}, "bad boundary row: x 2 top", 10),
+    ({10: "2 1 bottom"}, "boundary edge (1, 2) listed twice", 11),
+    ({11: "extra 1"}, "unexpected trailing content 'extra 1'", 12),
+])
+def test_load_mesh_names_the_bad_line_of_a_plain_file(tmp_path, edit, message,
+                                                      line):
+    lines = [edit.get(i, text) for i, text in enumerate(PLAIN_LINES)]
+    lines += [edit[i] for i in sorted(edit) if i >= len(PLAIN_LINES)]
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        load_mesh(path)
+    assert exc.value.line == line
+
+
+def test_a_numpy_warning_hands_the_file_to_the_line_reader(tmp_path,
+                                                          monkeypatch):
+    # numpy 1.24 to 1.26 read '2.7' in an int64 column as 2 and only warn
+    real = np.loadtxt
+
+    def lenient(fh, dtype, **kw):
+        text = fh.read()
+        if dtype is np.int64 and b"2.7" in text:
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            text = text.replace(b"2.7", b"2")
+        return real(io.BytesIO(text), dtype, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(PLAIN_LINES).replace("1 0 3", "1 0 2.7") + "\n")
+    with pytest.raises(ParseError, match=re.escape("bad triangle row: 1 0 2.7")) \
+            as exc:
+        load_mesh(path)
+    assert exc.value.line == 8
+
+
+@pytest.mark.parametrize("ends", ["\n", "\r\n"])
+def test_load_mesh_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, ends):
+    path = tmp_path / "m.txt"
+    path.write_bytes(ends.join(MESH_LINES[:11] + ["1 2 t"]).encode()
+                     + b"\xe9te" + ends.encode())
+    with pytest.raises(ParseError, match="not UTF-8 text: byte 0xe9") as exc:
+        load_mesh(path)
+    assert exc.value.line == 12 and str(path) in str(exc.value)
+
+
+def _edit_rows(section, count, row):
+    """Change each of the first count rows of a section by row(text)."""
+    def edit(text):
+        head = text.index(section + " ")
+        start = text.index("\n", head) + 1
+        lines = text[start:].split("\n")
+        return text[:start] + "\n".join([row(t) for t in lines[:count]]
+                                        + lines[count:])
+    return edit
+
+
+def _underscore(row):   # '12' -> '1_2', '0.25' -> '0.2_5'
+    return " ".join(re.sub(r"(\d)(\d)", r"\1_\2", t, count=1) for t in row.split())
+
+
+def _arabic(row):       # ASCII digits to Arabic-Indic ones
+    return row.translate({ord(d): 0x660 + int(d) for d in "0123456789"})
+
+
+# each edit, the fast path's verdict on it, and whether the mesh changes
+FILE_EDITS = {
+    "plain": (lambda t: t, True, False),
+    "comments": (lambda t: "# head\n" + t.replace(
+        "\ntriangles", "\n# the cells\n  # next\ntriangles", 1).replace(
+        "\nboundary", "  # last cell\nboundary", 1), True, False),
+    "blank_lines": (_edit_rows("nodes", 3, lambda r: r + "\n\n \t "), True,
+                    False),
+    "crlf": (lambda t: t.replace("\n", "\r\n"), True, False),
+    "cr": (lambda t: t.replace("\n", "\r"), True, False),
+    "no_trailing_newline": (lambda t: t.rstrip("\n"), True, False),
+    "no_boundary": (lambda t: t[:t.index("boundary")], True, True),
+    "boundary_0": (lambda t: t[:t.index("boundary")] + "boundary 0\n", True,
+                   True),
+    "underscores": (_edit_rows("triangles", 40, _underscore), False, False),
+    "underscored_nodes": (_edit_rows("nodes", 40, _underscore), False, False),
+    "arabic_digits": (_edit_rows("triangles", 5, _arabic), False, False),
+    "arabic_nodes": (_edit_rows("nodes", 5, _arabic), False, False),
+}
+
+
+@pytest.mark.parametrize("name", list(FILE_EDITS))
+def test_the_fast_path_reads_what_the_line_reader_reads(tmp_path, monkeypatch,
+                                                        name):
+    edit, fast, changes = FILE_EDITS[name]
+    plain = tmp_path / "plain.txt"
+    save_mesh(irregular_mesh(6, seed=4), plain)
+    path = tmp_path / "m.txt"
+    path.write_bytes(edit(plain.read_text()).encode())
+    taken = []
+    fast_path = mesh_module._plain_sections
+    monkeypatch.setattr(mesh_module, "_plain_sections",
+                        lambda data: taken.append(fast_path(data)) or taken[-1])
+    m = load_mesh(path)
+    assert (taken[0] is not None) == fast
+    monkeypatch.setattr(mesh_module, "_plain_sections", lambda data: None)
+    assert same_mesh(m, load_mesh(path))
+    assert same_mesh(m, load_mesh(plain)) != changes
 
 
 def test_load_mesh_reads_sections_comments_and_labels(tmp_path):
