@@ -32,7 +32,7 @@ twice or labelled ``interior``.
 
 from __future__ import annotations
 
-import io
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -242,54 +242,15 @@ def cell_sum(lm: Mesh, per_face: np.ndarray, signed: bool = True) -> np.ndarray:
 # --------------------------------------------------------------------------
 # text format
 
-_PLAIN_HEADER = re.compile(rb"[ \t]*(nodes|triangles)[ \t]+([0-9]+)[ \t]*(?:#[^\n]*)?\n")
-
-
-def _plain_sections(data: bytes):
-    """The fast path of `load_mesh`: the points and the triangles, each read
-    by one call of numpy's C reader, and the offset of the rest of data.
-    None unless each header is a plain line and its section ASCII text that
-    numpy reads to a (count, width) array without a warning.  numpy skips
-    blank and comment lines as the line reader does, reads numbers as
-    Python's float and int do, and refuses other forms such as '1_0'."""
-    at, out = re.match(rb"(?:[ \t]*(?:#[^\n]*)?\n)*", data).end(), []
-    for name, width, dtype, ends_at in ((b"nodes", 2, np.float64, b"\ntriangles"),
-                                        (b"triangles", 3, np.int64, b"\nboundary")):
-        m = _PLAIN_HEADER.match(data, at)
-        if m is None or m[1] != name:
-            return None
-        at = data.find(ends_at, m.end() - 1) + 1 or len(data)   # next header
-        body = data[m.end():at]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(io.BytesIO(body), dtype, ndmin=2)
-        except (ValueError, OverflowError, Warning):
-            return None
-        if rows.shape != (int(m[2]), width) or not body.isascii():
-            return None
-        out.append(rows)
-    return (*out, at)
-
-
 def load_mesh(path) -> Mesh:
-    """Read the text format.  `_plain_sections` reads the numeric sections
-    of a plain file and the line reader the rest of it, or of any other
-    file; only the line reader names a bad row and its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:   # as text mode reads CRLF and CR line ends
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    with open(path, "rb") as fh:   # line ends as text mode reads them
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        data.decode("utf-8")
+        lines = re.sub("#[^\n]*", "", data.decode("utf-8")).split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", path,
                          data.count(b"\n", 0, exc.start) + 1) from None
-    plain = _plain_sections(data)
-    at = plain[2] if plain else 0   # where the line reader starts
-    lines = re.sub("#[^\n]*", "", data[at:].decode("utf-8")).split("\n")
-    filled = [(ln, text) for ln, text in
-              enumerate(lines, start=data.count(b"\n", 0, at) + 1) if text.strip()]
+    filled = list(itertools.compress(itertools.count(1), map(str.strip, lines)))
     pos = 0   # index into filled of the next line to read
 
     def expect_section(name, optional=False):
@@ -298,8 +259,8 @@ def load_mesh(path) -> Mesh:
             if optional:
                 return None
             raise ParseError(f"expected '{name} <count>', got end of file", path)
-        ln, text = filled[pos]
-        parts = text.split()
+        ln = filled[pos]
+        parts = lines[ln - 1].split()
         if parts[0] != name:
             if optional:
                 return None
@@ -315,44 +276,71 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return count
 
-    def take_rows(count, what, scalars):
-        """The next count rows, each field read by its column's scalar;
-        the first bad row is named."""
+    def take_rows(count, width, what, convert):
+        """The next count rows, all converted by one call of convert; only
+        when that fails are the rows walked, to name the first bad one."""
         nonlocal pos
         block = filled[pos:pos + count]
         pos += count
-        rows = []
-        for ln, text in block:
-            parts = text.split()
-            if len(parts) != len(scalars):
-                raise ParseError(f"{what} row needs {len(scalars)} fields, "
-                                 f"got {len(parts)}", path, ln)
+        text = [lines[ln - 1] for ln in block]
+        if len(block) == count:
             try:
-                rows.append([read(p) for read, p in zip(scalars, parts)])
+                return convert(text)
+            except (ValueError, OverflowError):
+                pass
+        for ln, row in zip(block, text):  # error path: name the first bad row
+            parts = row.split()
+            if len(parts) != width:
+                raise ParseError(f"{what} row needs {width} fields, got {len(parts)}", path, ln)
+            try:
+                convert([row])
             except (ValueError, OverflowError):
                 raise ParseError(f"bad {what} row: {' '.join(parts)}", path, ln) from None
-        if len(block) < count:
-            raise ParseError(f"file ends inside the {what} section", path)
-        return rows
+        raise ParseError(f"file ends inside the {what} section", path)
 
-    # np.int64 reads a string as int does, and refuses what int64 cannot hold
-    points, triangles = plain[:2] if plain else (   # read in file order
-        np.array(take_rows(expect_section("nodes"), "node", (float,) * 2),
-                 np.float64).reshape(-1, 2),
-        np.array(take_rows(expect_section("triangles"), "triangle", (np.int64,) * 3),
-                 np.int64).reshape(-1, 3))
+    def numbers(dtype, scalar, width):
+        """Rows of width numbers as a dtype array, read as Python's own
+        scalar() reads each value.  numpy's C reader does so in one call and
+        splits on the same whitespace; text it refuses or warns about ('1_0',
+        non-ASCII digits, or '2.7' as an integer, which numpy 1.24-1.26 read
+        as 2 with only a warning) is read by scalar() itself."""
+        def convert(text):
+            if not text:
+                return np.empty((0, width), dtype)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = np.loadtxt(text, dtype, comments=None, ndmin=2)
+            except (ValueError, OverflowError, Warning):
+                out = np.loadtxt(text, dtype, converters=scalar, comments=None, ndmin=2)
+            if out.shape != (len(text), width):
+                raise ValueError(f"expected {width} columns")
+            return out
+        return convert
+
+    def edges(text):
+        rows = [row.split() for row in text]
+        if any(len(parts) != 3 for parts in rows):
+            raise ValueError("expected 3 columns")
+        ends = np.sort(np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2))
+        return dict(zip(map(tuple, ends.tolist()), (r[2] for r in rows)))
+
+    n_nodes = expect_section("nodes")
+    points = take_rows(n_nodes, 2, "node", numbers(np.float64, float, 2))
+    n_tris = expect_section("triangles")
+    triangles = take_rows(n_tris, 3, "triangle", numbers(np.int64, int, 3))
     n_bnd = expect_section("boundary", optional=True) or 0
-    block, boundary_edges = filled[pos:pos + n_bnd], {}
-    for (ln, _), (a, b, label) in zip(
-            block, take_rows(n_bnd, "boundary", (np.int64, np.int64, str))):
-        edge = (int(min(a, b)), int(max(a, b)))
-        if edge in boundary_edges:
-            raise ParseError(f"boundary edge {edge} listed twice", path, ln)
-        boundary_edges[edge] = label
+    boundary_edges = take_rows(n_bnd, 3, "boundary", edges)
+    if len(boundary_edges) < n_bnd:   # an edge listed twice: name its second row
+        block = filled[pos - n_bnd:pos]
+        ends = [tuple(sorted(map(int, lines[ln - 1].split()[:2]))) for ln in block]
+        i = next(i for i, e in enumerate(ends) if e in ends[:i])
+        raise ParseError(f"boundary edge {ends[i]} listed twice", path, block[i])
     if pos < len(filled):
-        ln, text = filled[pos]
-        raise ParseError(f"unexpected trailing content '{' '.join(text.split())}'",
-                         path, ln)
+        ln = filled[pos]
+        raise ParseError("unexpected trailing content "
+                         f"'{' '.join(lines[ln - 1].split())}'", path, ln)
+    del data, lines, filled   # so that the text adds nothing to build_mesh's peak
     return build_mesh(points, triangles, boundary_edges)
 
 

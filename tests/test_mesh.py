@@ -1,6 +1,5 @@
 """Mesh construction, geometry, diamond cells, node interpolation weights."""
 
-import io
 import re
 import warnings
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trifvm.mesh as mesh_module
 from trifvm.errors import ConfigError, NumericError, ParseError
 from trifvm.mesh import (build_diamonds, build_mesh, load_mesh, node_weights,
                          save_mesh, structured_triangulation)
@@ -172,8 +170,8 @@ def test_load_mesh_names_the_bad_line(tmp_path, edit, message, line):
     assert exc.value.line == line
 
 
-# the same file with plain headers and no comment or blank line, so that
-# only the fast path's refusal hands a bad row to the line reader
+# the same file with no comment or blank line, so that each bad row is
+# named after numpy's reader refuses its section in one call
 PLAIN_LINES = ["nodes 4", "0 0", "1 0", "0.5 1", "0.5 -1", "triangles 2",
                "0 1 2", "1 0 3", "boundary 2", "1 2 top", "3 1 bottom"]
 
@@ -181,6 +179,8 @@ PLAIN_LINES = ["nodes 4", "0 0", "1 0", "0.5 1", "0.5 -1", "triangles 2",
 @pytest.mark.parametrize("edit, message, line", [
     ({2: "1 zz"}, "bad node row: 1 zz", 3),
     ({3: "0.5 1 3"}, "node row needs 2 fields, got 3", 4),
+    ({1: "0 0 0", 2: "1 0 0", 3: "0.5 1 0", 4: "0.5 -1 0"},
+     "node row needs 2 fields, got 3", 2),
     ({0: "nodes 5"}, "bad node row: triangles 2", 6),
     ({6: "0 1.0 2"}, "bad triangle row: 0 1.0 2", 7),
     ({7: "1 0 2.7"}, "bad triangle row: 1 0 2.7", 8),
@@ -201,18 +201,16 @@ def test_load_mesh_names_the_bad_line_of_a_plain_file(tmp_path, edit, message,
     assert exc.value.line == line
 
 
-def test_a_numpy_warning_hands_the_file_to_the_line_reader(tmp_path,
-                                                          monkeypatch):
+def test_a_numpy_warning_hands_the_rows_to_pythons_int(tmp_path, monkeypatch):
     # numpy 1.24 to 1.26 read '2.7' in an int64 column as 2 and only warn
     real = np.loadtxt
 
-    def lenient(fh, dtype, **kw):
-        text = fh.read()
-        if dtype is np.int64 and b"2.7" in text:
+    def lenient(text, dtype, **kw):
+        if dtype is np.int64 and "converters" not in kw and "1 0 2.7" in text:
             warnings.warn("loadtxt(): Parsing an integer via a float is "
                           "deprecated.", DeprecationWarning)
-            text = text.replace(b"2.7", b"2")
-        return real(io.BytesIO(text), dtype, **kw)
+            text = [row.replace("2.7", "2") for row in text]
+        return real(text, dtype, **kw)
 
     monkeypatch.setattr(np, "loadtxt", lenient)
     path = tmp_path / "m.txt"
@@ -252,7 +250,8 @@ def _arabic(row):       # ASCII digits to Arabic-Indic ones
     return row.translate({ord(d): 0x660 + int(d) for d in "0123456789"})
 
 
-# each edit, the fast path's verdict on it, and whether the mesh changes
+# each edit, whether numpy's reader takes it in one call, and whether
+# the mesh changes
 FILE_EDITS = {
     "plain": (lambda t: t, True, False),
     "comments": (lambda t: "# head\n" + t.replace(
@@ -274,20 +273,29 @@ FILE_EDITS = {
 
 
 @pytest.mark.parametrize("name", list(FILE_EDITS))
-def test_the_fast_path_reads_what_the_line_reader_reads(tmp_path, monkeypatch,
-                                                        name):
-    edit, fast, changes = FILE_EDITS[name]
+def test_numpys_reader_reads_what_pythons_scalars_read(tmp_path, monkeypatch,
+                                                       name):
+    edit, one_call, changes = FILE_EDITS[name]
     plain = tmp_path / "plain.txt"
     save_mesh(irregular_mesh(6, seed=4), plain)
     path = tmp_path / "m.txt"
     path.write_bytes(edit(plain.read_text()).encode())
-    taken = []
-    fast_path = mesh_module._plain_sections
-    monkeypatch.setattr(mesh_module, "_plain_sections",
-                        lambda data: taken.append(fast_path(data)) or taken[-1])
+    real, calls = np.loadtxt, []
+
+    def traced(text, dtype, **kw):
+        calls.append("converters" in kw)
+        return real(text, dtype, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", traced)
     m = load_mesh(path)
-    assert (taken[0] is not None) == fast
-    monkeypatch.setattr(mesh_module, "_plain_sections", lambda data: None)
+    assert (not any(calls)) == one_call
+
+    def scalars_only(text, dtype, **kw):   # every value by Python's float or int
+        if "converters" not in kw:
+            raise ValueError("refused")
+        return real(text, dtype, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", scalars_only)
     assert same_mesh(m, load_mesh(path))
     assert same_mesh(m, load_mesh(plain)) != changes
 
