@@ -97,8 +97,7 @@ class RunConfig:
         if self.physics == "transport":
             if tc.init not in ("gaussian", "constant"):
                 raise ConfigError(f"unknown transport init '{tc.init}'")
-            if not all(abs(v) < np.inf for v in tc.velocity):
-                raise ConfigError("velocity must be finite")
+            _check_finite(tc, "velocity", "center", "amplitude", "constant")
             if not 0 <= tc.diffusion < np.inf:
                 raise ConfigError("diffusion must be finite and >= 0")
         if self.physics == "streamer":
@@ -109,15 +108,23 @@ class RunConfig:
             if sc.model == "linear":
                 if not 0 <= sc.d_e < np.inf:
                     raise ConfigError("d_e must be finite and >= 0")
-                for name in ("mu_e", "alpha"):
-                    if not abs(getattr(sc, name)) < np.inf:
-                        raise ConfigError(f"{name} must be finite")
+                _check_finite(sc, "mu_e", "alpha")
+            _check_finite(sc, "q_e", "seed_center", "seed_amplitude",
+                          "ion_amplitude")
             if not sc.eps > 0:   # NaN too
                 raise ConfigError("eps must be positive")
         for name, val in (("sigma", tc.sigma), ("seed_sigma", sc.seed_sigma)):
             if not val > 0:
                 raise ConfigError(f"{name} must be positive")
         return self
+
+
+def _check_finite(record, *names):
+    """Each named field that is set holds only finite numbers (NaN fails)."""
+    for name in names:
+        val = getattr(record, name)
+        if val is not None and not np.all(np.abs(val) < np.inf):
+            raise ConfigError(f"{name} must be finite")
 
 
 def _float(section, key, raw):

@@ -27,14 +27,14 @@ front's level is its height in the supernode tree (leaves 0); the fronts of
 one level are independent (Liu 1990), and each level's are grouped by
 padded shape into level stacks, allocated once, zero-padded.
 
-Numeric phase, supernodes in order (children first).  A front is assembled
+Numeric phase, supernodes in order (children first).  A front F is assembled
 dense from B's entries whose smaller index is one of its columns plus its
-children's contribution blocks (extend-add through index maps); its
-fully-summed columns are eliminated one by one; U12 = L11^-1 F12; and
-F22 - L21 U12, one matrix product, is the block its parent receives.  The
-front keeps one diagonal block, in the block form of the scheme (Amestoy et
-al. 2001): W = L21 L11^-1, F11^-1 = U11^-1 L11^-1 and V = U11^-1 U12, built
-in place in its level stack's slot, the one copy of the factor.
+children's contribution blocks (extend-add through index maps).  A copy of
+its m x w panel is eliminated column by column only to pick the pivots.  In
+pivot order L11 U11 = F11 and L21 U11 = F21, so the block form of the scheme
+(Amestoy et al. 2001) needs one inverse: W = L21 L11^-1 = F21 F11^-1, V =
+U11^-1 U12 = F11^-1 F12, and the parent receives F22 - W F12.  Each front
+writes F11^-1, V and W once, into its slot in its level stack.
 
 Solve, on z in B's row order: a forward sweep from the leaves subtracts
 W z[pivots] from each front's rows past its columns, and a backward sweep
@@ -83,18 +83,18 @@ STACK_ENTRIES = 2048  # padded block entries worth one more level stack
 @dataclass(slots=True)
 class LevelStack:
     """The fronts of one elimination-tree level whose widths and rows past
-    the columns pad to the same (wp, rp), stacked in supernode order, each
-    with its one diagonal block F11^-1, its W and its V (module doc).
+    the columns pad to the same (wp, rp), stacked in supernode order; each
+    front writes its pivot rows, F11^-1, W and V here once (module doc).
 
     Padding is zero in the blocks and index n in the index arrays: the
     sweep's spare entry, which padded reads find zero and padded writes
     leave zero."""
     cols: np.ndarray     # (g, wp) each front's columns of B
     idx: np.ndarray      # (g, wp + rp) piv, then the rows past the columns
-    piv: np.ndarray      # (g, wp) the row feeding each column (pivots)
+    piv: np.ndarray      # (g, wp) the front's rows in pivot order
     targets: np.ndarray  # the distinct rows past the columns, ascending
     slot: np.ndarray     # those rows, flattened, as positions in targets
-    w: np.ndarray        # (g, rp, wp) W = L21 L11^-1
+    w: np.ndarray        # (g, rp, wp) W = F21 F11^-1
     back: np.ndarray     # (g, wp, wp + rp) [F11^-1, -V], against idx
 
 
@@ -271,7 +271,7 @@ def _level_stacks(n: int, firsts: list, rows: list, kids: list):
                 slot_of[s] = (len(stacks), i)
             targets, slot = np.unique(idx[:, wp:], return_inverse=True)
             stacks.append(LevelStack(
-                cols=idx[:, :wp].copy(), idx=idx, piv=idx[:, :wp],
+                cols=idx[:, :wp].copy(), idx=idx, piv=idx[:, :wp].copy(),
                 targets=targets, slot=slot.ravel(), w=np.zeros((g, rp, wp)),
                 back=np.zeros((g, wp, wp + rp))))
     return stacks, slot_of, len(shapes)
@@ -313,8 +313,9 @@ def factorize(mat: CsrMatrix) -> LuFactors:
             idx, block = contrib.pop(c)
             front[np.ix_(where[idx], where[idx])] += block
 
+        panel = front[:, :w].copy()   # the pivot search's own scratch
         for k in range(w):
-            col = np.abs(front[k:, k])
+            col = np.abs(panel[k:, k])
             big = col.max()
             p = 0 if col[0] >= threshold * big else int(np.argmax(col[:w - k]))
             if big < tiny or col[p] < threshold * big:
@@ -323,35 +324,24 @@ def factorize(mat: CsrMatrix) -> LuFactors:
                     f"column {c}: best fully-summed pivot {col[p]:.3e}, column "
                     f"max {big:.3e} (threshold {threshold}, floor {tiny:.3e})")
             if p:
-                front[[k, k + p]] = front[[k + p, k]]
+                panel[[k, k + p]] = panel[[k + p, k]]
                 pivot_rows[[f + k, f + k + p]] = pivot_rows[[f + k + p, f + k]]
-            front[k + 1:, k] /= front[k, k]
-            front[k + 1:, k + 1:w] -= front[k + 1:, k, None] * front[k, None, k + 1:w]
+            panel[k + 1:, k] /= panel[k, k]
+            panel[k + 1:, k + 1:] -= panel[k + 1:, k, None] * panel[k, None, k + 1:]
 
-        l_inv = np.linalg.inv(np.tril(front[:w, :w], -1) + np.eye(w))
-        l21 = front[w:, :w]
-        u12 = l_inv @ front[:w, w:]
+        piv = pivot_rows[f:f + w]   # the front's first w rows, in pivot order
+        f11_inv = np.linalg.inv(front[piv - f, :w])
+        f12 = front[piv - f, w:]
+        w_blk = front[w:, :w] @ f11_inv
         if m > w:
-            contrib[s] = rows[w:], front[w:, w:] - l21 @ u12
+            contrib[s] = rows[w:], front[w:, w:] - w_blk @ f12
         st, i = stacks[slot_of[s][0]], slot_of[s][1]
         wp = st.cols.shape[1]
-        # U11, and L11^-1 below its diagonal, until the pivots are known
-        st.back[i, :w, :w] = np.where(np.tri(w, k=-1, dtype=bool), l_inv,
-                                      front[:w, :w])
-        st.back[i, :w, wp:wp + m - w] = u12
-        st.w[i, :m - w, :w] = l21 @ l_inv
+        st.idx[i, :w] = st.piv[i, :w] = piv
+        st.back[i, :w, :w] = f11_inv
+        st.back[i, :w, wp:wp + m - w] = -f11_inv @ f12
+        st.w[i, :m - w, :w] = w_blk
         fill += w * (w + 1) + 2 * w * (m - w)
-    for st in stacks:   # the pivots are known now
-        g, wp = st.cols.shape
-        st.piv = st.idx[:, :wp] = np.append(pivot_rows, n)[st.cols]
-        # U11^-1 [L11^-1, U12] = [F11^-1, V], one inversion per stack:
-        # padded pivots are 1 in U11 and 0 in L11^-1, so 0 in F11^-1
-        u11 = np.triu(st.back[:, :, :wp])
-        u11.reshape(g, -1)[:, ::wp + 1][st.cols == n] = 1.0
-        st.back[:, :, :wp] -= u11
-        st.back.reshape(g, -1)[:, ::st.back.shape[2] + 1] = st.cols < n
-        np.matmul(np.linalg.inv(u11), st.back, out=st.back)
-        np.negative(st.back[:, :, wp:], out=st.back[:, :, wp:])
 
     lu = LuFactors(n=n, perm_col=perm_col, pivot_rows=pivot_rows,
                    stacks=stacks, levels=levels, fill_nnz=fill)

@@ -60,6 +60,9 @@ def read_timings_csv(path) -> list:
         header = next(reader, None)
         if header is None or "cores" not in header:
             raise ParseError("timings CSV needs a 'cores' column", path=path)
+        twice = sorted({c for c in header if header.count(c) > 1})
+        if twice:
+            raise ParseError(f"column(s) {twice} appear twice", path=path)
         phases = [c for c in header if c != "cores"]
         unknown = set(phases) - set(PHASES)
         if unknown:

@@ -215,6 +215,16 @@ def test_streamer_eps_must_be_positive(tmp_path, capsys, eps):
     ("alpha", "[run]\nphysics = streamer\n\n[streamer]\nalpha = -inf\n"),
     ("d_e", "[run]\nphysics = streamer\n\n[streamer]\nd_e = inf\n"),
     ("dt", "[run]\ndt = inf\n"),
+    ("q_e", "[run]\nphysics = streamer\n\n[streamer]\nq_e = nan\n"),
+    ("seed_amplitude",
+     "[run]\nphysics = streamer\n\n[streamer]\nseed_amplitude = nan\n"),
+    ("seed_center",
+     "[run]\nphysics = streamer\n\n[streamer]\nseed_center = nan 0.5\n"),
+    ("ion_amplitude",
+     "[run]\nphysics = streamer\n\n[streamer]\nion_amplitude = inf\n"),
+    ("amplitude", "[transport]\namplitude = nan\n"),
+    ("center", "[transport]\ncenter = 0.5 nan\n"),
+    ("constant", "[transport]\ninit = constant\nconstant = inf\n"),
 ])
 def test_a_non_finite_setting_exits_2_naming_its_key(tmp_path, capsys, key,
                                                      body):

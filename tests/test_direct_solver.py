@@ -211,6 +211,29 @@ def test_any_diagonally_dominant_system_solves(seed, n):
     assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       n=st.integers(min_value=2, max_value=89))
+def test_any_weak_diagonal_system_it_accepts_solves(seed, n):
+    # each diagonal entry of a dominant system scaled by 0, 1e-3 or 1: most
+    # draws raise SingularMatrix, and most accepted ones swap rows
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = random_spd_like(rng, n)
+    a = np.zeros((n, n))
+    np.add.at(a, (rows, cols), vals)
+    a[np.arange(n), np.arange(n)] *= rng.choice([0.0, 1e-3, 1.0], n)
+    if not np.linalg.cond(a) <= 1e10:
+        return
+    rows, cols = np.nonzero(a)
+    b = rng.standard_normal(n)
+    try:
+        f = factorize(csr_from_coo(n, rows, cols, a[rows, cols]))
+    except SingularMatrix:
+        return
+    x, ref = solve(f, b), dense_lu_oracle(a, b)
+    assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
 def test_zero_diagonal_block_takes_an_off_diagonal_pivot():
     # a 2x2 block [[0, c], [c, 0]] inside a diagonally dominant system: the
     # first of its columns to be eliminated must swap in the other row
@@ -265,13 +288,21 @@ def test_off_diagonal_pivot_in_a_front_with_rows_past_its_columns():
 
 
 def test_check_solve_rejects_an_unstable_static_pivot(monkeypatch):
-    # threshold 1e-20 keeps the 1e-13 diagonal; the 1e13 growth ruins the solve
+    # one front: its F11 is inverted whole, so the 1e-13 diagonal that
+    # threshold 1e-20 keeps does no harm
     mat = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1e-13, 1.0, 1.0, 1.0])
     _natural_order(monkeypatch)
     assert factorize(mat).check_residual < 1e-15
+    # fronts {0} and {1, 2}: the kept 1e-13 pivot sends 1e13 growth into
+    # the parent's block, which ruins the solve
+    arrow = csr_from_coo(3, [0, 0, 1, 1, 2, 2, 2], [0, 2, 1, 2, 0, 1, 2],
+                         [1e-13, 1.0, 1.0, 0.3, 1.0, 0.7, 1.1])
+    with pytest.raises(SingularMatrix, match="best fully-summed pivot"):
+        factorize(arrow)
     monkeypatch.setattr(direct_solver, "PIVOT_THRESHOLD", 1e-20)
+    assert factorize(mat).check_residual < 1e-15
     with pytest.raises(SingularMatrix, match="check solve"):
-        factorize(mat)
+        factorize(arrow)
 
 
 def test_singular_matrix_raises():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trifvm.cli import main
 from trifvm.errors import ConfigError, ParseError
 from trifvm.scaling import (compute_scaling, parse_duration, read_timings_csv,
                             write_scaling_csv)
@@ -91,6 +92,20 @@ def test_csv_validation(tmp_path):
     p.write_text("cores,warmup\n1,5\n")  # unknown phase column
     with pytest.raises(ParseError):
         read_timings_csv(p)
+
+
+@pytest.mark.parametrize("header, column", [("cores,total,total", "total"),
+                                            ("cores,total,cores", "cores")])
+def test_a_repeated_column_exits_2_naming_it(tmp_path, capsys, header,
+                                            column):
+    # both copies would be read, and the last one silently used
+    p = tmp_path / "t.csv"
+    p.write_text(header + "\n1,5,6\n2,3,4\n")
+    with pytest.raises(ParseError, match=f"\\['{column}'\\] appear twice"):
+        read_timings_csv(p)
+    assert main(["scaling", str(p), "--out", str(tmp_path / "s.csv")]) == 2
+    assert f"['{column}'] appear twice" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("rows, line", [
