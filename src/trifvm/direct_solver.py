@@ -313,7 +313,7 @@ def factorize(mat: CsrMatrix) -> LuFactors:
             idx, block = contrib.pop(c)
             front[np.ix_(where[idx], where[idx])] += block
 
-        panel = front[:, :w].copy()   # the pivot search's own scratch
+        panel = front[:, :w].copy()   # the pivot search works on a copy
         for k in range(w):
             col = np.abs(panel[k:, k])
             big = col.max()
