@@ -1,20 +1,21 @@
 """Run configuration: dataclasses plus a flat key = value file format.
 
-Sections: [run], [transport], [streamer], [bc], [potential_bc].  The
-records below declare the keys of the first three: each int, float, tuple
-or str field (or None) of `RunConfig`, `TransportConfig` and
-`StreamerConfig` is one.  [bc] is `RunConfig.bc`, the boundaries of the
-transported field (the scalar or the electrons).  Boundary entries map any
-face label of the mesh, case-sensitive, to `neumann` or `dirichlet
-<value>`, and a label left out is Neumann; section names and other keys
-match in any case, and left empty keep their defaults.  Any unknown key or
-section, [DEFAULT] included, is an error so typos fail loudly instead of
-silently running defaults, and so is a section or key given twice; a label
-the mesh lacks is one too, found once the mesh is read (`runtime`).  A file
+Sections: [run], [transport], [streamer], [bc], [potential_bc].  Each int,
+float, tuple or str field (or None) of `RunConfig`, `TransportConfig` and
+`StreamerConfig` is a key of the first three, and each numeric one declares
+its range beside it (unmarked: finite, |x| <= `CAP`).  [bc] is
+`RunConfig.bc`, the boundaries of the transported field (the scalar or the
+electrons).  Boundary entries map any face label of the mesh,
+case-sensitive, to `neumann` or `dirichlet <value>` (|value| <= `CAP`),
+and a label left out is Neumann; section names and other keys match in any
+case, and left empty keep their defaults.  Any unknown key or section,
+[DEFAULT] included, is an error so typos fail loudly instead of silently
+running defaults, and so is a section or key given twice; a label the mesh
+lacks is one too, found once the mesh is read (`runtime`).  A file
 configparser cannot parse, or that is not UTF-8 text, is a ConfigError as
-well.  Each rule is checked once: `RunConfig.validate` checks the settings,
-`load_coefficient_table` the streamer's table, and the streamer's kernels
-read both unchecked.
+well.  Each rule is checked once: `RunConfig.validate` checks the keys the
+run's physics reads, `load_coefficient_table` the streamer's table, and
+the streamer's kernels read both unchecked.
 """
 
 from __future__ import annotations
@@ -28,13 +29,36 @@ import numpy as np
 from .errors import ConfigError
 
 
+# a key's range (lo, hi, text): lo <= x <= hi (no NaN), "<key> must be <text>"
+CAP = 1e100   # the largest magnitude a number in the input may have
+FINITE = (-CAP, CAP, f"finite with |x| <= {CAP:g}")   # the default
+NON_NEGATIVE = (0.0, CAP, f"in [0, {CAP:g}]")
+POSITIVE = (1 / CAP, CAP, f"positive, in [{1 / CAP:g}, {CAP:g}]")
+
+
+def at_least(n: int) -> tuple:
+    return (n, np.inf, f">= {n}")
+
+
+def _key(default, rng: tuple):
+    return field(default=default, metadata={"range": rng})
+
+
+def _check(name, val, rng=FINITE):
+    """val, if each of its numbers (one, or a tuple's) is in rng."""
+    lo, hi, text = rng
+    if not all(lo <= x <= hi for x in np.ravel(val).tolist()):
+        raise ConfigError(f"{name} must be {text}")
+    return val
+
+
 @dataclass
 class TransportConfig:
     velocity: tuple = (0.0, 0.0)
-    diffusion: float = 0.1
+    diffusion: float = _key(0.1, NON_NEGATIVE)
     init: str = "gaussian"          # gaussian | constant
     center: tuple = (0.5, 0.5)
-    sigma: float = 0.1
+    sigma: float = _key(0.1, POSITIVE)
     amplitude: float = 1.0
     constant: float = 0.0
 
@@ -43,88 +67,62 @@ class TransportConfig:
 class StreamerConfig:
     model: str = "linear"
     mu_e: float = 1.0
-    d_e: float = 0.1
+    d_e: float = _key(0.1, NON_NEGATIVE)
     alpha: float = 1.0
-    eps: float = 1.0
+    eps: float = _key(1.0, POSITIVE)
     q_e: float = 1.0
     table_path: str | None = None
     seed_center: tuple = (0.5, 0.5)
-    seed_sigma: float = 0.1
+    seed_sigma: float = _key(0.1, POSITIVE)
     seed_amplitude: float = 1.0
     ion_amplitude: float | None = None   # None = neutral seed (equal to electrons)
     potential_bc: dict = field(default_factory=dict)
-    pin_cell: int | None = None          # auto-pinned when all-Neumann
+    pin_cell: int | None = _key(None, at_least(0))  # auto-pinned when all-Neumann
 
 
 @dataclass
 class RunConfig:
     mesh_path: str | None = None
-    mesh_n: int = 16                # used when mesh_path is unset
-    k: int = 1
-    steps: int = 10
-    dt: float | None = None         # None = CFL-reduced each step
-    cfl: float = 0.4
+    mesh_n: int = _key(16, at_least(1))   # used when mesh_path is unset
+    k: int = _key(1, at_least(1))
+    steps: int = _key(10, at_least(0))
+    dt: float | None = _key(None, POSITIVE)   # None = CFL-reduced each step
+    cfl: float = _key(0.4, (1 / CAP, 1.0, f"in [{1 / CAP:g}, 1]"))
     physics: str = "transport"      # transport | streamer
-    output_every: int = 0           # 0 = initial state only
+    output_every: int = _key(0, at_least(0))   # 0 = initial state only
     out_dir: str | None = None
     name: str = "run"
-    timeout_s: float = 60.0
+    timeout_s: float = _key(60.0, POSITIVE)
     bc: dict = field(default_factory=dict)  # of the transported field
     transport: TransportConfig = field(default_factory=TransportConfig)
     streamer: StreamerConfig = field(default_factory=StreamerConfig)
 
     def validate(self) -> "RunConfig":
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.k > 1 and not hasattr(os, "fork"):
-            raise ConfigError("k > 1 runs ranks as forked processes, and "
-                              "this platform has no os.fork")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError("cfl must be in (0, 1]")
+        """Check the range of each key the run's physics reads, and more."""
+        tc, sc = self.transport, self.streamer
         if self.physics not in ("transport", "streamer"):
             raise ConfigError(f"unknown physics '{self.physics}'")
-        if self.dt is not None and not 0 < self.dt < np.inf:   # NaN too
-            raise ConfigError("dt must be positive and finite")
-        if self.output_every < 0:
-            raise ConfigError("output_every must be >= 0")
-        if self.mesh_path is None and self.mesh_n < 1:
-            raise ConfigError("mesh_n must be >= 1")
-        if not self.timeout_s > 0:
-            raise ConfigError("timeout_s must be positive")
-        tc, sc = self.transport, self.streamer
+        unread = {"mesh_n"} if self.mesh_path is not None else set()
         if self.physics == "transport":
             if tc.init not in ("gaussian", "constant"):
                 raise ConfigError(f"unknown transport init '{tc.init}'")
-            _check_finite(tc, "velocity", "center", "amplitude", "constant")
-            if not 0 <= tc.diffusion < np.inf:
-                raise ConfigError("diffusion must be finite and >= 0")
-        if self.physics == "streamer":
+        else:
             if sc.model not in ("linear", "table"):
                 raise ConfigError(f"unknown coefficient model '{sc.model}'")
             if sc.model == "table" and sc.table_path is None:
                 raise ConfigError("model = table needs table_path")
-            if sc.model == "linear":
-                if not 0 <= sc.d_e < np.inf:
-                    raise ConfigError("d_e must be finite and >= 0")
-                _check_finite(sc, "mu_e", "alpha")
-            _check_finite(sc, "q_e", "seed_center", "seed_amplitude",
-                          "ion_amplitude")
-            if not sc.eps > 0:   # NaN too
-                raise ConfigError("eps must be positive")
-        for name, val in (("sigma", tc.sigma), ("seed_sigma", sc.seed_sigma)):
-            if not val > 0:
-                raise ConfigError(f"{name} must be positive")
+            if sc.model == "table":
+                unread |= {"mu_e", "d_e", "alpha"}
+        for record in (self, tc if self.physics == "transport" else sc):
+            for f in fields(record):
+                val = getattr(record, f.name)
+                if (f.type.split()[0] in ("int", "float", "tuple")
+                        and f.name not in unread and val is not None):
+                    _check(f.name, val, f.metadata.get("range", FINITE))
+        if self.k > 1 and not hasattr(os, "fork"):
+            raise ConfigError("k > 1 runs ranks as forked processes, and "
+                              "this platform has no os.fork")
         return self
-
-
-def _check_finite(record, *names):
-    """Each named field that is set holds only finite numbers (NaN fails)."""
-    for name in names:
-        val = getattr(record, name)
-        if val is not None and not np.all(np.abs(val) < np.inf):
-            raise ConfigError(f"{name} must be finite")
 
 
 def _float(section, key, raw):
@@ -153,7 +151,8 @@ def _bc_entry(section, label, raw):
     if parts and parts[0] == "neumann" and len(parts) == 1:
         return ("neumann",)
     if len(parts) == 2 and parts[0] == "dirichlet":
-        return ("dirichlet", _float(section, label, parts[1]))
+        return ("dirichlet", _check(f"[{section}] {label}: the value",
+                                    _float(section, label, parts[1])))
     raise ConfigError(f"[{section}] {label}: expected 'neumann' or "
                       f"'dirichlet <value>', got '{raw}'")
 
@@ -222,8 +221,8 @@ def load_coefficient_table(path) -> np.ndarray:
         raise ConfigError(f"cannot read coefficient table {path}: {exc}") from exc
     if t.shape[1] != 4 or t.shape[0] < 2:
         raise ConfigError(f"coefficient table {path} must be (rows >= 2) x 4")
+    if not np.all(np.abs(t) <= CAP) or np.any(t[:, 2] < 0):
+        raise ConfigError(f"table entries must be {FINITE[2]}, with D_e >= 0")
     if not np.all(np.diff(t[:, 0]) > 0):
         raise ConfigError("table |E| knots must be strictly ascending")
-    if not np.all(np.isfinite(t)) or np.any(t[:, 2] < 0):
-        raise ConfigError("table entries must be finite with D_e >= 0")
     return t

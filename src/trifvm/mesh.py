@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import CAP
 from .errors import ConfigError, NumericError, ParseError
 
 INTERIOR = "interior"
@@ -155,10 +156,10 @@ def build_mesh(points, triangles, boundary_edges=None) -> Mesh:
         raise ConfigError("triangles must be (m, 3)")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(points)):
         raise ConfigError("triangle references a node out of range")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"node {int(np.flatnonzero(~finite)[0])} has a "
-                          "non-finite coordinate")
+    capped = (np.abs(points) <= CAP).all(axis=1)    # NaN fails
+    if not capped.all():
+        raise ConfigError(f"node {int(np.flatnonzero(~capped)[0])} has a "
+                          f"non-finite coordinate or one with |x| > {CAP:g}")
 
     used = np.zeros(len(points), dtype=bool)
     used[triangles.ravel()] = True

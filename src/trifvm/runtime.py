@@ -607,7 +607,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
     mesh = _load_global_mesh(cfg)
     _check_bc_labels(mesh, cfg)
     pin = cfg.streamer.pin_cell
-    if pin is not None and not 0 <= pin < mesh.n_cells:
+    if pin is not None and pin >= mesh.n_cells:   # validate: pin >= 0
         raise ConfigError(f"[streamer] pin_cell = {pin} is not a cell of "
                           f"this mesh (0 to {mesh.n_cells - 1})")
     if cfg.out_dir:

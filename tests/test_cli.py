@@ -399,6 +399,26 @@ def test_a_mesh_file_with_a_non_finite_node_exits_2(tmp_path, capsys):
         assert "node 4 has a non-finite coordinate" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_mesh_file_scaled_by_1e200_exits_2(tmp_path, capsys):
+    # finite coordinates whose geometry would overflow are bad input too,
+    # found before any product of them is taken
+    mesh = tmp_path / "m.txt"
+    assert main(["genmesh", "2", str(mesh)]) == 0
+    head, rest = mesh.read_text().split("triangles", 1)
+    title, *nodes = head.strip("\n").split("\n")
+    mesh.write_text("\n".join(
+        [title] + [" ".join(repr(float(x) * 1e200) for x in line.split())
+                   for line in nodes] + ["triangles" + rest]))
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[run]\nmesh_path = {mesh}\nsteps = 1\n")
+    for argv in (["partition", str(mesh), "2"],
+                 ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        assert "node 1 has a non-finite coordinate or one with |x| > 1e+100" \
+            in capsys.readouterr().err
+
+
 def test_a_mesh_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     mesh = tmp_path / "m.txt"
     assert main(["genmesh", "2", str(mesh)]) == 0

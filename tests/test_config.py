@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from trifvm.cli import main
-from trifvm.config import (RunConfig, StreamerConfig, TransportConfig,
-                           load_coefficient_table, load_config)
+from trifvm.config import (FINITE, RunConfig, StreamerConfig,
+                           TransportConfig, load_coefficient_table,
+                           load_config)
 from trifvm.errors import ConfigError
 from trifvm.mesh import structured_triangulation
 from trifvm.transport import BC_NEUMANN, classify_faces
@@ -159,7 +160,7 @@ def test_readme_sample_config_runs(tmp_path):
     "[transport]\nsigma = 0\n",
     # a NaN fails every check, as a number out of range does
     "[transport]\nsigma = nan\n",
-    "[streamer]\nseed_sigma = nan\n",
+    "[run]\nphysics = streamer\n\n[streamer]\nseed_sigma = nan\n",
     "[run]\nphysics = streamer\n\n[streamer]\nd_e = nan\n",
 ])
 def test_rejects_malformed_input(tmp_path, body):
@@ -237,6 +238,65 @@ def test_a_non_finite_setting_exits_2_naming_its_key(tmp_path, capsys, key,
     assert f"error: {key} must be" in capsys.readouterr().err
 
 
+def _out_of_range_cases():
+    """(key, config body) for each numeric key of the three records and
+    each value outside its range: NaN, +-inf and 1e308; -1 where the range
+    is non-negative, and 1e-320 where it is positive; one below an integer
+    key's minimum.  The body sets the physics (and the linear model, the
+    default) that reads the key, so a key added to a record is covered with
+    no edit here."""
+    for section, record, physics in (("run", RunConfig, "transport"),
+                                     ("transport", TransportConfig,
+                                      "transport"),
+                                     ("streamer", StreamerConfig,
+                                      "streamer")):
+        head = f"[run]\nphysics = {physics}\n"
+        if section != "run":
+            head += f"\n[{section}]\n"
+        for f in fields(record):
+            kind = f.type.split()[0]
+            if kind not in ("int", "float", "tuple"):
+                continue
+            lo = f.metadata.get("range", FINITE)[0]
+            bad = ["nan", "inf", "-inf", "1e308"]
+            if kind == "int":
+                bad.append(str(lo - 1))
+            elif lo >= 0:
+                bad += ["-1"] + (["1e-320"] if lo > 0 else [])
+            for value in bad:
+                for raw in ([f"{value} 0.5", f"0.5 {value}"]
+                            if kind == "tuple" else [value]):
+                    yield pytest.param(f.name, f"{head}{f.name} = {raw}\n",
+                                       id=f"{section}.{f.name}={raw}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, body", _out_of_range_cases())
+def test_a_setting_out_of_its_range_exits_2_naming_its_key(tmp_path, capsys,
+                                                         key, body):
+    (tmp_path / "cfg.ini").write_text(body)
+    assert main(["run", "--config", str(tmp_path / "cfg.ini"),
+                 "--out", str(tmp_path / "o")]) == 2
+    # "<key> must be ..." from validate, "[<section>] <key>: ..." from
+    # the parser when the value is not an integer
+    assert re.match(rf"error: (\[\w+\] )?{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("section", ["bc", "potential_bc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+def test_a_boundary_value_out_of_range_exits_2_naming_its_label(
+        tmp_path, capsys, section, value):
+    (tmp_path / "cfg.ini").write_text(
+        f"[run]\nmesh_n = 4\nsteps = 1\nphysics = streamer\n\n"
+        f"[{section}]\nleft = dirichlet {value}\n")
+    assert main(["run", "--config", str(tmp_path / "cfg.ini"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: [{section}] left: the value must be finite")
+
+
 def test_ranks_beyond_one_need_fork(monkeypatch):
     # ranks 1..k-1 are forked processes: without os.fork only k = 1 runs
     import os
@@ -266,6 +326,8 @@ BAD_TABLES = {
     "three_columns": "0.0 1.0 0.1\n2.0 3.0 0.3\n",
     "descending": "1.0 1.0 0.1 0.2\n0.5 1.0 0.1 0.2\n",
     "nan": "0.0 1.0 0.1 0.0\n2.0 nan 0.3 4.0\n",
+    "huge": "0.0 1.0 0.1 0.0\n2.0 1e308 0.3 4.0\n",
+    "inf_knots": "inf 1.0 0.1 0.0\ninf 1.0 0.1 0.0\n",   # inf - inf is NaN
     "negative_d_e": "0.0 1.0 -0.1 0.0\n2.0 3.0 0.3 4.0\n",
 }
 
